@@ -73,6 +73,8 @@ def parse_algebra_file(text: str) -> AlgebraFile:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError("top level must be an object")
     unknown = set(data) - _TOP_KEYS

@@ -26,11 +26,47 @@ from .core import (
     WorkbenchError,
     aggregate_report,
     check_antisymmetry,
-    check_lie,
-    scan_tuples,
+    require_lie,
+    tensors_equal_report,
     vec_iadd,
 )
+from .formula import Formula, scan, states, tabulate
 from .lie import LieBiOperator, check_bi_myb, check_even_tempered, derived_bracket
+
+QUADRATIC_BRACKET = Formula("quadratic-bracket", "X Y", "[rhoX,Y] + [X,rhoY] - rho[X,Y] + [RX,RY] - R[X,Y]_R")
+RHO_HOMOMORPHISM = Formula("rho-bracket-homomorphism", "X Y", "rho[X,Y]_rho = [rhoX,rhoY]")
+MIXED_COMPATIBILITY = Formula(
+    "mixed-bracket-compatibility", "X Y", "R[X,Y]_rho + rho[X,Y]_R = [RX,rhoY] + [rhoX,RY]"
+)
+REGULAR = Formula("regular", "X Y", "R[X,Y]_R = 2([rhoX,Y] + [X,rhoY])")
+
+
+def _degree_pairs(d: int) -> list:
+    return [(p, d - p) for p in range(3) if 0 <= d - p <= 2]
+
+
+# Coefficient of l^d in R_l [X,Y]_l = [R_l X, R_l Y] and in the Jacobiator of [.,.]_l.
+HOMOMORPHISM_DEGREES = tuple(
+    Formula(
+        f"homomorphism-deg{d}",
+        "X Y",
+        " + ".join(f"r{p}[X,Y]_b{q}" for p, q in _degree_pairs(d))
+        + " = "
+        + " + ".join(f"[r{p}X,r{q}Y]_b0" for p, q in _degree_pairs(d)),
+    )
+    for d in range(5)
+)
+JACOBI_DEGREES = tuple(
+    Formula(
+        f"jacobi-deg{d}",
+        "X Y Z",
+        " + ".join(
+            f"[[X,Y]_b{p},Z]_b{q} + [[Y,Z]_b{p},X]_b{q} + [[Z,X]_b{p},Y]_b{q}" for p, q in _degree_pairs(d)
+        )
+        + " = 0",
+    )
+    for d in range(5)
+)
 
 
 class CoefficientMismatchError(WorkbenchError):
@@ -39,12 +75,6 @@ class CoefficientMismatchError(WorkbenchError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-def _require_lie(bracket: BilinearStructure) -> None:
-    report = check_lie(bracket)
-    if not report.passed:
-        raise ValueError("bracket is not a Lie bracket")
 
 
 @dataclass(frozen=True)
@@ -56,7 +86,7 @@ class RRhoAlgebra:
     rho: Operator
 
     def __post_init__(self):
-        _require_lie(self.bracket)
+        require_lie(self.bracket)
         if self.R.dim != self.bracket.dim or self.rho.dim != self.bracket.dim:
             raise DimensionMismatchError("operator dimension differs from bracket dimension")
 
@@ -73,7 +103,7 @@ class QuadraticBunch:
     r2: Operator
 
     def __post_init__(self):
-        _require_lie(self.b0)
+        require_lie(self.b0)
         dims = {self.b0.dim, self.b1.dim, self.b2.dim, self.r0.dim, self.r1.dim, self.r2.dim}
         if len(dims) != 1:
             raise DimensionMismatchError("bunch coefficients have mixed dimensions")
@@ -101,53 +131,25 @@ class QuadraticBunch:
         return BilinearStructure(self.dim, entries)
 
 
+def _structures(a: RRhoAlgebra) -> dict:
+    return {"bracket": a.bracket, "R": a.R, "rho": a.rho, "bracket_R": derived_bracket(a.bracket, a.R)}
+
+
+@states(QUADRATIC_BRACKET)
 def bracket_rho(a: RRhoAlgebra) -> BilinearStructure:
     """Structure tensor of the quadratic bracket [X,Y]_rho."""
-    bracket, R, rho = a.bracket, a.R, a.rho
-    br = derived_bracket(bracket, R)
-    entries = {}
-    for i in range(bracket.dim):
-        ri = rho.column(i)
-        ui = R.column(i)
-        for j in range(bracket.dim):
-            vec = bracket.apply_first(ri, j)
-            vec_iadd(vec, bracket.apply_second(i, rho.column(j)))
-            vec_iadd(vec, rho.apply(bracket.value(i, j)), -1)
-            vec_iadd(vec, bracket.apply(ui, R.column(j)))
-            vec_iadd(vec, R.apply(br.value(i, j)), -1)
-            if vec:
-                entries[(i, j)] = vec
-    return BilinearStructure(bracket.dim, entries)
+    return tabulate(QUADRATIC_BRACKET, _structures(a))
 
 
+@states(RHO_HOMOMORPHISM, MIXED_COMPATIBILITY, REGULAR)
 def check_rrho(a: RRhoAlgebra) -> CheckReport:
     """Both defining identities, plus the regularity identity as an informational flag."""
-    bracket, R, rho = a.bracket, a.R, a.rho
-    br = derived_bracket(bracket, R)
-    brho = bracket_rho(a)
-
-    def first_residual(i, j):
-        acc = rho.apply(brho.value(i, j))
-        vec_iadd(acc, bracket.apply(rho.column(i), rho.column(j)), -1)
-        return acc
-
-    def second_residual(i, j):
-        acc = R.apply(brho.value(i, j))
-        vec_iadd(acc, rho.apply(br.value(i, j)))
-        vec_iadd(acc, bracket.apply(R.column(i), rho.column(j)), -1)
-        vec_iadd(acc, bracket.apply(rho.column(i), R.column(j)), -1)
-        return acc
-
-    def regular_residual(i, j):
-        acc = R.apply(br.value(i, j))
-        vec_iadd(acc, bracket.apply_first(rho.column(i), j), -2)
-        vec_iadd(acc, bracket.apply_second(i, rho.column(j)), -2)
-        return acc
-
+    structures = _structures(a)
+    structures["bracket_rho"] = tabulate(QUADRATIC_BRACKET, structures)
     subs = (
-        scan_tuples("rho-bracket-homomorphism", bracket.dim, 2, first_residual),
-        scan_tuples("mixed-bracket-compatibility", bracket.dim, 2, second_residual),
-        scan_tuples("regular", bracket.dim, 2, regular_residual, informational=True),
+        scan(RHO_HOMOMORPHISM, structures),
+        scan(MIXED_COMPATIBILITY, structures),
+        scan(REGULAR, structures, informational=True),
     )
     return aggregate_report("rrho", subs)
 
@@ -173,6 +175,7 @@ def build_bunch(a: RRhoAlgebra) -> QuadraticBunch:
     )
 
 
+@states(*HOMOMORPHISM_DEGREES, *JACOBI_DEGREES)
 def check_gamma_bunch(q: QuadraticBunch) -> CheckReport:
     """Homomorphism and Jacobi conditions of the family, coefficient-wise in l.
 
@@ -182,40 +185,13 @@ def check_gamma_bunch(q: QuadraticBunch) -> CheckReport:
     The Jacobiator of [.,.]_l is also checked per degree, plus antisymmetry of
     the coefficient brackets.
     """
-    brackets = q.brackets()
-    ops = q.operators()
-    dim = q.dim
-    subs = []
-    for d, b in enumerate(brackets):
-        rep = check_antisymmetry(b)
-        subs.append(replace(rep, name=f"antisymmetry-deg{d}"))
-
-    for d in range(5):
-        terms = [(p, d - p) for p in range(3) if 0 <= d - p <= 2]
-
-        def residual(i, j, terms=terms):
-            acc: dict = {}
-            for p, qq in terms:
-                vec_iadd(acc, ops[p].apply(brackets[qq].value(i, j)))
-                vec_iadd(acc, q.b0.apply(ops[p].column(i), ops[qq].column(j)), -1)
-            return acc
-
-        subs.append(scan_tuples(f"homomorphism-deg{d}", dim, 2, residual))
-
-    for d in range(5):
-        terms = [(p, d - p) for p in range(3) if 0 <= d - p <= 2]
-
-        def jac_residual(i, j, k, terms=terms):
-            acc: dict = {}
-            for p, qq in terms:
-                bp, bq = brackets[p], brackets[qq]
-                vec_iadd(acc, bq.apply_first(bp.value(i, j), k))
-                vec_iadd(acc, bq.apply_first(bp.value(j, k), i))
-                vec_iadd(acc, bq.apply_first(bp.value(k, i), j))
-            return acc
-
-        subs.append(scan_tuples(f"jacobi-deg{d}", dim, 3, jac_residual))
-
+    structures = {
+        **{f"bracket_b{d}": b for d, b in enumerate(q.brackets())},
+        **{f"r{d}": r for d, r in enumerate(q.operators())},
+    }
+    subs = [replace(check_antisymmetry(b), name=f"antisymmetry-deg{d}") for d, b in enumerate(q.brackets())]
+    subs += [scan(f, structures) for f in HOMOMORPHISM_DEGREES]
+    subs += [scan(f, structures) for f in JACOBI_DEGREES]
     return aggregate_report("gamma-bunch", subs)
 
 
@@ -235,8 +211,6 @@ def extract_rrho(q: QuadraticBunch) -> RRhoAlgebra:
             f"bunch fails the gamma-bunch conditions ({bad.name} at {bad.witness.indices})"
         )
     a = RRhoAlgebra(q.b0, q.r1, q.r2)
-    from .core import tensors_equal_report
-
     b1_check = tensors_equal_report("b1-matches-derived-bracket", q.b1, derived_bracket(q.b0, q.r1))
     if not b1_check.passed:
         raise CoefficientMismatchError(

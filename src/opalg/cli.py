@@ -1,8 +1,9 @@
 """Batch command-line front door.
 
 Exit codes: 0 = all asserted checks passed, 1 = at least one asserted check
-failed, 2 = usage or parse error.  Informational findings never affect the
-exit status.
+failed, 2 = usage, parse or guard error, 3 = internal error (an unexpected
+exception; never reported as a failed check).  Informational findings never
+affect the exit status.
 """
 
 from __future__ import annotations
@@ -197,6 +198,9 @@ def main(argv=None) -> int:
     except (WorkbenchError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:  # the boundary: a crash must not look like exit 1
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 def console_main() -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .formula import Formula, scan, states
 from .scalars import Scalar, as_scalar, render_scalar
 
 
@@ -79,10 +80,6 @@ def vec_dense(v: dict, dim: int) -> tuple:
 
 def vec_from_dense(seq) -> dict:
     return {i: s for i, s in enumerate(map(as_scalar, seq)) if s}
-
-
-def basis_vec(i: int) -> dict:
-    return {i: 1}
 
 
 _EMPTY: dict = {}
@@ -185,14 +182,6 @@ class Operator:
     def scale(self, coeff: Scalar) -> "Operator":
         coeff = as_scalar(coeff)
         return Operator(tuple(tuple(coeff * a for a in row) for row in self.rows))
-
-    def __pow__(self, exponent: int) -> "Operator":
-        if exponent < 0:
-            raise ValueError("negative operator powers are not defined here")
-        out = Operator.identity(self.dim)
-        for _ in range(exponent):
-            out = out @ self
-        return out
 
     def is_identity(self) -> bool:
         return self == Operator.identity(self.dim)
@@ -607,17 +596,6 @@ def tensors_equal_report(name, a, b, notes=(), informational=False) -> CheckRepo
     return CheckReport(name, True, None, count, informational=informational, notes=tuple(notes))
 
 
-def operators_equal_report(name, a: Operator, b: Operator, notes=(), informational=False) -> CheckReport:
-    """Exact operator equality, witnessed column-wise on basis vectors."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError("operator dims differ")
-
-    def residual(j):
-        return vec_sub(a.column(j), b.column(j))
-
-    return scan_tuples(name, a.dim, 1, residual, notes=notes, informational=informational)
-
-
 # ---------------------------------------------------------------------------
 # base structure checks
 
@@ -625,36 +603,36 @@ VARIANT_JACOBSON = "jacobson"
 VARIANT_ALTERNATE = "alternate"
 JTS_VARIANTS = (VARIANT_JACOBSON, VARIANT_ALTERNATE)
 
+ANTISYMMETRY = Formula("antisymmetry", "X Y", "[X,Y] + [Y,X] = 0")
+JACOBI = Formula("jacobi", "X Y Z", "[[X,Y],Z] + [[Y,Z],X] + [[Z,X],Y] = 0")
+JTS_IDENTITIES = {
+    VARIANT_JACOBSON: Formula(
+        "jts-jacobson", "A B X Y Z", "<A,B,<X,Y,Z>> = <<A,B,X>,Y,Z> - <X,<B,A,Y>,Z> + <X,Y,<A,B,Z>>"
+    ),
+    VARIANT_ALTERNATE: Formula(
+        "jts-alternate", "X A Z B Y", "<X,<A,Z,B>,Y> = <<X,A,Y>,B,Z> + <<Y,A,Z>,B,X> - <<X,B,Y>,A,Z>"
+    ),
+}
+# Operator equality, witnessed column-wise on basis vectors.
+COMMUTE = Formula("operators-commute", "X", "R1R2X = R2R1X")
 
+
+@states(ANTISYMMETRY)
 def check_antisymmetry(b: BilinearStructure) -> CheckReport:
-    def residual(i, j):
-        acc = dict(b.value(i, j))
-        return vec_iadd(acc, b.value(j, i))
-
-    return scan_tuples("antisymmetry", b.dim, 2, residual)
+    return scan(ANTISYMMETRY, {"bracket": b})
 
 
+@states(JACOBI)
 def check_jacobi(b: BilinearStructure) -> CheckReport:
-    def residual(i, j, k):
-        acc = b.apply_first(b.value(i, j), k)
-        vec_iadd(acc, b.apply_first(b.value(j, k), i))
-        vec_iadd(acc, b.apply_first(b.value(k, i), j))
-        return acc
-
-    return scan_tuples("jacobi", b.dim, 3, residual)
+    return scan(JACOBI, {"bracket": b})
 
 
 _jts_cache: dict = {}
 
 
+@states(*JTS_IDENTITIES.values())
 def check_jts_identity(t: TrilinearStructure, variant: str, force: bool = False) -> CheckReport:
     """Five-variable triple-system identity, scanned over all dim^5 tuples.
-
-    variant="jacobson": <a,b,<x,y,z>> = <<a,b,x>,y,z> - <x,<b,a,y>,z> + <x,y,<a,b,z>>,
-    scanned in variable order (a, b, x, y, z).
-
-    variant="alternate": <x,<a,z,b>,y> = <<x,a,y>,b,z> + <<y,a,z>,b,x> - <<x,b,y>,a,z>,
-    scanned in variable order (x, a, z, b, y).
 
     Reports are cached per (tensor, variant); a cached report is returned
     without consulting the dimension guard, since it costs nothing to reuse.
@@ -665,26 +643,7 @@ def check_jts_identity(t: TrilinearStructure, variant: str, force: bool = False)
     if cached is not None:
         return cached
     guard_scan(t.dim, 5, force)
-
-    if variant == VARIANT_JACOBSON:
-
-        def residual(a, b, x, y, z):
-            acc = t.apply_last(a, b, t.value(x, y, z))
-            vec_iadd(acc, t.apply_first(t.value(a, b, x), y, z), -1)
-            vec_iadd(acc, t.apply_middle(x, t.value(b, a, y), z))
-            vec_iadd(acc, t.apply_last(x, y, t.value(a, b, z)), -1)
-            return acc
-
-    else:
-
-        def residual(x, a, z, b, y):
-            acc = t.apply_middle(x, t.value(a, z, b), y)
-            vec_iadd(acc, t.apply_first(t.value(x, a, y), b, z), -1)
-            vec_iadd(acc, t.apply_first(t.value(y, a, z), b, x), -1)
-            vec_iadd(acc, t.apply_first(t.value(x, b, y), a, z))
-            return acc
-
-    report = scan_tuples(f"jts-{variant}", t.dim, 5, residual)
+    report = scan(JTS_IDENTITIES[variant], {"triple": t})
     _jts_cache[(t, variant)] = report
     return report
 
@@ -700,3 +659,13 @@ def check_lie(b: BilinearStructure) -> CheckReport:
     report = aggregate_report("lie", (check_antisymmetry(b), check_jacobi(b)))
     _lie_cache[b] = report
     return report
+
+
+def require_lie(bracket: BilinearStructure) -> None:
+    """Precondition of every structure built on a Lie bracket."""
+    report = check_lie(bracket)
+    if not report.passed:
+        bad = next(s for s in report.subchecks if not s.passed)
+        raise ValueError(
+            f"bracket is not a Lie bracket: {bad.name} fails at {bad.witness.indices}"
+        )

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 
 from .core import (
+    COMMUTE,
     BilinearStructure,
     CheckReport,
     DimensionMismatchError,
@@ -21,14 +22,11 @@ from .core import (
     VARIANT_JACOBSON,
     aggregate_report,
     check_jts_identity,
-    check_lie,
     guard_scan,
-    operators_equal_report,
-    scan_tuples,
+    require_lie,
     tensors_equal_report,
-    vec_iadd,
 )
-from .scalars import scalar
+from .formula import Formula, scan, states, tabulate
 
 BASE_UNVERIFIED_NOTE = "base-JTS-unverified"
 
@@ -77,67 +75,42 @@ class DesignCandidate:
     def __post_init__(self):
         if self.bracket.dim != self.triple.dim:
             raise DimensionMismatchError("bracket and triple dimensions differ")
-        lie = check_lie(self.bracket)
-        if not lie.passed:
-            raise ValueError("bracket component is not a Lie bracket")
+        require_lie(self.bracket)
 
 
 # ---------------------------------------------------------------------------
 # equivariance and designs
 
+EQUIVARIANCE = Formula("equivariance", "A X Y Z", "[A,<X,Y,Z>] = <[A,X],Y,Z> + <X,[A,Y],Z> + <X,Y,[A,Z]>")
+# Full polarization of [A,<X,A,X>] + [X,<A,X,A>] over (a1,a2,x1,x2).  The
+# expression has multidegree (2,2) in (A,X); its symmetrized 4-linear form
+# vanishes on all basis tuples iff the original vanishes identically over
+# the rationals.
+POLARIZED_DESIGN = Formula(
+    "polarized-bracket-condition",
+    "A1 A2 X1 X2",
+    "1/4([A1,<X1,A2,X2>] + [X1,<A1,X2,A2>] + [A1,<X2,A2,X1>] + [X2,<A1,X1,A2>]"
+    " + [A2,<X1,A1,X2>] + [X1,<A2,X2,A1>] + [A2,<X2,A1,X1>] + [X2,<A2,X1,A1>]) = 0",
+)
 
+
+@states(EQUIVARIANCE)
 def check_equivariance(
     bracket: BilinearStructure, triple: TrilinearStructure, force: bool = False
 ) -> CheckReport:
-    """ad_A as a derivation of the triple:
-    [A,<X,Y,Z>] = <[A,X],Y,Z> + <X,[A,Y],Z> + <X,Y,[A,Z]>, scanned over (a,x,y,z).
-    """
-    if bracket.dim != triple.dim:
-        raise DimensionMismatchError("bracket and triple dimensions differ")
+    """ad_A as a derivation of the triple."""
     guard_scan(bracket.dim, 4, force)
-
-    def residual(a, x, y, z):
-        acc = bracket.apply_second(a, triple.value(x, y, z))
-        vec_iadd(acc, triple.apply_first(bracket.value(a, x), y, z), -1)
-        vec_iadd(acc, triple.apply_middle(x, bracket.value(a, y), z), -1)
-        vec_iadd(acc, triple.apply_last(x, y, bracket.value(a, z)), -1)
-        return acc
-
-    return scan_tuples("equivariance", bracket.dim, 4, residual)
+    return scan(EQUIVARIANCE, {"bracket": bracket, "triple": triple})
 
 
-def _polarized_design_residual(bracket, triple):
-    """Full polarization of [A,<X,A,X>] + [X,<A,X,A>] over (a1,a2,x1,x2).
-
-    The expression has multidegree (2,2) in (A,X); its symmetrized 4-linear
-    form vanishes on all basis tuples iff the original vanishes identically
-    over the rationals.
-    """
-    quarter = scalar(1, 4)
-
-    def residual(a1, a2, x1, x2):
-        acc: dict = {}
-        for ap, aq in ((a1, a2), (a2, a1)):
-            for xr, xs in ((x1, x2), (x2, x1)):
-                vec_iadd(acc, bracket.apply_second(ap, triple.value(xr, aq, xs)))
-                vec_iadd(acc, bracket.apply_second(xr, triple.value(ap, xs, aq)))
-        return {k: quarter * v for k, v in acc.items()}
-
-    return residual
-
-
+@states(POLARIZED_DESIGN)
 def check_design(d: DesignCandidate, force: bool = False) -> CheckReport:
     """JTS identity + equivariance + polarized quadratic bracket condition."""
     guard_scan(d.bracket.dim, 4, force)
     subs = [
         check_jts_identity(d.triple, d.jts_variant, force=force),
         check_equivariance(d.bracket, d.triple, force=force),
-        scan_tuples(
-            "polarized-bracket-condition",
-            d.bracket.dim,
-            4,
-            _polarized_design_residual(d.bracket, d.triple),
-        ),
+        scan(POLARIZED_DESIGN, {"bracket": d.bracket, "triple": d.triple}),
     ]
     return aggregate_report("design", subs)
 
@@ -145,28 +118,31 @@ def check_design(d: DesignCandidate, force: bool = False) -> CheckReport:
 # ---------------------------------------------------------------------------
 # triple mYB and derived triples
 
+MODE_FULL = "full"
+MODE_REDUCED = "reduced"
+
+TRIPLE_MYB = Formula("triple-myb", "X Y Z", "R<RX,Y,Z> + R<X,Y,RZ> = <RX,Y,RZ> + R^2<X,Y,Z>")
+DERIVED_TRIPLES = {
+    MODE_FULL: Formula(
+        "derived-triple-full",
+        "X Y Z",
+        "<X,RY,RZ> + <RX,Y,RZ> + <RX,RY,Z> - R<RX,Y,Z> - R<X,RY,Z> - R<X,Y,RZ> + R^2<X,Y,Z>",
+    ),
+    MODE_REDUCED: Formula("derived-triple-reduced", "X Y Z", "<RX,RY,Z> + <X,RY,RZ> - R<X,RY,Z>"),
+}
+TRIPLE_R_HOMOMORPHISM = Formula("triple-r-homomorphism", "X Y Z", "R<X,Y,Z>_R = <RX,RY,RZ>")
+
 _triple_myb_cache: dict = {}
 
 
+@states(TRIPLE_MYB)
 def check_triple_myb_raw(
     triple: TrilinearStructure, R: Operator, name: str = "triple-myb", notes=()
 ) -> CheckReport:
     cached = _triple_myb_cache.get((triple, R, name, tuple(notes)))
     if cached is not None:
         return cached
-    rsq = R @ R
-
-    def residual(i, j, k):
-        u = R.column(i)
-        w = R.column(k)
-        s = triple.apply_first(u, j, k)
-        vec_iadd(s, triple.apply_last(i, j, w))
-        acc = R.apply(s)
-        vec_iadd(acc, triple.apply_first_last(u, j, w), -1)
-        vec_iadd(acc, rsq.apply(triple.value(i, j, k)), -1)
-        return acc
-
-    report = scan_tuples(name, triple.dim, 3, residual, notes=notes)
+    report = scan(TRIPLE_MYB, {"triple": triple, "R": R}, name=name, notes=notes)
     _triple_myb_cache[(triple, R, name, tuple(notes))] = report
     return report
 
@@ -175,49 +151,16 @@ def check_triple_myb(s: TripleWithOperator) -> CheckReport:
     return check_triple_myb_raw(s.triple, s.R, notes=s.notes)
 
 
-MODE_FULL = "full"
-MODE_REDUCED = "reduced"
-
-
+@states(*DERIVED_TRIPLES.values())
 def derived_triple(triple: TrilinearStructure, R: Operator, mode: str = MODE_REDUCED) -> TrilinearStructure:
     """Raw derived-triple tensor in the requested form.
 
-    full:    <X,RY,RZ> + <RX,Y,RZ> + <RX,RY,Z>
-             - R<RX,Y,Z> - R<X,RY,Z> - R<X,Y,RZ> + R^2<X,Y,Z>
-    reduced: <RX,RY,Z> + <X,RY,RZ> - R<X,RY,Z>
-
-    The two agree exactly when the triple mYB identity holds; this function
-    enforces nothing (see triple_r for the checked wrapper).
+    The two forms agree exactly when the triple mYB identity holds; this
+    function enforces nothing (see triple_r for the checked wrapper).
     """
-    if R.dim != triple.dim:
-        raise DimensionMismatchError("operator dimension differs from triple dimension")
-    if mode not in (MODE_FULL, MODE_REDUCED):
+    if mode not in DERIVED_TRIPLES:
         raise ValueError(f"unknown derived-triple mode: {mode!r}")
-    dim = triple.dim
-    rsq = R @ R if mode == MODE_FULL else None
-    entries = {}
-    for j in range(dim):
-        v = R.column(j)
-        for i in range(dim):
-            u = R.column(i)
-            for k in range(dim):
-                w = R.column(k)
-                if mode == MODE_REDUCED:
-                    vec = triple.apply_first_middle(u, v, k)
-                    vec_iadd(vec, triple.apply_middle_last(i, v, w))
-                    vec_iadd(vec, R.apply(triple.apply_middle(i, v, k)), -1)
-                else:
-                    vec = triple.apply_middle_last(i, v, w)
-                    vec_iadd(vec, triple.apply_first_last(u, j, w))
-                    vec_iadd(vec, triple.apply_first_middle(u, v, k))
-                    s = triple.apply_first(u, j, k)
-                    vec_iadd(s, triple.apply_middle(i, v, k))
-                    vec_iadd(s, triple.apply_last(i, j, w))
-                    vec_iadd(vec, R.apply(s), -1)
-                    vec_iadd(vec, rsq.apply(triple.value(i, j, k)))
-                if vec:
-                    entries[(i, j, k)] = vec
-    return TrilinearStructure(dim, entries)
+    return tabulate(DERIVED_TRIPLES[mode], {"triple": triple, "R": R})
 
 
 def triple_r(s: TripleWithOperator, mode: str = MODE_REDUCED) -> TrilinearStructure:
@@ -232,26 +175,43 @@ def triple_r(s: TripleWithOperator, mode: str = MODE_REDUCED) -> TrilinearStruct
     return derived_triple(s.triple, s.R, mode)
 
 
+@states(TRIPLE_R_HOMOMORPHISM)
 def check_triple_r_homomorphism(s: TripleWithOperator) -> CheckReport:
-    """R<X,Y,Z>_R = <RX,RY,RZ>: R maps the derived triple onto R-images."""
+    """R maps the derived triple onto R-images."""
     base = check_triple_myb(s)
     if not base.passed:
         raise PreconditionError("the transport identity presupposes the triple mYB identity")
     derived = derived_triple(s.triple, s.R, MODE_REDUCED)
-    R = s.R
-
-    def residual(i, j, k):
-        acc = R.apply(derived.value(i, j, k))
-        vec_iadd(acc, s.triple.apply(R.column(i), R.column(j), R.column(k)), -1)
-        return acc
-
-    return scan_tuples("triple-r-homomorphism", s.triple.dim, 3, residual, notes=s.notes)
+    return scan(TRIPLE_R_HOMOMORPHISM, {"triple": s.triple, "triple_R": derived, "R": s.R}, notes=s.notes)
 
 
 # ---------------------------------------------------------------------------
 # two-operator triple systems
 
+MIDDLE_RHO = Formula("middle-rho", "X Y Z", "<X,R1R2Y,Z>")
+NORMAL_OUTER_PAIR = Formula(
+    "normal-outer-pair", "X Y Z", "<X,R1R2Y,Z> = <R1X,Y,R2Z> + <R2X,Y,R1Z> - R1R2<X,Y,Z>"
+)
+# the normal and even-tempered chains are checked once with S = R1 and once with S = R2
+NORMAL_REDUCED = Formula("normal-reduced", "X Y Z", "<X,R1R2Y,Z> = <SX,SY,Z> + <X,SY,SZ> - S<X,SY,Z>")
+EVEN_TEMPERED_TRIPLE = Formula(
+    "even-tempered-triple",
+    "X Y Z",
+    "<R1X,R1R2Y,R2Z> + <R2X,R1R2Y,R1Z> - R1R2<X,R1R2Y,Z>"
+    " = <S^2X,S^2Y,Z> + <X,S^2Y,S^2Z> - S^2<X,S^2Y,Z>",
+)
+EVEN_TEMPERED_AS_PRINTED = Formula(
+    "even-tempered-as-printed",
+    "X Y Z",
+    "<R1X,R1R2Y,R2Z> + <R2X,R1R2Y,R2Z> - R1R2<X,R1R2Y,Z>"
+    " = <R1^2X,R1^2Y,Z> + <X,R1^2Y,R1^2Z> - R1^2<X,R1^2Y,Z>",
+)
 
+
+@states(
+    COMMUTE, TRIPLE_MYB, NORMAL_OUTER_PAIR, NORMAL_REDUCED,
+    EVEN_TEMPERED_TRIPLE, EVEN_TEMPERED_AS_PRINTED, MIDDLE_RHO,
+)
 def check_triple_bi_myb(
     triple: TrilinearStructure, R1: Operator, R2: Operator, notes=()
 ) -> CheckReport:
@@ -259,104 +219,33 @@ def check_triple_bi_myb(
 
     Core (asserted): R1 and R2 commute, both are triple-mYB, and the two full
     derived triples coincide.  Classification (informational): the normal
-    chain <X,rhoY,Z> = <R1X,Y,R2Z>+<R2X,Y,R1Z>-rho<X,Y,Z> = reduced(R1) =
-    reduced(R2) with rho = R1R2, the even-tempered chain, the concise
-    middle-rho form of the normal chain, and their consistency.
+    chain, whose reduced form holds for S = R1 and for S = R2 with rho = R1R2,
+    the even-tempered chain, the concise middle-rho form of the normal chain
+    (the full derived triple of R1 equals <X,rhoY,Z>), and their consistency.
     """
-    if R1.dim != triple.dim or R2.dim != triple.dim:
-        raise DimensionMismatchError("operator dimension differs from triple dimension")
-    dim = triple.dim
-    rho = R1 @ R2
-
-    def reduced_residual(R):
-        def value(i, j, k):
-            v = R.column(j)
-            vec = triple.apply_first_middle(R.column(i), v, k)
-            vec_iadd(vec, triple.apply_middle_last(i, v, R.column(k)))
-            vec_iadd(vec, R.apply(triple.apply_middle(i, v, k)), -1)
-            return vec
-
-        return value
-
-    def middle_rho_value(i, j, k):
-        return triple.apply_middle(i, rho.column(j), k)
-
-    def outer_pair_value(i, j, k):
-        vec = triple.apply_first_last(R1.column(i), j, R2.column(k))
-        vec_iadd(vec, triple.apply_first_last(R2.column(i), j, R1.column(k)))
-        vec_iadd(vec, rho.apply(triple.value(i, j, k)), -1)
-        return vec
-
-    reduced1 = reduced_residual(R1)
-    reduced2 = reduced_residual(R2)
-
-    def diff_scan(name, value_a, value_b, informational=False):
-        def residual(i, j, k):
-            acc = value_a(i, j, k)
-            vec_iadd(acc, value_b(i, j, k), -1)
-            return acc
-
-        return scan_tuples(name, dim, 3, residual, notes=notes, informational=informational)
-
+    pair = {"triple": triple, "R1": R1, "R2": R2}
     normal = aggregate_report(
         "normal",
         (
-            diff_scan("normal-outer-pair", middle_rho_value, outer_pair_value),
-            diff_scan("normal-reduced-r1", middle_rho_value, reduced1),
-            diff_scan("normal-reduced-r2", middle_rho_value, reduced2),
+            scan(NORMAL_OUTER_PAIR, pair, notes=notes),
+            scan(NORMAL_REDUCED, {**pair, "S": R1}, name="normal-reduced-r1", notes=notes),
+            scan(NORMAL_REDUCED, {**pair, "S": R2}, name="normal-reduced-r2", notes=notes),
         ),
         informational=True,
     )
-
-    def sym_lhs(i, j, k):
-        m = rho.column(j)
-        vec = triple.apply(R1.column(i), m, R2.column(k))
-        vec_iadd(vec, triple.apply(R2.column(i), m, R1.column(k)))
-        vec_iadd(vec, rho.apply(triple.apply_middle(i, m, k)), -1)
-        return vec
-
-    def printed_lhs(i, j, k):
-        m = rho.column(j)
-        vec = triple.apply(R1.column(i), m, R2.column(k))
-        vec_iadd(vec, triple.apply(R2.column(i), m, R2.column(k)))
-        vec_iadd(vec, rho.apply(triple.apply_middle(i, m, k)), -1)
-        return vec
-
-    def squared_reduced(R):
-        rsq = R @ R
-
-        def value(i, j, k):
-            v = rsq.column(j)
-            vec = triple.apply_first_middle(rsq.column(i), v, k)
-            vec_iadd(vec, triple.apply_middle_last(i, v, rsq.column(k)))
-            vec_iadd(vec, rsq.apply(triple.apply_middle(i, v, k)), -1)
-            return vec
-
-        return value
-
-    sq1 = squared_reduced(R1)
-    sq2 = squared_reduced(R2)
     even = aggregate_report(
         "even-tempered",
         (
-            diff_scan("even-tempered-r1", sym_lhs, sq1),
-            diff_scan("even-tempered-r2", sym_lhs, sq2),
+            scan(EVEN_TEMPERED_TRIPLE, {**pair, "S": R1}, name="even-tempered-r1", notes=notes),
+            scan(EVEN_TEMPERED_TRIPLE, {**pair, "S": R2}, name="even-tempered-r2", notes=notes),
         ),
         informational=True,
     )
-    printed = diff_scan("even-tempered-as-printed", printed_lhs, sq1, informational=True)
+    printed = scan(EVEN_TEMPERED_AS_PRINTED, pair, notes=notes, informational=True)
 
     derived_full_1 = derived_triple(triple, R1, MODE_FULL)
-    middle_rho_tensor_entries = {}
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                vec = middle_rho_value(i, j, k)
-                if vec:
-                    middle_rho_tensor_entries[(i, j, k)] = vec
-    middle_rho_tensor = TrilinearStructure(dim, middle_rho_tensor_entries)
     middle_rho_form = tensors_equal_report(
-        "middle-rho-form", derived_full_1, middle_rho_tensor, informational=True
+        "middle-rho-form", derived_full_1, tabulate(MIDDLE_RHO, pair), informational=True
     )
     consistency = CheckReport(
         name="middle-rho-consistency",
@@ -365,7 +254,7 @@ def check_triple_bi_myb(
     )
 
     subs = [
-        operators_equal_report("operators-commute", R1 @ R2, R2 @ R1),
+        scan(COMMUTE, pair),
         check_triple_myb_raw(triple, R1, "triple-myb-r1", notes=notes),
         check_triple_myb_raw(triple, R2, "triple-myb-r2", notes=notes),
         tensors_equal_report(
@@ -382,29 +271,17 @@ def check_triple_bi_myb(
     return aggregate_report("triple-bi-myb", subs, notes=notes)
 
 
+RHO_EXCHANGE = Formula("rho-exchange", "X Y Z", "<rhoX,Y,rhoZ> = rho<X,rhoY,Z>")
+RHO_DERIVED_TRANSPORT = Formula("rho-derived-transport", "X Y Z", "rho<X,Y,Z>_R = <rhoX,Y,rhoZ>")
+
+
+@states(RHO_EXCHANGE, RHO_DERIVED_TRANSPORT)
 def check_rho_identity(
     triple: TrilinearStructure, rho: Operator, derived: TrilinearStructure | None = None
 ) -> CheckReport:
-    """<rhoX,Y,rhoZ> = rho<X,rhoY,Z>; optionally also rho<X,Y,Z>' = <rhoX,Y,rhoZ>
-    against a supplied derived-triple tensor <.,.,.>'.
-    """
-    if rho.dim != triple.dim:
-        raise DimensionMismatchError("operator dimension differs from triple dimension")
-
-    def residual(i, j, k):
-        acc = triple.apply_first_last(rho.column(i), j, rho.column(k))
-        vec_iadd(acc, rho.apply(triple.apply_middle(i, rho.column(j), k)), -1)
-        return acc
-
-    subs = [scan_tuples("rho-exchange", triple.dim, 3, residual)]
+    """rho-exchange, plus the transport of a supplied derived triple <.,.,.>_R when given."""
+    structures = {"triple": triple, "rho": rho, "triple_R": derived}
+    subs = [scan(RHO_EXCHANGE, structures)]
     if derived is not None:
-        if derived.dim != triple.dim:
-            raise DimensionMismatchError("derived triple dimension differs")
-
-        def transport_residual(i, j, k):
-            acc = rho.apply(derived.value(i, j, k))
-            vec_iadd(acc, triple.apply_first_last(rho.column(i), j, rho.column(k)), -1)
-            return acc
-
-        subs.append(scan_tuples("rho-derived-transport", triple.dim, 3, transport_residual))
+        subs.append(scan(RHO_DERIVED_TRANSPORT, structures))
     return aggregate_report("rho-identity", subs)

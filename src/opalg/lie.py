@@ -8,30 +8,37 @@ failing candidates can always be checked and reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
+    COMMUTE,
     BilinearStructure,
     CheckReport,
     DimensionMismatchError,
     Operator,
     PreconditionError,
     aggregate_report,
-    check_lie,
-    operators_equal_report,
-    scan_tuples,
+    op_polynomial,
+    require_lie,
     tensors_equal_report,
-    vec_iadd,
 )
+from .formula import Formula, scan, states, tabulate
+from .scalars import scalar
 
-
-def _require_lie(bracket: BilinearStructure) -> None:
-    report = check_lie(bracket)
-    if not report.passed:
-        bad = next(s for s in report.subchecks if not s.passed)
-        raise ValueError(
-            f"bracket is not a Lie bracket: {bad.name} fails at {bad.witness.indices}"
-        )
+MYB = Formula("myb", "X Y", "R[RX,Y] + R[X,RY] = [RX,RY] + R^2[X,Y]")
+DERIVED_BRACKET = Formula("derived-bracket", "X Y", "[RX,Y] + [X,RY] - R[X,Y]")
+# checked once with S = R1 and once with S = R2
+EVEN_TEMPERED = Formula(
+    "even-tempered", "X Y", "[R1X,R2Y] + [R2X,R1Y] - R1R2[X,Y] = [S^2X,Y] + [X,S^2Y] - S^2[X,Y]"
+)
+XI_DERIVATION = Formula("xi-derivation", "X Y", "xi[X,Y] = [xiX,Y] + [X,xiY]")
+XI_PAIR = Formula("xi-pair-identity", "X Y", "[xiX,xiY] = [RxiX,Y] + [X,RxiY] - Rxi[X,Y]")
+XI_DERIVATION_DERIVED = Formula(
+    "xi-derivation-derived-bracket", "X Y", "xi[X,Y]_R = [xiX,Y]_R + [X,xiY]_R"
+)
+EVEN_TEMPERED_XI = Formula(
+    "even-tempered-xi", "X Y", "[RX,xiY] + [xiX,RY] - Rxi[X,Y] = [R^2X,Y] - 2[RX,RY] + [X,R^2Y]"
+)
 
 
 def _require_dim(bracket: BilinearStructure, *operators: Operator) -> None:
@@ -48,7 +55,7 @@ class LieWithOperator:
     R: Operator
 
     def __post_init__(self):
-        _require_lie(self.bracket)
+        require_lie(self.bracket)
         _require_dim(self.bracket, self.R)
 
 
@@ -61,7 +68,7 @@ class LieBiOperator:
     R2: Operator
 
     def __post_init__(self):
-        _require_lie(self.bracket)
+        require_lie(self.bracket)
         _require_dim(self.bracket, self.R1, self.R2)
 
 
@@ -71,24 +78,13 @@ class LieBiOperator:
 _myb_cache: dict = {}
 
 
+@states(MYB)
 def check_myb_raw(bracket: BilinearStructure, R: Operator, name: str = "myb") -> CheckReport:
     """mYB identity scan on a raw (bracket, operator) pair."""
     cached = _myb_cache.get((bracket, R, name))
     if cached is not None:
         return cached
-    rsq = R @ R
-
-    def residual(i, j):
-        u = R.column(i)
-        v = R.column(j)
-        s = bracket.apply_first(u, j)
-        vec_iadd(s, bracket.apply_second(i, v))
-        acc = R.apply(s)
-        vec_iadd(acc, bracket.apply(u, v), -1)
-        vec_iadd(acc, rsq.apply(bracket.value(i, j)), -1)
-        return acc
-
-    report = scan_tuples(name, bracket.dim, 2, residual)
+    report = scan(MYB, {"bracket": bracket, "R": R}, name=name)
     _myb_cache[(bracket, R, name)] = report
     return report
 
@@ -97,22 +93,13 @@ def check_myb(g: LieWithOperator) -> CheckReport:
     return check_myb_raw(g.bracket, g.R)
 
 
+@states(DERIVED_BRACKET)
 def derived_bracket(bracket: BilinearStructure, R: Operator) -> BilinearStructure:
-    """Structure tensor of [X,Y]_R = [RX,Y] + [X,RY] - R[X,Y].
+    """Structure tensor of [X,Y]_R.
 
     Makes no Lie-ness claim; callers check the result.
     """
-    _require_dim(bracket, R)
-    entries = {}
-    for i in range(bracket.dim):
-        u = R.column(i)
-        for j in range(bracket.dim):
-            vec = bracket.apply_first(u, j)
-            vec_iadd(vec, bracket.apply_second(i, R.column(j)))
-            vec_iadd(vec, R.apply(bracket.value(i, j)), -1)
-            if vec:
-                entries[(i, j)] = vec
-    return BilinearStructure(bracket.dim, entries)
+    return tabulate(DERIVED_BRACKET, {"bracket": bracket, "R": R})
 
 
 def bracket_r(g: LieWithOperator) -> BilinearStructure:
@@ -127,27 +114,19 @@ def check_polynomial_closure(g: LieWithOperator, coeffs) -> CheckReport:
             f"polynomial closure requires the mYB identity for R; it fails at "
             f"{base.witness.indices}"
         )
-    from .core import op_polynomial
-
-    fr = op_polynomial(coeffs, g.R)
-    inner = check_myb_raw(g.bracket, fr)
-    return CheckReport(
-        name="polynomial-closure",
-        passed=inner.passed,
-        witness=inner.witness,
-        tuples_evaluated=inner.tuples_evaluated,
-        subchecks=(inner,),
-    )
+    inner = check_myb_raw(g.bracket, op_polynomial(coeffs, g.R))
+    return aggregate_report("polynomial-closure", (inner,))
 
 
 # ---------------------------------------------------------------------------
 # two-operator checks
 
 
+@states(COMMUTE, MYB)
 def check_bi_myb(g: LieBiOperator) -> CheckReport:
     """Commuting operators, both mYB, with identical derived brackets."""
     subs = [
-        operators_equal_report("operators-commute", g.R1 @ g.R2, g.R2 @ g.R1),
+        scan(COMMUTE, {"R1": g.R1, "R2": g.R2}),
         check_myb_raw(g.bracket, g.R1, "myb-r1"),
         check_myb_raw(g.bracket, g.R2, "myb-r2"),
         tensors_equal_report(
@@ -159,105 +138,39 @@ def check_bi_myb(g: LieBiOperator) -> CheckReport:
     return aggregate_report("bi-myb", subs)
 
 
-def _even_tempered_residual(bracket, R1, R2, Rsq):
-    """[R1X,R2Y] + [R2X,R1Y] - R1R2[X,Y]  minus  [Rsq X,Y] + [X,Rsq Y] - Rsq[X,Y]."""
-    r1r2 = R1 @ R2
-
-    def residual(i, j):
-        u1, u2 = R1.column(i), R2.column(i)
-        v1, v2 = R1.column(j), R2.column(j)
-        acc = bracket.apply(u1, v2)
-        vec_iadd(acc, bracket.apply(u2, v1))
-        base = bracket.value(i, j)
-        vec_iadd(acc, r1r2.apply(base), -1)
-        vec_iadd(acc, bracket.apply_first(Rsq.column(i), j), -1)
-        vec_iadd(acc, bracket.apply_second(i, Rsq.column(j)), -1)
-        vec_iadd(acc, Rsq.apply(base))
-        return acc
-
-    return residual
-
-
+@states(EVEN_TEMPERED)
 def check_even_tempered(g: LieBiOperator) -> CheckReport:
     """Both mixed second-order identities of an even-tempered pair."""
+    pair = {"bracket": g.bracket, "R1": g.R1, "R2": g.R2}
     subs = [
-        scan_tuples(
-            "even-tempered-r1",
-            g.bracket.dim,
-            2,
-            _even_tempered_residual(g.bracket, g.R1, g.R2, g.R1 @ g.R1),
-        ),
-        scan_tuples(
-            "even-tempered-r2",
-            g.bracket.dim,
-            2,
-            _even_tempered_residual(g.bracket, g.R1, g.R2, g.R2 @ g.R2),
-        ),
+        scan(EVEN_TEMPERED, {**pair, "S": g.R1}, name="even-tempered-r1"),
+        scan(EVEN_TEMPERED, {**pair, "S": g.R2}, name="even-tempered-r2"),
     ]
     return aggregate_report("even-tempered", subs)
 
 
-def _derivation_residual(bracket, xi):
-    def residual(i, j):
-        acc = xi.apply(bracket.value(i, j))
-        vec_iadd(acc, bracket.apply_first(xi.column(i), j), -1)
-        vec_iadd(acc, bracket.apply_second(i, xi.column(j)), -1)
-        return acc
-
-    return residual
-
-
+@states(XI_DERIVATION, COMMUTE, XI_PAIR, XI_DERIVATION_DERIVED)
 def check_xi_characterization(g: LieWithOperator, xi: Operator) -> CheckReport:
     """Derivation xi commuting with R with [xiX,xiY] = [SX,Y]+[X,SY]-S[X,Y], S = R xi.
 
     Also verifies that (bracket, R, R+xi) is bi-mYB and that xi is a
     derivation of the derived bracket.
     """
-    _require_dim(g.bracket, xi)
     bracket, R = g.bracket, g.R
-    S = R @ xi
-
-    def pair_residual(i, j):
-        acc = bracket.apply(xi.column(i), xi.column(j))
-        vec_iadd(acc, bracket.apply_first(S.column(i), j), -1)
-        vec_iadd(acc, bracket.apply_second(i, S.column(j)), -1)
-        vec_iadd(acc, S.apply(bracket.value(i, j)))
-        return acc
-
-    br = derived_bracket(bracket, R)
+    structures = {"bracket": bracket, "R": R, "xi": xi, "bracket_R": derived_bracket(bracket, R)}
     subs = [
-        scan_tuples("xi-derivation", bracket.dim, 2, _derivation_residual(bracket, xi)),
-        operators_equal_report("xi-commutes-with-r", R @ xi, xi @ R),
-        scan_tuples("xi-pair-identity", bracket.dim, 2, pair_residual),
+        scan(XI_DERIVATION, structures),
+        scan(COMMUTE, {"R1": R, "R2": xi}, name="xi-commutes-with-r"),
+        scan(XI_PAIR, structures),
         check_bi_myb(LieBiOperator(bracket, R, R + xi)),
-        scan_tuples(
-            "xi-derivation-derived-bracket",
-            bracket.dim,
-            2,
-            _derivation_residual(br, xi),
-        ),
+        scan(XI_DERIVATION_DERIVED, structures),
     ]
     return aggregate_report("xi-characterization", subs)
 
 
+@states(EVEN_TEMPERED_XI)
 def check_even_tempered_xi(g: LieWithOperator, xi: Operator) -> CheckReport:
-    """[RX,xiY] + [xiX,RY] - R xi [X,Y] = [R^2 X,Y] - 2[RX,RY] + [X,R^2 Y]."""
-    _require_dim(g.bracket, xi)
-    bracket, R = g.bracket, g.R
-    rxi = R @ xi
-    rsq = R @ R
-
-    def residual(i, j):
-        u, v = R.column(i), R.column(j)
-        acc = bracket.apply(u, xi.column(j))
-        vec_iadd(acc, bracket.apply(xi.column(i), v))
-        vec_iadd(acc, rxi.apply(bracket.value(i, j)), -1)
-        vec_iadd(acc, bracket.apply_first(rsq.column(i), j), -1)
-        vec_iadd(acc, bracket.apply(u, v), 2)
-        vec_iadd(acc, bracket.apply_second(i, rsq.column(j)), -1)
-        return acc
-
-    return scan_tuples("even-tempered-xi", bracket.dim, 2, residual)
+    return scan(EVEN_TEMPERED_XI, {"bracket": g.bracket, "R": g.R, "xi": xi})
 
 
 def probe_r0(g: LieBiOperator) -> CheckReport:
@@ -269,8 +182,6 @@ def probe_r0(g: LieBiOperator) -> CheckReport:
     base = check_bi_myb(g)
     if not base.passed:
         raise PreconditionError("midpoint probe requires a bi-mYB instance")
-    from .scalars import scalar
-
     r0 = (g.R1 + g.R2).scale(scalar(1, 2))
     coincide = tensors_equal_report(
         "midpoint-bracket-coincidence",
@@ -278,17 +189,7 @@ def probe_r0(g: LieBiOperator) -> CheckReport:
         derived_bracket(g.bracket, g.R1),
     )
     myb = check_myb_raw(g.bracket, r0, "midpoint-myb")
-    subs = (
-        coincide,
-        CheckReport(
-            name=myb.name,
-            passed=myb.passed,
-            witness=myb.witness,
-            tuples_evaluated=myb.tuples_evaluated,
-            informational=True,
-        ),
-    )
-    return aggregate_report("midpoint-probe", subs)
+    return aggregate_report("midpoint-probe", (coincide, replace(myb, informational=True)))
 
 
 def convert_params(R1: Operator, R2: Operator) -> tuple:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .algfile import AlgebraFile, ParseError, algebra_file_digest, entry_to_algebra_file, parse_algebra_file
@@ -207,16 +207,7 @@ def _suite_jordan_base(af, opts):
     force = bool(opts.get("force"))
     other = next(v for v in JTS_VARIANTS if v != variant)
     checks = [check_jts_identity(triple, variant, force=force)]
-    info = check_jts_identity(triple, other, force=force)
-    checks.append(
-        CheckReport(
-            name=info.name,
-            passed=info.passed,
-            witness=info.witness,
-            tuples_evaluated=info.tuples_evaluated,
-            informational=True,
-        )
-    )
+    checks.append(replace(check_jts_identity(triple, other, force=force), informational=True))
     return checks, []
 
 

@@ -230,8 +230,23 @@ def test_cli_usage_errors_exit_two(tmp_path, capsys):
     path.write_text("{")
     code, _, err = run_cli(capsys, "check", str(path), "--suite", "lie-base")
     assert code == 2
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run_cli(capsys, "check", str(path), "--suite", "lie-base")
+    assert code == 2 and "nested too deeply" in err
     code, _, err = run_cli(capsys, "search", "derived-bracket-jacobi", "--seed", "1", "--trials", "1")
     assert code == 2 and "theorem" in err
+
+
+def test_cli_crash_exits_three_not_one(capsys, monkeypatch):
+    from opalg import cli
+
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "findings", crash)
+    code, _, err = run_cli(capsys, "findings")
+    assert code == 3
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_cli_json_report_is_machine_readable(capsys):
