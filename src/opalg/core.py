@@ -10,7 +10,6 @@ lexicographically smallest witness and reports are deterministic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .formula import Formula, scan, states
@@ -72,6 +71,16 @@ def vec_scale(v: dict, coeff: Scalar) -> dict:
 def vec_sub(a: dict, b: dict) -> dict:
     out = dict(a)
     return vec_iadd(out, b, -1)
+
+
+def vec_gather(columns: dict, w: dict) -> dict:
+    """sum_k w[k] * columns[k] for sparse columns {k: vector}."""
+    acc: dict = {}
+    for k, wk in w.items():
+        col = columns.get(k)
+        if col:
+            vec_iadd(acc, col, wk)
+    return acc
 
 
 def vec_dense(v: dict, dim: int) -> tuple:
@@ -557,22 +566,21 @@ def aggregate_report(name: str, subchecks, notes=(), informational=False) -> Che
     )
 
 
-def scan_tuples(name, dim, arity, residual, notes=(), informational=False) -> CheckReport:
-    """Exhaustive lex-order scan; stops at the first (hence smallest) failure."""
-    count = 0
-    for idx in itertools.product(range(dim), repeat=arity):
-        count += 1
-        r = residual(*idx)
-        if r:
-            return CheckReport(
-                name,
-                False,
-                Witness(idx, vec_dense(r, dim)),
-                count,
-                informational=informational,
-                notes=tuple(notes),
-            )
-    return CheckReport(name, True, None, count, informational=informational, notes=tuple(notes))
+def scan_tuples(name, dim, arity, nonzero, notes=(), informational=False) -> CheckReport:
+    """Exhaustive lex-order scan of dim^arity basis tuples.
+
+    nonzero yields (indices, residual) for the failing tuples in lex order;
+    the first is the smallest failure, and tuples_evaluated counts the
+    tuples up to and including it (all of them on a pass).
+    """
+    failure = next(nonzero, None)
+    witness, count = None, dim**arity
+    if failure is not None:
+        idx, r = failure
+        witness, count = Witness(idx, vec_dense(r, dim)), 1
+        for k, i in enumerate(reversed(idx)):
+            count += i * dim**k
+    return CheckReport(name, witness is None, witness, count, informational=informational, notes=tuple(notes))
 
 
 def tensors_equal_report(name, a, b, notes=(), informational=False) -> CheckReport:
@@ -634,15 +642,16 @@ _jts_cache: dict = {}
 def check_jts_identity(t: TrilinearStructure, variant: str, force: bool = False) -> CheckReport:
     """Five-variable triple-system identity, scanned over all dim^5 tuples.
 
-    Reports are cached per (tensor, variant); a cached report is returned
-    without consulting the dimension guard, since it costs nothing to reuse.
+    Reports are cached per (tensor, variant).  The dimension guard is
+    consulted first, so a cached report is returned only where a fresh scan
+    would be allowed: the verdict never depends on what ran earlier.
     """
     if variant not in JTS_VARIANTS:
         raise ValueError(f"unknown triple-system identity variant: {variant!r}")
+    guard_scan(t.dim, 5, force)
     cached = _jts_cache.get((t, variant))
     if cached is not None:
         return cached
-    guard_scan(t.dim, 5, force)
     report = scan(JTS_IDENTITIES[variant], {"triple": t})
     _jts_cache[(t, variant)] = report
     return report

@@ -10,18 +10,36 @@ is an operator word applied to what follows.  ``[a,b]`` is the bracket and
 ``bracket_R``, ``<X,Y,Z>_R`` the one passed as ``triple_R``.  Terms combine
 with ``+``, ``-``, parentheses and rational coefficients (``1/4(...)``).
 
-Each formula compiles once, on first use, into a residual function making
-the kernel calls a hand-written one would: ``value`` on basis indices,
-``column`` for an operator on a basis vector, the one- and two-slot
-``apply_*`` contractions and the full ``apply``.  Operator words are
-multiplied out once per scan, and terms under one operator word are summed
-before it is applied.
+Each formula compiles once, on first use, into a loop nest over its
+variables in scan order, ``for _x0 in range(dim): ... for _x{a-1} in
+range(dim):``.  It is a generator yielding ``(indices, residual)`` for every
+basis tuple with a nonzero residual, in lexicographic order, and it makes the
+kernel calls a hand-written scan would: ``value`` on basis indices, ``column``
+for an operator on a basis vector, the one- and two-slot ``apply_*``
+contractions.  Four rules shape it:
+
+- hoisting: each subterm is computed in the loop of its deepest variable,
+  once per binding of the variables it reads.  Operator words are multiplied
+  out once per scan, and terms under one word are summed before it is applied.
+- empty skip: a contraction or operator application with an empty vector
+  argument is ``{}`` without a call, since every contraction is multilinear.
+- partial application: a triple of three vectors, one strictly deeper than
+  the other two, stores the sparse columns of the shallow two (e.g.
+  ``{k: apply_first_middle(u, v, k)}``) in the shallower loop and combines
+  them with the deep vector in the deeper one.  No scan contracts the full
+  triple tensor per tuple.
+- in-place updates: a sum updates in place only a fresh value computed in
+  its own loop and used nowhere else, since hoisted and shared values are
+  read again.
+
+``scan`` takes the first yield as the witness.  Its ``tuples_evaluated`` is
+the witness's lexicographic rank plus one, or dim^arity on a pass: the tuples
+a tuple-by-tuple scan evaluates.  ``tabulate`` collects every yield.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 
 from . import core  # core states its own identities here, so its names are read at call time
@@ -29,12 +47,6 @@ from .scalars import scalar
 
 _TOKEN = re.compile(r"\d+|rho|xi|[A-Za-z]\d*|\S")
 _SLOTS = {"br": ("first", "second"), "tr": ("first", "middle", "last")}
-
-
-def _contraction(kind: str, args) -> str:
-    """value on basis indices only, apply on vectors only, else apply_<vector slots>."""
-    slots = [s for s, a in zip(_SLOTS[kind], args) if a[0] != "var"]
-    return "value" if not slots else "apply" if len(slots) == len(args) else "apply_" + "_".join(slots)
 
 
 def _group(pairs) -> tuple:
@@ -147,47 +159,103 @@ class _Parser:
 
 
 class _Codegen:
-    """Lines of one residual function, and the expression it returns."""
+    """The statements of one loop nest, by the loop depth that binds their variables.
 
-    def __init__(self, top: tuple):
-        self.lines, self.words, self.constants, self.structures = [], {}, {}, set()
+    Depth d > 0 is the body of the loop over _x{d-1}; depth 0 precedes the
+    loops.  Every subterm becomes one local, assigned at the depth of its
+    deepest variable, and identical subterms share it.  A value is fresh if it
+    is a new dict on every evaluation; a sum may update in place only a fresh
+    value computed at its own depth and used nowhere else.
+    """
+
+    def __init__(self, top: tuple, arity: int):
+        self.lines = [[] for _ in range(arity + 1)]
+        self.words, self.constants, self.structures = {}, {}, set()
+        self.uses, self.locals = {}, {}
+        self.count(top)
         self.result = self.emit(top)[0]
+
+    def count(self, t) -> None:
+        self.uses[t] = self.uses.get(t, 0) + 1
+        if self.uses[t] == 1 and t[0] != "var":
+            for s in [s for _, s in t[1]] if t[0] == "sum" else t[2:]:
+                self.count(s)
 
     def coefficient(self, c) -> str:
         return repr(c) if isinstance(c, int) else self.constants.setdefault(c, f"_c{len(self.constants)}")
 
-    def emit(self, t) -> tuple:
-        """Python expression for term t, and whether the caller may mutate its value."""
-        if t[0] == "var":  # a basis vector where a vector is needed
-            return f"{{_x{t[1]}: 1}}", True
-        if t[0] == "sum":
-            return self.sum(t[1]), True
-        if t[0] == "op":
-            self.structures.update(t[1])
-            word = t[1][0] if len(t[1]) == 1 else self.words.setdefault(t[1], f"_w{len(self.words)}")
-            if t[2][0] == "var":
-                return f"{word}.column(_x{t[2][1]})", False
-            return f"{word}.apply({self.emit(t[2])[0]})", True
-        self.structures.add(t[1])
-        args = ", ".join(f"_x{a[1]}" if a[0] == "var" else self.emit(a)[0] for a in t[2:])
-        method = _contraction(t[0], t[2:])
-        return f"{t[1]}.{method}({args})", method != "value"
+    def assign(self, key, depth: int, code: str, fresh: bool) -> tuple:
+        name = f"_t{len(self.locals)}"
+        self.lines[depth].append(f"{name} = {code}")
+        self.locals[key] = (name, depth, fresh)
+        return self.locals[key]
 
-    def sum(self, pairs) -> str:
-        terms = [(c, *self.emit(t)) for c, t in pairs]
-        acc = f"_s{len(self.lines)}"
-        base = next((i for i, (c, _, owned) in enumerate(terms) if c == 1 and owned), None)
-        if base is not None:
-            start = terms[base][1]
+    def emit(self, t) -> tuple:
+        """(local holding term t, its depth, whether it is fresh)."""
+        if t not in self.locals:
+            if t[0] == "var":  # a basis vector where a vector is needed
+                self.assign(t, t[1] + 1, f"{{_x{t[1]}: 1}}", True)
+            elif t[0] == "sum":
+                self.sum(t)
+            elif t[0] == "op":
+                self.operator(t)
+            else:
+                self.contraction(t)
+        return self.locals[t]
+
+    def operator(self, t) -> None:
+        self.structures.update(t[1])
+        word = t[1][0] if len(t[1]) == 1 else self.words.setdefault(t[1], f"_w{len(self.words)}")
+        if t[2][0] == "var":
+            self.assign(t, t[2][1] + 1, f"{word}.column(_x{t[2][1]})", False)
         else:
-            base = next((i for i, (c, _, _) in enumerate(terms) if c == 1), 0)
-            c, code, _ = terms[base]
-            start = f"dict({code})" if c == 1 else f"_scale({code}, {self.coefficient(c)})"
-        self.lines.append(f"{acc} = {start}")
-        for i, (c, code, _) in enumerate(terms):
+            v, depth, _ = self.emit(t[2])
+            self.assign(t, depth, f"{word}.apply({v}) if {v} else {{}}", True)
+
+    def contraction(self, t) -> None:
+        """value on basis indices only; on vectors apply, apply_<vector slots> or
+        a partial application, and {} if a vector argument is empty."""
+        kind, key, args = t[0], t[1], t[2:]
+        self.structures.add(key)
+        slots = _SLOTS[kind]
+        vectors = {s: self.emit(a) for s, a in zip(slots, args) if a[0] != "var"}
+        depths = [vectors[s][1] if s in vectors else a[1] + 1 for s, a in zip(slots, args)]
+        code = [vectors[s][0] if s in vectors else f"_x{a[1]}" for s, a in zip(slots, args)]
+        depth = max(depths)
+        if not vectors:
+            self.assign(t, depth, f"{key}.value({', '.join(code)})", False)
+        elif len(vectors) == 3 and sorted(depths)[1] < depth:
+            self.partial(t, key, code, depths)
+        else:
+            method = "apply" if len(vectors) == len(args) else "apply_" + "_".join(vectors)
+            nonempty = " and ".join(v for v, _, _ in vectors.values())
+            self.assign(t, depth, f"{key}.{method}({', '.join(code)}) if {nonempty} else {{}}", True)
+
+    def partial(self, t, key: str, code: list, depths: list) -> None:
+        """A triple of vectors, w the strictly deepest: the sparse columns
+        {k: <u, v, e_k>} where u and v are computed, combined with w where w is."""
+        deep = depths.index(max(depths))
+        w, code[deep] = code[deep], "_k"
+        slots = "_".join(s for i, s in enumerate(_SLOTS["tr"]) if i != deep)
+        shallow = [(c, d) for i, (c, d) in enumerate(zip(code, depths)) if i != deep]
+        columns = f"{{_k: _v for _k in _range if (_v := {key}.apply_{slots}({', '.join(code)}))}}"
+        columns += f" if {' and '.join(c for c, _ in shallow)} else {{}}"
+        cols = self.assign(("columns", t), max(d for _, d in shallow), columns, False)[0]
+        self.assign(t, depths[deep], f"_gather({cols}, {w}) if {cols} and {w} else {{}}", True)
+
+    def sum(self, t) -> None:
+        terms = [(c, s, *self.emit(s)) for c, s in t[1]]
+        depth = max(d for _, _, _, d, _ in terms)
+        own = [c == 1 and fresh and d == depth and self.uses[s] == 1 for c, s, _, d, fresh in terms]
+        ones = [i for i, (c, *_) in enumerate(terms) if c == 1]
+        base = own.index(True) if True in own else ones[0] if ones else 0
+        c, _, v, _, _ = terms[base]
+        start = v if own[base] else f"dict({v})" if c == 1 else f"_scale({v}, {self.coefficient(c)})"
+        acc = self.assign(t, depth, start, True)[0]
+        for i, (c, s, v, _, _) in enumerate(terms):
             if i != base:
-                self.lines.append(f"_iadd({acc}, {code}{'' if c == 1 else ', ' + self.coefficient(c)})")
-        return acc
+                add = f"_iadd({acc}, {v}{'' if c == 1 else ', ' + self.coefficient(c)})"
+                self.lines[depth].append(add if s[0] == "var" else f"if {v}: {add}")
 
 
 class Formula:
@@ -204,49 +272,51 @@ class Formula:
 
     @functools.cached_property
     def _compiled(self) -> tuple:
-        """(structure names, make function); make(_iadd, _scale, **structures) -> residual."""
-        gen = _Codegen(_Parser(self.text, self.variables).residual())
+        """(structure names, nest); nest(_iadd, _scale, _gather, _range, **structures)
+        is the generator of nonzero residuals."""
+        gen = _Codegen(_Parser(self.text, self.variables).residual(), self.arity)
         structures = tuple(sorted(gen.structures))
         ident = re.sub(r"\W", "_", self.name)  # so that a profile names the formula
-        source = "\n".join(
-            [
-                f"def make_{ident}(_iadd, _scale, {', '.join(structures)}):",
-                *(f"    {name} = {' @ '.join(word)}" for word, name in gen.words.items()),
-                f"    def residual_{ident}({', '.join(f'_x{k}' for k in range(self.arity))}):",
-                *(f"        {line}" for line in gen.lines),
-                f"        return {gen.result}",
-                f"    return residual_{ident}",
-            ]
-        )
+        source = [
+            f"def nonzero_{ident}(_iadd, _scale, _gather, _range, {', '.join(structures)}):",
+            *(f"    {name} = {' @ '.join(word)}" for word, name in gen.words.items()),
+        ]
+        for depth, lines in enumerate(gen.lines):
+            indent = "    " * (depth + 1)
+            if depth:
+                source.append(f"{indent[4:]}for _x{depth - 1} in _range:")
+            source += [indent + line for line in lines]
+        indices = ", ".join(f"_x{k}" for k in range(self.arity))
+        source += [f"{indent}if {gen.result}:", f"{indent}    yield ({indices},), {gen.result}"]
         namespace = {name: c for c, name in gen.constants.items()}
-        exec(source, namespace)
-        return structures, namespace[f"make_{ident}"]
+        exec("\n".join(source), namespace)
+        return structures, namespace[f"nonzero_{ident}"]
 
     def bind(self, structures: dict) -> tuple:
-        """(residual function, dimension) on the structures the formula names."""
-        names, make = self._compiled
+        """(loop nest, dimension) on the structures the formula names.
+
+        The nest yields (indices, residual) for every basis tuple with a
+        nonzero residual, in lexicographic order.
+        """
+        names, nest = self._compiled
         used = {key: structures[key] for key in names}
         dims = {s.dim for s in used.values()}
         if len(dims) != 1:
             raise core.DimensionMismatchError(f"{self.name}: structure dimensions differ")
-        return make(core.vec_iadd, core.vec_scale, **used), dims.pop()
+        dim = dims.pop()
+        return nest(core.vec_iadd, core.vec_scale, core.vec_gather, range(dim), **used), dim
 
 
 def scan(formula: Formula, structures: dict, name=None, notes=(), informational=False):
     """Check an identity on every basis tuple in lex order; the first failure is the witness."""
-    residual, dim = formula.bind(structures)
-    return core.scan_tuples(name or formula.name, dim, formula.arity, residual, notes, informational)
+    nonzero, dim = formula.bind(structures)
+    return core.scan_tuples(name or formula.name, dim, formula.arity, nonzero, notes, informational)
 
 
 def tabulate(formula: Formula, structures: dict):
     """Structure tensor whose (i, j[, k]) entry is the formula at those basis vectors."""
-    residual, dim = formula.bind(structures)
-    entries = {}
-    for idx in itertools.product(range(dim), repeat=formula.arity):
-        vec = residual(*idx)
-        if vec:
-            entries[idx] = vec
-    return (core.BilinearStructure if formula.arity == 2 else core.TrilinearStructure)(dim, entries)
+    nonzero, dim = formula.bind(structures)
+    return (core.BilinearStructure if formula.arity == 2 else core.TrilinearStructure)(dim, dict(nonzero))
 
 
 def states(*formulas):

@@ -334,7 +334,8 @@ def test_guarded_dimension_requires_force():
     from opalg import DimensionGuardError
 
     gl3 = gl_assoc(3)
-    # the jacobson report for the gl(3) triple is already cached by catalog
-    # validation, so use the alternate variant to exercise the guard
-    with pytest.raises(DimensionGuardError):
-        TripleWithOperator(gl3.triple, Operator.identity(9), "alternate")
+    # catalog validation has cached the jacobson report for the gl(3) triple;
+    # the guard is consulted before that cache, so both variants need force
+    for variant in ("jacobson", "alternate"):
+        with pytest.raises(DimensionGuardError):
+            TripleWithOperator(gl3.triple, Operator.identity(9), variant)

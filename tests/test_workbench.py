@@ -307,6 +307,26 @@ def test_cli_dimension_guard_and_force(capsys):
     assert "jts-jacobson" in out
 
 
+def test_cli_exit_code_does_not_depend_on_input_route(tmp_path, capsys):
+    # the catalog route validates the gl(3) triple with force, which caches
+    # its jacobson report; the exported file must meet the same guard
+    code, exported, _ = run_cli(capsys, "catalog", "export", "example3-gl3")
+    assert code == 0
+    path = tmp_path / "example3-gl3.json"
+    path.write_text(exported)
+    reports = []
+    for source in ("catalog:example3-gl3", str(path)):
+        argv = ("check", source, "--suite", "triple-myb", "--operator", "R1", "--format", "json")
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "guard" in err
+        code, out, _ = run_cli(capsys, *argv, "--force")
+        assert code == 0
+        doc = json.loads(out)
+        del doc["source"], doc["input_digest"]
+        reports.append(json.dumps(doc))
+    assert reports[0] == reports[1]
+
+
 def test_cli_findings_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "findings")
     code2, out2, _ = run_cli(capsys, "findings")
