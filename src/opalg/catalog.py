@@ -1,9 +1,12 @@
 """Concrete algebras: skew-symmetric and full matrix algebras with their
 operator families, plus matrix-level tensor builders used as oracles.
 
-Every entry self-validates its base structures (Lie bracket, and the triple
-against the jacobson identity) at construction.  Operator properties are
-advertised as expectations and always re-checked by callers, never assumed.
+Entries are built, not checked: their brackets and triples are checked where
+something reads them (Lie-ness by the constructors that need a Lie bracket,
+a triple identity by the triple suites and TripleWithOperator), exactly as
+for an algebra read from a file.  The tests check every entry's base
+structures.  Operator properties are advertised as expectations and always
+re-checked by callers, never assumed.
 """
 
 from __future__ import annotations
@@ -17,10 +20,7 @@ from .core import (
     BilinearStructure,
     Operator,
     TrilinearStructure,
-    VARIANT_JACOBSON,
     WorkbenchError,
-    check_jts_identity,
-    check_lie,
 )
 from .oracles import (
     mat,
@@ -106,17 +106,6 @@ class CatalogEntry:
         return TrilinearStructure(self.dim, entries)
 
 
-def _validated(entry: CatalogEntry, validate_triple: bool = True) -> CatalogEntry:
-    lie = check_lie(entry.bracket)
-    if not lie.passed:
-        raise CatalogError(f"{entry.name}: base bracket fails Lie validation")
-    if validate_triple and entry.triple is not None:
-        jts = check_jts_identity(entry.triple, VARIANT_JACOBSON, force=True)
-        if not jts.passed:
-            raise CatalogError(f"{entry.name}: base triple fails the jacobson identity")
-    return entry
-
-
 @functools.lru_cache(maxsize=None)
 def so_n(n: int) -> CatalogEntry:
     """Skew-symmetric n x n matrices under the commutator.
@@ -148,8 +137,7 @@ def so_n(n: int) -> CatalogEntry:
         note=f"skew-symmetric {n}x{n} matrices with the commutator bracket",
     )
     bracket = entry.bilinear_tensor_from_matrices(mat_commutator)
-    entry = replace(entry, bracket=bracket)
-    return _validated(entry)
+    return replace(entry, bracket=bracket)
 
 
 @functools.lru_cache(maxsize=None)
@@ -173,8 +161,7 @@ def gl_assoc(n: int) -> CatalogEntry:
     triple = entry.trilinear_tensor_from_matrices(
         lambda x, y, z: mat_add(mat_mul(mat_mul(x, y), z), mat_mul(mat_mul(z, y), x))
     )
-    entry = replace(entry, bracket=bracket, triple=triple)
-    return _validated(entry)
+    return replace(entry, bracket=bracket, triple=triple)
 
 
 def mult_operators(entry: CatalogEntry, Q) -> dict:
@@ -262,7 +249,7 @@ def example1_candidates(x0=None, form=None) -> CatalogEntry:
     rb_cols = [base.bracket.apply_first(x0_vec, c) for c in range(3)]
     rb_rows = tuple(tuple(rb_cols[c].get(r, 0) for c in range(3)) for r in range(3))
 
-    entry = replace(
+    return replace(
         base,
         name="example1-so3",
         triple=three_term,
@@ -276,7 +263,6 @@ def example1_candidates(x0=None, form=None) -> CatalogEntry:
         ),
         expectations=("three-term triple is a JTS (jacobson)",),
     )
-    return _validated(entry)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import sys
 from .algfile import AlgebraFile, render_algebra_file
 from .bunch import RRhoAlgebra, bracket_rho
 from .catalog import build_entry, catalog_names
-from .core import WorkbenchError
+from .core import WorkbenchError, guard_scan
 from .findings import render_findings
 from .jordan import MODE_FULL, MODE_REDUCED, check_triple_myb_raw, derived_triple
 from .lie import convert_params, convert_params_inverse, derived_bracket
@@ -50,7 +50,10 @@ def _build_parser() -> argparse.ArgumentParser:
     derive.add_argument("--mode", choices=(MODE_FULL, MODE_REDUCED), default=MODE_REDUCED)
     derive.add_argument("--operator", default="R")
     derive.add_argument("--operator2", default="rho")
-    derive.add_argument("--force", action="store_true")
+    derive.add_argument(
+        "--force", action="store_true",
+        help="override the dimension guard and the reduced mode's triple mYB precondition",
+    )
     derive.add_argument("--out", help="output file (stdout when omitted)")
 
     catalog = sub.add_parser("catalog", help="list or export catalog entries")
@@ -107,6 +110,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_derive(args) -> int:
     af, _ = load_input(args.input)
+    guard_scan(af.dimension, 2 if args.what == "derived-bracket" else 3, args.force)
     if args.what == "derived-bracket":
         out = AlgebraFile(
             af.dimension,

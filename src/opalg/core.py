@@ -32,8 +32,14 @@ class PreconditionError(WorkbenchError):
     """A checked operation was called outside its stated precondition."""
 
 
-# Guards keep dim^4 / dim^5 scans at desk scale unless explicitly forced.
-_SCAN_GUARDS = {4: 12, 5: 8}
+# Guards keep exhaustive scans at desk scale unless explicitly forced: at each
+# limit a scan visits 2-5 * 10^4 basis tuples.  Measured per tuple (Python
+# 3.11, Fraction scalars): about 1 us for Jacobi on gl(n), 30-45 us for a
+# dim^2 scan with a dense operator at dim 64-128, 10-130 us for a dim^3
+# triple scan with an operator at dim 25-49, so a scan at a limit takes at
+# most a few seconds.  The dim^4 and dim^5 checks consult the guard
+# themselves; run_suite and `opalg derive` consult it for dim^2 and dim^3.
+_SCAN_GUARDS = {2: 128, 3: 36, 4: 12, 5: 8}
 
 
 def guard_scan(dim: int, arity: int, force: bool = False) -> None:
@@ -635,39 +641,19 @@ def check_jacobi(b: BilinearStructure) -> CheckReport:
     return scan(JACOBI, {"bracket": b})
 
 
-_jts_cache: dict = {}
-
-
 @states(*JTS_IDENTITIES.values())
 def check_jts_identity(t: TrilinearStructure, variant: str, force: bool = False) -> CheckReport:
-    """Five-variable triple-system identity, scanned over all dim^5 tuples.
-
-    Reports are cached per (tensor, variant).  The dimension guard is
-    consulted first, so a cached report is returned only where a fresh scan
-    would be allowed: the verdict never depends on what ran earlier.
-    """
+    """Five-variable triple-system identity, scanned over all dim^5 tuples
+    once the dimension guard allows it."""
     if variant not in JTS_VARIANTS:
         raise ValueError(f"unknown triple-system identity variant: {variant!r}")
     guard_scan(t.dim, 5, force)
-    cached = _jts_cache.get((t, variant))
-    if cached is not None:
-        return cached
-    report = scan(JTS_IDENTITIES[variant], {"triple": t})
-    _jts_cache[(t, variant)] = report
-    return report
-
-
-_lie_cache: dict = {}
+    return scan(JTS_IDENTITIES[variant], {"triple": t})
 
 
 def check_lie(b: BilinearStructure) -> CheckReport:
-    """Antisymmetry plus Jacobi, cached per tensor (used by constructors)."""
-    cached = _lie_cache.get(b)
-    if cached is not None:
-        return cached
-    report = aggregate_report("lie", (check_antisymmetry(b), check_jacobi(b)))
-    _lie_cache[b] = report
-    return report
+    """Antisymmetry plus Jacobi, the precondition checked by require_lie."""
+    return aggregate_report("lie", (check_antisymmetry(b), check_jacobi(b)))
 
 
 def require_lie(bracket: BilinearStructure) -> None:

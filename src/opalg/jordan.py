@@ -132,19 +132,11 @@ DERIVED_TRIPLES = {
 }
 TRIPLE_R_HOMOMORPHISM = Formula("triple-r-homomorphism", "X Y Z", "R<X,Y,Z>_R = <RX,RY,RZ>")
 
-_triple_myb_cache: dict = {}
-
-
 @states(TRIPLE_MYB)
 def check_triple_myb_raw(
     triple: TrilinearStructure, R: Operator, name: str = "triple-myb", notes=()
 ) -> CheckReport:
-    cached = _triple_myb_cache.get((triple, R, name, tuple(notes)))
-    if cached is not None:
-        return cached
-    report = scan(TRIPLE_MYB, {"triple": triple, "R": R}, name=name, notes=notes)
-    _triple_myb_cache[(triple, R, name, tuple(notes))] = report
-    return report
+    return scan(TRIPLE_MYB, {"triple": triple, "R": R}, name=name, notes=notes)
 
 
 def check_triple_myb(s: TripleWithOperator) -> CheckReport:

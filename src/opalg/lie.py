@@ -75,18 +75,10 @@ class LieBiOperator:
 # ---------------------------------------------------------------------------
 # single-operator checks
 
-_myb_cache: dict = {}
-
-
 @states(MYB)
 def check_myb_raw(bracket: BilinearStructure, R: Operator, name: str = "myb") -> CheckReport:
     """mYB identity scan on a raw (bracket, operator) pair."""
-    cached = _myb_cache.get((bracket, R, name))
-    if cached is not None:
-        return cached
-    report = scan(MYB, {"bracket": bracket, "R": R}, name=name)
-    _myb_cache[(bracket, R, name)] = report
-    return report
+    return scan(MYB, {"bracket": bracket, "R": R}, name=name)
 
 
 def check_myb(g: LieWithOperator) -> CheckReport:
@@ -173,13 +165,14 @@ def check_even_tempered_xi(g: LieWithOperator, xi: Operator) -> CheckReport:
     return scan(EVEN_TEMPERED_XI, {"bracket": g.bracket, "R": g.R, "xi": xi})
 
 
-def probe_r0(g: LieBiOperator) -> CheckReport:
+def probe_r0(g: LieBiOperator, bi_myb: CheckReport | None = None) -> CheckReport:
     """Midpoint operator R0 = (R1+R2)/2: bracket coincidence plus an mYB probe.
 
     The derived bracket of R0 must coincide with the common derived bracket
     (asserted); whether (bracket, R0) satisfies mYB is reported informationally.
+    A caller that already holds check_bi_myb(g) passes it as bi_myb.
     """
-    base = check_bi_myb(g)
+    base = check_bi_myb(g) if bi_myb is None else bi_myb
     if not base.passed:
         raise PreconditionError("midpoint probe requires a bi-mYB instance")
     r0 = (g.R1 + g.R2).scale(scalar(1, 2))

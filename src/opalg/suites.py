@@ -18,6 +18,7 @@ from .core import (
     check_antisymmetry,
     check_jacobi,
     check_jts_identity,
+    guard_scan,
 )
 from .jordan import (
     DesignCandidate,
@@ -181,7 +182,7 @@ def _suite_r0_probe(af, opts):
         bi = check_bi_myb(g)
         checks.append(bi)
         if bi.passed:
-            probe = probe_r0(g)
+            probe = probe_r0(g, bi)
             checks.append(probe)
             myb = probe.sub("midpoint-myb")
             findings.append(
@@ -320,6 +321,7 @@ def run_suite(input_spec, suite: str, options: dict | None = None) -> RunReport:
         af, source = input_spec, options.pop("source", "<memory>")
     else:
         af, source = load_input(input_spec)
+    guard_scan(af.dimension, 3, bool(options.get("force")))  # every suite scans dim^3 tuples or more
     checks, findings = SUITES[suite](af, options)
     return RunReport(
         source=source,

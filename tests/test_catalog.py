@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from opalg import (
@@ -5,6 +7,7 @@ from opalg import (
     check_antisymmetry,
     check_jacobi,
     check_jts_identity,
+    check_lie,
     example1_candidates,
     example2_gl,
     example4_so,
@@ -12,6 +15,7 @@ from opalg import (
     mult_operators,
     so_n,
 )
+from opalg import catalog, core
 from opalg.catalog import CatalogError, build_entry
 from opalg.oracles import (
     mat_commutator,
@@ -52,6 +56,9 @@ def test_so4_passes_base_checks():
     assert so4.dim == 6
     assert check_antisymmetry(so4.bracket).passed
     assert check_jacobi(so4.bracket).passed
+    # the catalog builds its entries unchecked; their brackets are checked here
+    for entry in [so_n(n) for n in range(2, 6)] + [gl_assoc(n) for n in range(1, 4)]:
+        assert check_lie(entry.bracket).passed, entry.name
 
 
 def test_so_requires_n_at_least_two():
@@ -150,6 +157,8 @@ def test_form_triples_are_valid_jacobson_systems():
     entry = example1_candidates()
     assert check_jts_identity(entry.triple, "jacobson").passed
     assert check_jts_identity(entry.extra_triples["two-term"], "jacobson").passed
+    for n in range(1, 4):
+        assert check_jts_identity(gl_assoc(n).triple, "jacobson", force=True).passed, n
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +184,28 @@ def test_build_entry_alternate_triple_choice():
     entry = build_entry("example1-so3?triple=two-term")
     base = example1_candidates()
     assert entry.triple == base.extra_triples["two-term"]
+
+
+def test_building_benchmark_entries_runs_no_check(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("building a catalog entry ran a check")
+
+    # every scan goes through core.scan_tuples; the check_* names are patched
+    # wherever a module imported them
+    monkeypatch.setattr(core, "scan_tuples", refuse)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("opalg"):
+            for attr in dir(module):
+                if attr.startswith("check_"):
+                    monkeypatch.setattr(module, attr, refuse)
+    # build afresh, past the catalog's lru cache
+    monkeypatch.setattr(catalog, "so_n", catalog.so_n.__wrapped__)
+    monkeypatch.setattr(catalog, "gl_assoc", catalog.gl_assoc.__wrapped__)
+    specs = ["gl2", "gl3", "example1-so3", "example1-so3?triple=two-term"]
+    specs += [f"example{k}-gl{n}{q}" for k in (2, 3) for n in (2, 3, 4) for q in ("", "?q=seed:1")]
+    specs += [f"example4-so{n}{q}" for n in (3, 4, 5, 6) for q in ("", "?q=seed:1")]
+    for spec in specs:
+        assert build_entry(spec).bracket is not None
 
 
 def test_build_entry_errors():

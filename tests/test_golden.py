@@ -4,11 +4,11 @@ Each case runs one `opalg` command (or one library check with no CLI suite)
 and hashes its exit code plus the exact report bytes, so any change to a
 verdict, a witness, a residual or the JSON layout shows up as a changed
 digest.  Every `check` and `derive` case passes `--force`, so no case
-depends on the dimension guards or on verdicts cached by earlier cases.
+depends on the dimension guards.
 
-All cases run in one child process, apart from the test session, so that the
-verdict caches neither leak into the cases nor out of them.  The digests live
-in golden_sha256.json next to this file.  To rebuild them after an intended
+The cases run in the test process: a verdict depends only on the input and
+the flags, never on what ran before it.  The digests live in
+golden_sha256.json next to this file.  To rebuild them after an intended
 change of report bytes:
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -17,7 +17,6 @@ change of report bytes:
 import hashlib
 import json
 import os
-import subprocess
 import sys
 
 import pytest
@@ -221,16 +220,7 @@ def compute_digests() -> dict:
 
 @pytest.fixture(scope="module")
 def digests():
-    """All cases in one fresh process, so that neither the cases nor the rest
-    of the test session see verdicts the other cached."""
-    import opalg
-
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(opalg.__file__)))
-    out = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--print"],
-        env=env, capture_output=True, text=True, check=True, timeout=600,
-    ).stdout
-    return json.loads(out)
+    return compute_digests()
 
 
 def _load_golden() -> dict:
@@ -248,11 +238,8 @@ def test_golden_file_lists_exactly_the_cases():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--print"]:
-        print(json.dumps(compute_digests()))
-    elif sys.argv[1:] == ["--write"]:
-        with open(GOLDEN, "w", encoding="utf-8") as fh:
-            json.dump(compute_digests(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    else:
-        sys.exit("usage: python tests/test_golden.py --write | --print")
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(compute_digests(), fh, indent=1, sort_keys=True)
+        fh.write("\n")

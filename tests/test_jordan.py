@@ -334,8 +334,7 @@ def test_guarded_dimension_requires_force():
     from opalg import DimensionGuardError
 
     gl3 = gl_assoc(3)
-    # catalog validation has cached the jacobson report for the gl(3) triple;
-    # the guard is consulted before that cache, so both variants need force
+    # gl(3) has dimension 9, above the dim^5 limit, for either variant
     for variant in ("jacobson", "alternate"):
         with pytest.raises(DimensionGuardError):
             TripleWithOperator(gl3.triple, Operator.identity(9), variant)

@@ -1,9 +1,12 @@
 """Suites, searches, findings document, and the command-line contract."""
 
 import json
+import sys
+import time
 
 import pytest
 
+from opalg import catalog, core
 from opalg.algfile import parse_algebra_file
 from opalg.cli import main
 from opalg.findings import open_question_findings, render_findings
@@ -63,11 +66,21 @@ def test_suite_reports_are_deterministic():
     assert a.to_text() == b.to_text()
 
 
-def test_r0_probe_suite_emits_findings():
+def test_r0_probe_suite_emits_findings(monkeypatch):
+    scans = []
+    scan_tuples = core.scan_tuples
+
+    def counted(name, *args, **kwargs):
+        scans.append(name)
+        return scan_tuples(name, *args, **kwargs)
+
+    monkeypatch.setattr(core, "scan_tuples", counted)
     report = run_suite("catalog:example2-gl2", "r0-probe")
     assert report.passed  # midpoint-myb failure is informational
     assert report.findings
     assert report.findings[0]["kind"] == "midpoint-myb-outcome"
+    # the probe reuses the suite's bi-mYB report instead of scanning again
+    assert scans.count("myb-r1") == scans.count("myb-r2") == 1
 
 
 def test_jordan_base_suite_reports_both_variants():
@@ -308,23 +321,79 @@ def test_cli_dimension_guard_and_force(capsys):
 
 
 def test_cli_exit_code_does_not_depend_on_input_route(tmp_path, capsys):
-    # the catalog route validates the gl(3) triple with force, which caches
-    # its jacobson report; the exported file must meet the same guard
+    # a catalog entry is checked exactly as its exported file is: both routes
+    # meet the dim^5 guard of the triple suite, and give the same reports
     code, exported, _ = run_cli(capsys, "catalog", "export", "example3-gl3")
     assert code == 0
     path = tmp_path / "example3-gl3.json"
     path.write_text(exported)
-    reports = []
+    reports = {"triple-myb": [], "myb": []}
     for source in ("catalog:example3-gl3", str(path)):
         argv = ("check", source, "--suite", "triple-myb", "--operator", "R1", "--format", "json")
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and "guard" in err
         code, out, _ = run_cli(capsys, *argv, "--force")
         assert code == 0
-        doc = json.loads(out)
-        del doc["source"], doc["input_digest"]
-        reports.append(json.dumps(doc))
-    assert reports[0] == reports[1]
+        reports["triple-myb"].append(out)
+        code, out, _ = run_cli(capsys, "check", source, "--suite", "myb", "--operator", "R1", "--format", "json")
+        assert code == 0
+        reports["myb"].append(out)
+    for outs in reports.values():
+        docs = [json.loads(out) for out in outs]
+        for doc in docs:
+            del doc["source"], doc["input_digest"]
+        assert docs[0] == docs[1]
+
+
+def test_lie_suites_never_check_the_catalog_triple(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Lie suite checked a triple-system identity")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("opalg") and hasattr(module, "check_jts_identity"):
+            monkeypatch.setattr(module, "check_jts_identity", refuse)
+    # build afresh, past the catalog's lru cache
+    monkeypatch.setattr(catalog, "gl_assoc", catalog.gl_assoc.__wrapped__)
+    for argv in (
+        ("catalog:example2-gl4", "--suite", "bi-myb"),
+        ("catalog:example2-gl3", "--suite", "myb", "--operator", "R1"),
+    ):
+        code, _, err = run_cli(capsys, "check", *argv)
+        assert code == 0, err
+
+
+def test_cli_guards_dim2_and_dim3_scans(tmp_path, capsys):
+    # unguarded, lie-base would start a 3000^3-tuple Jacobi scan and the
+    # derived bracket a 3000^2-tuple one
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dimension": 3000, "bracket": []}))
+    start = time.perf_counter()
+    for argv in (("check", str(path), "--suite", "lie-base"), ("derive", str(path), "--what", "derived-bracket")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "guard" in err
+    assert time.perf_counter() - start < 1
+
+
+def test_cli_force_lifts_the_dim2_and_dim3_guards(tmp_path, capsys):
+    # empty structures just above each limit are cheap to scan
+    dim = core._SCAN_GUARDS[3] + 1
+    path = tmp_path / "empty3.json"
+    path.write_text(json.dumps({"dimension": dim, "bracket": []}))
+    argv = ("check", str(path), "--suite", "lie-base")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "guard" in err
+    code, out, _ = run_cli(capsys, *argv, "--force")
+    assert code == 0 and f"PASS jacobi (tuples={dim ** 3})" in out
+
+    dim = core._SCAN_GUARDS[2] + 1
+    path = tmp_path / "empty2.json"
+    zero = [["0"] * dim for _ in range(dim)]
+    path.write_text(json.dumps({"dimension": dim, "bracket": [], "operators": {"R": zero}}))
+    argv = ("derive", str(path), "--what", "derived-bracket")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "guard" in err
+    code, out, _ = run_cli(capsys, *argv, "--force")
+    assert code == 0 and parse_algebra_file(out).dimension == dim
 
 
 def test_cli_findings_deterministic(capsys):
