@@ -195,16 +195,18 @@ def check_gamma_bunch(q: QuadraticBunch) -> CheckReport:
     return aggregate_report("gamma-bunch", subs)
 
 
-def extract_rrho(q: QuadraticBunch) -> RRhoAlgebra:
+def extract_rrho(q: QuadraticBunch, gamma: CheckReport | None = None) -> RRhoAlgebra:
     """Inverse direction: read (R, rho) off the family coefficients r1, r2.
 
     Requires r0 = identity and a passing gamma-bunch check; verifies that the
     b1 and b2 coefficients coincide with the derived and quadratic brackets
-    rebuilt from the extracted operators.
+    rebuilt from the extracted operators.  A caller that already holds
+    check_gamma_bunch(q) passes it as gamma.
     """
     if not q.r0.is_identity():
         raise PreconditionError("bunch extraction requires r0 = identity")
-    gamma = check_gamma_bunch(q)
+    if gamma is None:
+        gamma = check_gamma_bunch(q)
     if not gamma.passed:
         bad = next(s for s in gamma.subchecks if not s.passed and not s.informational)
         raise PreconditionError(

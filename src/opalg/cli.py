@@ -69,6 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--trials", type=int, required=True)
     search.add_argument("--dim", type=int)
     search.add_argument("--entry-bound", type=int, default=3)
+    search.add_argument("--force", action="store_true", help="override the dimension guard")
     search.add_argument("--format", choices=("text", "json"), default="json")
     search.add_argument("--out")
 
@@ -154,7 +155,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    report = run_search(args.target, args.seed, args.trials, args.dim, args.entry_bound)
+    report = run_search(args.target, args.seed, args.trials, args.dim, args.entry_bound, args.force)
     _write(report.to_json() if args.format == "json" else report.to_text(), args.out)
     return 0
 

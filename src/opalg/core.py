@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formula import Formula, scan, states
-from .scalars import Scalar, as_scalar, render_scalar
+from .scalars import Scalar, as_scalar, common_denominator, render_scalar, scalar
 
 
 class WorkbenchError(Exception):
@@ -72,6 +72,11 @@ def vec_scale(v: dict, coeff: Scalar) -> dict:
     if not coeff:
         return {}
     return {k: coeff * s for k, s in v.items()}
+
+
+def vec_div(v: dict, d: int) -> dict:
+    """v / d exactly, for an integer vector v and an integer d > 0."""
+    return {k: scalar(s, d) for k, s in v.items()}
 
 
 def vec_sub(a: dict, b: dict) -> dict:
@@ -135,6 +140,13 @@ class Operator:
         entries = tuple(map(as_scalar, entries))
         n = len(entries)
         return cls(tuple(tuple(entries[r] if r == c else 0 for c in range(n)) for r in range(n)))
+
+    def integer_form(self) -> tuple:
+        """(M, d): d the least positive integer with M = d * self integer; (self, 1) if d = 1."""
+        d = common_denominator(a for row in self.rows for a in row)
+        if d == 1:
+            return self, 1
+        return Operator(tuple(tuple(a.numerator * (d // a.denominator) for a in row) for row in self.rows)), d
 
     def column(self, c: int) -> dict:
         """Sparse image of the c-th basis vector.  Treat as read-only."""
@@ -246,6 +258,14 @@ def _clean_entries(dim: int, entries, arity: int) -> dict:
     return clean
 
 
+def _integer_entries(entries: dict) -> tuple:
+    """(d * entries, d) for the least d > 0 that makes every component an integer."""
+    d = common_denominator(s for vec in entries.values() for s in vec.values())
+    if d == 1:
+        return entries, 1
+    return {key: {k: s.numerator * (d // s.denominator) for k, s in v.items()} for key, v in entries.items()}, d
+
+
 class BilinearStructure:
     """Structure constants of a bilinear product: (i, j) -> vector [e_i, e_j]."""
 
@@ -272,6 +292,11 @@ class BilinearStructure:
             seen.add((i, j, k))
             entries.setdefault((i, j), {})[k] = as_scalar(s)
         return cls(dim, entries)
+
+    def integer_form(self) -> tuple:
+        """(B, d): d the least positive integer with B = d * self integer; (self, 1) if d = 1."""
+        entries, d = _integer_entries(self._c)
+        return (self if d == 1 else BilinearStructure(self.dim, entries)), d
 
     def value(self, i: int, j: int) -> dict:
         """[e_i, e_j] as a sparse vector.  Treat as read-only."""
@@ -372,6 +397,11 @@ class TrilinearStructure:
             seen.add((i, j, k, l))
             entries.setdefault((i, j, k), {})[l] = as_scalar(s)
         return cls(dim, entries)
+
+    def integer_form(self) -> tuple:
+        """(T, d): d the least positive integer with T = d * self integer; (self, 1) if d = 1."""
+        entries, d = _integer_entries(self._t)
+        return (self if d == 1 else TrilinearStructure(self.dim, entries)), d
 
     def value(self, i: int, j: int, k: int) -> dict:
         return self._t.get((i, j, k), _EMPTY)

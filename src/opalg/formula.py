@@ -32,6 +32,26 @@ contractions.  Four rules shape it:
   its own loop and used nowhere else, since hoisted and shared values are
   read again.
 
+The nest runs on Python ints (fraction-free, as in Bareiss elimination).
+``bind`` replaces each structure by its integer form: d times the structure,
+d the lcm of its entries' denominators (the structure itself when d = 1).
+Every identity is multilinear, so each subterm's local holds an integer
+multiple s * (the subterm), its scale s computed before the loops:
+
+- a basis variable has s = 1;
+- an operator word W applied to t has s = d_W * s(t), d_W the product of
+  its operators' d;
+- a contraction has s = d_key * the product of its vector arguments' scales;
+- a sum of (p_i/q_i) t_i has s = lcm(q_i s(t_i)) and adds up its terms with
+  the integer multipliers m_i = s p_i / (q_i s(t_i)), so ``1/4(...)`` costs
+  no rational arithmetic.
+
+A nonzero residual is divided back exactly, {k: scalar(v, s)}, before it is
+yielded.  On integer structures every scale is 1 unless the formula has a
+fractional coefficient, and a multiplier of 1 neither scales nor copies, so
+integer input makes the kernel calls of a rational-arithmetic nest, one
+integer comparison per sum aside.
+
 ``scan`` takes the first yield as the witness.  Its ``tuples_evaluated`` is
 the witness's lexicographic rank plus one, or dim^arity on a pass: the tuples
 a tuple-by-tuple scan evaluates.  ``tabulate`` collects every yield.
@@ -40,6 +60,7 @@ a tuple-by-tuple scan evaluates.  ``tabulate`` collects every yield.
 from __future__ import annotations
 
 import functools
+import math
 import re
 
 from . import core  # core states its own identities here, so its names are read at call time
@@ -165,15 +186,18 @@ class _Codegen:
     loops.  Every subterm becomes one local, assigned at the depth of its
     deepest variable, and identical subterms share it.  A value is fresh if it
     is a new dict on every evaluation; a sum may update in place only a fresh
-    value computed at its own depth and used nowhere else.
+    value computed at its own depth and used nowhere else.  The nest runs on
+    integer structures: each subterm's local holds s * (the subterm), and the
+    integer scale s is computed at depth 0 from the structures' _d_<name>.
     """
 
     def __init__(self, top: tuple, arity: int):
         self.lines = [[] for _ in range(arity + 1)]
-        self.words, self.constants, self.structures = {}, {}, set()
-        self.uses, self.locals = {}, {}
+        self.words, self.structures = {}, set()
+        self.uses, self.locals, self.scales = {}, {}, {}
         self.count(top)
         self.result = self.emit(top)[0]
+        self.scale = self.scales[top]
 
     def count(self, t) -> None:
         self.uses[t] = self.uses.get(t, 0) + 1
@@ -181,20 +205,26 @@ class _Codegen:
             for s in [s for _, s in t[1]] if t[0] == "sum" else t[2:]:
                 self.count(s)
 
-    def coefficient(self, c) -> str:
-        return repr(c) if isinstance(c, int) else self.constants.setdefault(c, f"_c{len(self.constants)}")
-
     def assign(self, key, depth: int, code: str, fresh: bool) -> tuple:
         name = f"_t{len(self.locals)}"
         self.lines[depth].append(f"{name} = {code}")
         self.locals[key] = (name, depth, fresh)
         return self.locals[key]
 
+    def scaled(self, t, factors) -> None:
+        """The scale of t as the product of factors (names or "1")."""
+        factors = [f for f in factors if f != "1"]
+        if len(factors) > 1:
+            self.lines[0].append(f"_s{len(self.scales)} = {' * '.join(factors)}")
+            factors = [f"_s{len(self.scales)}"]
+        self.scales[t] = factors[0] if factors else "1"
+
     def emit(self, t) -> tuple:
         """(local holding term t, its depth, whether it is fresh)."""
         if t not in self.locals:
             if t[0] == "var":  # a basis vector where a vector is needed
                 self.assign(t, t[1] + 1, f"{{_x{t[1]}: 1}}", True)
+                self.scales[t] = "1"
             elif t[0] == "sum":
                 self.sum(t)
             elif t[0] == "op":
@@ -208,9 +238,11 @@ class _Codegen:
         word = t[1][0] if len(t[1]) == 1 else self.words.setdefault(t[1], f"_w{len(self.words)}")
         if t[2][0] == "var":
             self.assign(t, t[2][1] + 1, f"{word}.column(_x{t[2][1]})", False)
+            self.scaled(t, [f"_d_{name}" for name in t[1]])
         else:
             v, depth, _ = self.emit(t[2])
             self.assign(t, depth, f"{word}.apply({v}) if {v} else {{}}", True)
+            self.scaled(t, [f"_d_{name}" for name in t[1]] + [self.scales[t[2]]])
 
     def contraction(self, t) -> None:
         """value on basis indices only; on vectors apply, apply_<vector slots> or
@@ -230,6 +262,7 @@ class _Codegen:
             method = "apply" if len(vectors) == len(args) else "apply_" + "_".join(vectors)
             nonempty = " and ".join(v for v, _, _ in vectors.values())
             self.assign(t, depth, f"{key}.{method}({', '.join(code)}) if {nonempty} else {{}}", True)
+        self.scaled(t, [f"_d_{key}"] + [self.scales[a] for a in args if a[0] != "var"])
 
     def partial(self, t, key: str, code: list, depths: list) -> None:
         """A triple of vectors, w the strictly deepest: the sparse columns
@@ -244,18 +277,29 @@ class _Codegen:
         self.assign(t, depths[deep], f"_gather({cols}, {w}) if {cols} and {w} else {{}}", True)
 
     def sum(self, t) -> None:
+        """sum c_i t_i for c_i = p_i/q_i has the scale s = lcm(q_i s_i) and is
+        computed as sum m_i (s_i t_i) with the integer multipliers m_i = s p_i / (q_i s_i)."""
         terms = [(c, s, *self.emit(s)) for c, s in t[1]]
         depth = max(d for _, _, _, d, _ in terms)
-        own = [c == 1 and fresh and d == depth and self.uses[s] == 1 for c, s, _, d, fresh in terms]
-        ones = [i for i, (c, *_) in enumerate(terms) if c == 1]
-        base = own.index(True) if True in own else ones[0] if ones else 0
-        c, _, v, _, _ = terms[base]
-        start = v if own[base] else f"dict({v})" if c == 1 else f"_scale({v}, {self.coefficient(c)})"
+        n = len(self.scales)
+        self.scales[t] = f"_s{n}"
+        parts = [(c.numerator, _times(c.denominator, self.scales[s])) for c, s, *_ in terms]
+        self.lines[0].append(f"_s{n} = _lcm({', '.join(qs for _, qs in parts)})")
+        multipliers = [f"_m{n}_{i}" for i in range(len(terms))]
+        self.lines[0] += [f"{m} = _s{n} * {p} // {qs}" for m, (p, qs) in zip(multipliers, parts)]
+        own = [fresh and d == depth and self.uses[s] == 1 for _, s, _, d, fresh in terms]
+        base = min(range(len(terms)), key=lambda i: (not own[i], terms[i][0] != 1))
+        v, m = terms[base][2], multipliers[base]
+        start = f"{v if own[base] else f'dict({v})'} if {m} == 1 else _scale({v}, {m})"
         acc = self.assign(t, depth, start, True)[0]
         for i, (c, s, v, _, _) in enumerate(terms):
             if i != base:
-                add = f"_iadd({acc}, {v}{'' if c == 1 else ', ' + self.coefficient(c)})"
+                add = f"_iadd({acc}, {v}, {multipliers[i]})"
                 self.lines[depth].append(add if s[0] == "var" else f"if {v}: {add}")
+
+
+def _times(q: int, scale: str) -> str:
+    return scale if q == 1 else str(q) if scale == "1" else f"({q} * {scale})"
 
 
 class Formula:
@@ -272,13 +316,15 @@ class Formula:
 
     @functools.cached_property
     def _compiled(self) -> tuple:
-        """(structure names, nest); nest(_iadd, _scale, _gather, _range, **structures)
-        is the generator of nonzero residuals."""
+        """(structure names, nest); nest(_iadd, _scale, _gather, _range, **structures,
+        **denominators) is the generator of nonzero residuals, where each structure
+        is an integer form and denominators maps _d_<name> to its d."""
         gen = _Codegen(_Parser(self.text, self.variables).residual(), self.arity)
         structures = tuple(sorted(gen.structures))
         ident = re.sub(r"\W", "_", self.name)  # so that a profile names the formula
+        arguments = ", ".join([*structures, *(f"_d_{name}" for name in structures)])
         source = [
-            f"def nonzero_{ident}(_iadd, _scale, _gather, _range, {', '.join(structures)}):",
+            f"def nonzero_{ident}(_iadd, _scale, _gather, _range, {arguments}):",
             *(f"    {name} = {' @ '.join(word)}" for word, name in gen.words.items()),
         ]
         for depth, lines in enumerate(gen.lines):
@@ -287,8 +333,11 @@ class Formula:
                 source.append(f"{indent[4:]}for _x{depth - 1} in _range:")
             source += [indent + line for line in lines]
         indices = ", ".join(f"_x{k}" for k in range(self.arity))
-        source += [f"{indent}if {gen.result}:", f"{indent}    yield ({indices},), {gen.result}"]
-        namespace = {name: c for c, name in gen.constants.items()}
+        residual = gen.result
+        if gen.scale != "1":
+            residual += f" if {gen.scale} == 1 else _div({gen.result}, {gen.scale})"
+        source += [f"{indent}if {gen.result}:", f"{indent}    yield ({indices},), {residual}"]
+        namespace = {"_lcm": math.lcm, "_div": core.vec_div}
         exec("\n".join(source), namespace)
         return structures, namespace[f"nonzero_{ident}"]
 
@@ -304,7 +353,11 @@ class Formula:
         if len(dims) != 1:
             raise core.DimensionMismatchError(f"{self.name}: structure dimensions differ")
         dim = dims.pop()
-        return nest(core.vec_iadd, core.vec_scale, core.vec_gather, range(dim), **used), dim
+        forms = {key: s.integer_form() for key, s in used.items()}
+        integer = {key: form for key, (form, _) in forms.items()}
+        denominators = {f"_d_{key}": d for key, (_, d) in forms.items()}
+        nonzero = nest(core.vec_iadd, core.vec_scale, core.vec_gather, range(dim), **integer, **denominators)
+        return nonzero, dim
 
 
 def scan(formula: Formula, structures: dict, name=None, notes=(), informational=False):

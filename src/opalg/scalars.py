@@ -9,6 +9,7 @@ equality-compatible, so mixed arithmetic is safe and exact.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from numbers import Rational
@@ -29,12 +30,18 @@ class ScalarError(ValueError):
 
 def scalar(numerator, denominator=1) -> Scalar:
     """Exact rational p/q, normalized to int when the reduced q is 1."""
-    if denominator == 1 and isinstance(numerator, int):
-        return numerator
+    if isinstance(numerator, int) and isinstance(denominator, int):
+        if denominator and not numerator % denominator:
+            return numerator // denominator
     value = _ratio(numerator, denominator)
     if value.denominator == 1:
         return int(value)
     return value
+
+
+def common_denominator(values) -> int:
+    """The least d > 0 with d * s an integer for every scalar s in values."""
+    return math.lcm(*{s.denominator for s in values})
 
 
 def as_scalar(value) -> Scalar:

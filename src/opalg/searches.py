@@ -14,7 +14,7 @@ import random
 from .algfile import AlgebraFile, algebra_file_to_dict, entry_to_algebra_file
 from .bunch import RRhoAlgebra, check_rrho
 from .catalog import example2_gl, example4_so, gl_assoc, so_n
-from .core import Operator, WorkbenchError
+from .core import Operator, WorkbenchError, guard_scan
 from .jordan import MODE_FULL, MODE_REDUCED, check_triple_bi_myb, check_triple_myb_raw, derived_triple, tensors_equal_report
 from .lie import LieBiOperator, check_even_tempered, check_myb_raw
 from .sampling import random_matrix, random_operator, random_scalar, random_symmetric_matrix
@@ -221,6 +221,17 @@ SEARCH_TARGETS = {
     "example4-non-factorizable": _search_example4_factorization,
 }
 
+# The family of the algebra each target builds from --dim n: gl(n) has
+# dimension n^2, so(n) n(n-1)/2.  so3-non-myb always works on so(3).
+_DIM_FAMILIES = {
+    "triple-r-mode-disagreement": "gl",
+    "r0-not-myb": "gl",
+    "non-even-tempered": "gl",
+    "non-even-tempered-diagonal-R": "so",
+    "non-normal-triple": "gl",
+    "example4-non-factorizable": "so",
+}
+
 # Statements that always hold (verified as invariants); searching for
 # counterexamples to them is a usage error, not a search.
 THEOREM_TARGETS = {
@@ -231,7 +242,11 @@ THEOREM_TARGETS = {
 }
 
 
-def run_search(target: str, seed: int, trials: int, dim: int | None = None, entry_bound: int = 3) -> RunReport:
+def run_search(
+    target: str, seed: int, trials: int, dim: int | None = None, entry_bound: int = 3, force: bool = False
+) -> RunReport:
+    """Run a search; a --dim whose algebra exceeds the dim^3 guard is refused
+    before anything is built, unless forced."""
     if trials < 1:
         raise WorkbenchError("trials must be >= 1")
     if target in THEOREM_TARGETS:
@@ -240,6 +255,8 @@ def run_search(target: str, seed: int, trials: int, dim: int | None = None, entr
         )
     if target not in SEARCH_TARGETS:
         raise UnknownTargetError(f"unknown search target {target!r}; known: {sorted(SEARCH_TARGETS)}")
+    if dim and target in _DIM_FAMILIES:
+        guard_scan(dim * dim if _DIM_FAMILIES[target] == "gl" else dim * (dim - 1) // 2, 3, force)
     rng = random.Random(seed)
     findings: list = []
     SEARCH_TARGETS[target](rng, trials, dim, entry_bound, findings)

@@ -287,7 +287,7 @@ def _suite_rrho_bunch(af, opts):
         gamma = check_gamma_bunch(bunch)
         checks.append(gamma)
         if gamma.passed:
-            back = extract_rrho(bunch)
+            back = extract_rrho(bunch, gamma)
             checks.append(
                 CheckReport(name="extraction-round-trip", passed=back == a, tuples_evaluated=1)
             )

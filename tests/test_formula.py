@@ -4,6 +4,7 @@ tree-walking interpreter."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -105,6 +106,9 @@ PLACES = [
     (3, {(2, 2): {2: 1}}, {(0, 1, 0): {0: 1}}, IDENTITY, (0, 1, 0)),
     (4, {(2, 2): {2: 1}}, {(0, 0, 2): {0: 1}}, IDENTITY, (0, 0, 2, 2)),
     (5, {}, {(0, 0, 1): {1: 1}}, IDENTITY, (0, 0, 0, 0, 1)),
+    # rational structures: the witness residuals are 5/9 e0 and 1/4 e2
+    (2, {(0, 1): {0: scalar(1, 2)}}, {}, oa.Operator.diagonal([scalar(1, 3), 1, 1]), (0, 1)),
+    (3, {}, {(0, 1, 0): {2: 1}}, oa.Operator.diagonal([1, scalar(1, 2), 1]), (0, 1, 0)),
 ]
 
 
@@ -172,17 +176,28 @@ def _interpret(t, idx, structures):
     return structures[t[1]].apply(*(_interpret(a, idx, structures) for a in t[2:]))
 
 
-def _generic_structures() -> dict:
-    """Seeded structures on dimension 4 that satisfy none of the identities."""
+def _generic_structures(rational: bool = False) -> dict:
+    """Seeded structures on dimension 4 that satisfy none of the identities.
+
+    Rational ones give the structures the denominators 2, 3, 4, 5, 6, 2, ...
+    in turn, each entry p/q or p/1, so adjacent structures clear to integers
+    with different denominators."""
     rng = random.Random(4)
+    denominators = itertools.cycle((2, 3, 4, 5, 6) if rational else (1,))
 
     def entries(arity):
-        keys = itertools.product(range(4), repeat=arity)
-        return {key: {k: rng.randint(-2, 2) for k in range(4)} for key in keys if rng.random() < 0.4}
+        q, keys = next(denominators), itertools.product(range(4), repeat=arity)
+        return {
+            key: {k: scalar(rng.randint(-2, 2), rng.choice((1, q))) for k in range(4)}
+            for key in keys
+            if rng.random() < 0.4
+        }
 
     s = {}
     for name in ("R", "R1", "R2", "xi"):
-        s[name] = oa.Operator([[rng.randint(-1, 2) for _ in range(4)] for _ in range(4)])
+        q = next(denominators)
+        rows = [[scalar(rng.randint(-1, 2), rng.choice((1, q))) for _ in range(4)] for _ in range(4)]
+        s[name] = oa.Operator(rows)
     s.update(S=s["R2"], rho=s["R1"] @ s["R2"], r0=s["R"], r1=s["R1"], r2=s["xi"])
     for key in ("bracket", "bracket_R", "bracket_rho", "bracket_b0", "bracket_b1", "bracket_b2"):
         s[key] = oa.BilinearStructure(4, entries(2))
@@ -214,9 +229,10 @@ def _interpreted(formula, structures) -> dict:
     ],
 )
 def test_codegen_rules_match_an_interpreter(variables, text):
-    formula, structures = Formula("rules", variables, text), _generic_structures()
-    nonzero, _ = formula.bind(structures)
-    assert dict(nonzero) == _interpreted(formula, structures)
+    formula = Formula("rules", variables, text)
+    for structures in (_generic_structures(), _generic_structures(rational=True)):
+        nonzero, _ = formula.bind(structures)
+        assert dict(nonzero) == _interpreted(formula, structures)
 
 
 def test_every_stated_formula_is_collected():
@@ -225,6 +241,52 @@ def test_every_stated_formula_is_collected():
 
 @pytest.mark.parametrize("name", sorted(STATED))
 def test_stated_formula_compiles_and_matches_an_interpreter(name):
-    formula, structures = STATED[name], _generic_structures()
-    nonzero, _ = formula.bind(structures)
-    assert dict(nonzero) == _interpreted(formula, structures)
+    formula = STATED[name]
+    for structures in (_generic_structures(), _generic_structures(rational=True)):
+        nonzero, _ = formula.bind(structures)
+        assert dict(nonzero) == _interpreted(formula, structures)
+
+
+def test_rational_structures_clear_to_distinct_denominators():
+    denominators = {name: s.integer_form()[1] for name, s in _generic_structures(True).items()}
+    assert set(denominators.values()) >= {2, 3, 4, 5, 6}
+    assert all(s.integer_form() == (s, 1) for s in _generic_structures().values())
+
+
+# ---------------------------------------------------------------------------
+# scans run on integers
+
+
+def _refuse_fraction_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in a scan")
+
+    for op in ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "neg"):
+        monkeypatch.setattr(Fraction, f"__{op}__", refuse)
+
+
+def test_scans_run_on_integers_and_divide_back_exactly(monkeypatch):
+    rng = random.Random(5)
+
+    def q():
+        return scalar(rng.randint(-3, 3), rng.randint(1, 6))
+
+    # gl(2) with its bracket scaled by 2/3 is still a Lie algebra, now with a rational bracket
+    rows = [(i, j, k, scalar(2, 3) * s) for i, j, k, s in oa.gl_assoc(2).bracket.sorted_rows()]
+    bracket = oa.BilinearStructure.from_rows(4, rows)
+    R, rho = (oa.Operator([[q() for _ in range(4)] for _ in range(4)]) for _ in "ab")
+    keys = itertools.product(range(4), repeat=3)
+    triple = oa.TrilinearStructure(4, {key: {k: q() for k in range(4)} for key in keys})
+    a = oa.RRhoAlgebra(bracket, R, rho)
+    bunch = oa.build_bunch(a)
+    checks = [
+        lambda: oa.check_myb_raw(bracket, R),
+        lambda: oa.check_rrho(a),
+        lambda: oa.check_gamma_bunch(bunch),
+        lambda: oa.check_triple_myb_raw(triple, R),
+    ]
+    expected = [check() for check in checks]
+    witnesses = [w for r in expected for w in [r.witness, *(s.witness for s in r.subchecks)] if w]
+    assert any(isinstance(x, Fraction) for w in witnesses for x in w.residual)
+    _refuse_fraction_arithmetic(monkeypatch)
+    assert [check() for check in checks] == expected

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from opalg import catalog, core
+from opalg import catalog, core, searches
 from opalg.algfile import parse_algebra_file
 from opalg.cli import main
 from opalg.findings import open_question_findings, render_findings
@@ -81,6 +81,23 @@ def test_r0_probe_suite_emits_findings(monkeypatch):
     assert report.findings[0]["kind"] == "midpoint-myb-outcome"
     # the probe reuses the suite's bi-mYB report instead of scanning again
     assert scans.count("myb-r1") == scans.count("myb-r2") == 1
+
+
+def test_rrho_bunch_suite_scans_gamma_bunch_once(monkeypatch):
+    scans = []
+    scan_tuples = core.scan_tuples
+
+    def counted(name, *args, **kwargs):
+        scans.append(name)
+        return scan_tuples(name, *args, **kwargs)
+
+    monkeypatch.setattr(core, "scan_tuples", counted)
+    report = run_suite("catalog:example4-so3", "rrho+bunch")
+    assert report.passed
+    assert [c.name for c in report.checks][-1] == "extraction-round-trip"
+    # the extraction reuses the suite's gamma-bunch report instead of scanning again
+    for d in range(5):
+        assert scans.count(f"homomorphism-deg{d}") == scans.count(f"jacobi-deg{d}") == 1
 
 
 def test_jordan_base_suite_reports_both_variants():
@@ -394,6 +411,27 @@ def test_cli_force_lifts_the_dim2_and_dim3_guards(tmp_path, capsys):
     assert code == 2 and "guard" in err
     code, out, _ = run_cli(capsys, *argv, "--force")
     assert code == 0 and parse_algebra_file(out).dimension == dim
+
+
+def test_cli_guards_search_dim(capsys):
+    # unguarded, both searches built gl(60) from matrices and scanned it
+    start = time.perf_counter()
+    for target in ("r0-not-myb", "non-normal-triple"):
+        code, _, err = run_cli(capsys, "search", target, "--seed", "1", "--trials", "1", "--dim", "60")
+        assert code == 2 and "guard" in err
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("target, dim", [("r0-not-myb", 7), ("non-even-tempered-diagonal-R", 10)])
+def test_cli_force_lifts_the_search_dim_guard(monkeypatch, capsys, target, dim):
+    # gl(7) has dimension 49 and so(10) 45, both above the dim^3 limit of 36
+    reached = []
+    monkeypatch.setitem(searches.SEARCH_TARGETS, target, lambda rng, trials, n, *_: reached.append(n))
+    argv = ("search", target, "--seed", "1", "--trials", "1", "--dim", str(dim))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "guard" in err and not reached
+    code, _, _ = run_cli(capsys, *argv, "--force")
+    assert code == 0 and reached == [dim]
 
 
 def test_cli_findings_deterministic(capsys):
