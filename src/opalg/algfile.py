@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 
-from .core import BilinearStructure, Operator, TrilinearStructure, WorkbenchError
+from .core import BilinearStructure, Operator, Record, TrilinearStructure, WorkbenchError
 from .scalars import ScalarError, parse_scalar, render_scalar
 
 
@@ -29,13 +28,18 @@ class ParseError(WorkbenchError):
 _TOP_KEYS = {"dimension", "basis_names", "bracket", "triple", "operators"}
 
 
-@dataclass
-class AlgebraFile:
-    dimension: int
-    basis_names: tuple | None = None
-    bracket: BilinearStructure | None = None
-    triple: TrilinearStructure | None = None
-    operators: dict = field(default_factory=dict)
+class AlgebraFile(Record):
+    __slots__ = ("dimension", "basis_names", "bracket", "triple", "operators")
+
+    def __init__(
+        self,
+        dimension: int,
+        basis_names: tuple | None = None,
+        bracket: BilinearStructure | None = None,
+        triple: TrilinearStructure | None = None,
+        operators: dict | None = None,
+    ):
+        self._assign(dimension, basis_names, bracket, triple, {} if operators is None else operators)
 
     def require_bracket(self) -> BilinearStructure:
         if self.bracket is None:

@@ -15,12 +15,11 @@ how the two-way correspondence with quadratic bunches is checked here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .core import (
     BilinearStructure,
     CheckReport,
     DimensionMismatchError,
+    FrozenRecord,
     Operator,
     PreconditionError,
     WorkbenchError,
@@ -77,36 +76,36 @@ class CoefficientMismatchError(WorkbenchError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class RRhoAlgebra:
+class RRhoAlgebra(FrozenRecord):
     """Lie bracket with an (R, rho) operator pair; the pair identities are checked predicates."""
 
-    bracket: BilinearStructure
-    R: Operator
-    rho: Operator
+    __slots__ = ("bracket", "R", "rho")
 
-    def __post_init__(self):
-        require_lie(self.bracket)
-        if self.R.dim != self.bracket.dim or self.rho.dim != self.bracket.dim:
+    def __init__(self, bracket: BilinearStructure, R: Operator, rho: Operator):
+        require_lie(bracket)
+        if R.dim != bracket.dim or rho.dim != bracket.dim:
             raise DimensionMismatchError("operator dimension differs from bracket dimension")
+        self._assign(bracket, R, rho)
 
 
-@dataclass(frozen=True)
-class QuadraticBunch:
+class QuadraticBunch(FrozenRecord):
     """Coefficients of [.,.]_l = b0 + l b1 + l^2 b2 and R_l = r0 + l r1 + l^2 r2."""
 
-    b0: BilinearStructure
-    b1: BilinearStructure
-    b2: BilinearStructure
-    r0: Operator
-    r1: Operator
-    r2: Operator
+    __slots__ = ("b0", "b1", "b2", "r0", "r1", "r2")
 
-    def __post_init__(self):
-        require_lie(self.b0)
-        dims = {self.b0.dim, self.b1.dim, self.b2.dim, self.r0.dim, self.r1.dim, self.r2.dim}
-        if len(dims) != 1:
+    def __init__(
+        self,
+        b0: BilinearStructure,
+        b1: BilinearStructure,
+        b2: BilinearStructure,
+        r0: Operator,
+        r1: Operator,
+        r2: Operator,
+    ):
+        require_lie(b0)
+        if len({b0.dim, b1.dim, b2.dim, r0.dim, r1.dim, r2.dim}) != 1:
             raise DimensionMismatchError("bunch coefficients have mixed dimensions")
+        self._assign(b0, b1, b2, r0, r1, r2)
 
     @property
     def dim(self) -> int:
@@ -189,7 +188,7 @@ def check_gamma_bunch(q: QuadraticBunch) -> CheckReport:
         **{f"bracket_b{d}": b for d, b in enumerate(q.brackets())},
         **{f"r{d}": r for d, r in enumerate(q.operators())},
     }
-    subs = [replace(check_antisymmetry(b), name=f"antisymmetry-deg{d}") for d, b in enumerate(q.brackets())]
+    subs = [check_antisymmetry(b).replace(name=f"antisymmetry-deg{d}") for d, b in enumerate(q.brackets())]
     subs += [scan(f, structures) for f in HOMOMORPHISM_DEGREES]
     subs += [scan(f, structures) for f in JACOBI_DEGREES]
     return aggregate_report("gamma-bunch", subs)

@@ -1,5 +1,12 @@
 """Concrete algebras: skew-symmetric and full matrix algebras with their
-operator families, plus matrix-level tensor builders used as oracles.
+operator families.
+
+Entries are built from sparse matrices ({(row, col): scalar}, nonzero entries
+only) and sparse products that skip empty partial products, so building an
+entry takes time roughly proportional to its structure tensors.  The dense
+matrix-level builders on CatalogEntry (expand, operator_from_matrix_map and
+the *_tensor_from_matrices methods) are the oracle route: the tests compare
+every small entry with them, and the findings document uses them.
 
 Entries are built, not checked: their brackets and triples are checked where
 something reads them (Lie-ness by the constructors that need a Lie bracket,
@@ -11,57 +18,96 @@ re-checked by callers, never assumed.
 
 from __future__ import annotations
 
-import functools
 import random
 import re
-from dataclasses import dataclass, field, replace
 
 from .core import (
     BilinearStructure,
+    FrozenRecord,
     Operator,
     TrilinearStructure,
     WorkbenchError,
+    guard_scan,
 )
 from .oracles import (
     mat,
     mat_add,
-    mat_commutator,
     mat_det3,
     mat_diag,
     mat_identity,
     mat_is_symmetric,
-    mat_mul,
     mat_scale,
     mat_sub,
     mat_unit,
     mat_zero,
 )
 from .sampling import random_matrix, random_symmetric_matrix
-from .scalars import as_scalar, parse_scalar
+from .scalars import as_scalar, common_denominator, parse_scalar, scalar
 
 
 class CatalogError(WorkbenchError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class CatalogEntry:
-    """A named algebra: basis matrices, structure tensors, named operators."""
+class CatalogEntry(FrozenRecord):
+    """A named algebra: basis matrices, structure tensors, named operators.
 
-    name: str
-    family: str  # "gl" or "so"
-    n: int  # size of the underlying matrices
-    dim: int
-    basis: tuple
-    lead_positions: tuple
-    bracket: BilinearStructure
-    triple: TrilinearStructure | None = None
-    operators: dict = field(default_factory=dict)
-    note: str = ""
-    expectations: tuple = ()
-    extra_triples: dict = field(default_factory=dict)
-    q: tuple | None = None
-    form: tuple | None = None
+    Entries compare by identity.
+    """
+
+    __slots__ = (
+        "name",
+        "family",  # "gl" or "so"
+        "n",  # size of the underlying matrices
+        "dim",
+        "basis",
+        "lead_positions",
+        "bracket",
+        "triple",
+        "operators",
+        "note",
+        "expectations",
+        "extra_triples",
+        "q",
+        "form",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        family: str,
+        n: int,
+        dim: int,
+        basis: tuple,
+        lead_positions: tuple,
+        bracket: BilinearStructure,
+        triple: TrilinearStructure | None = None,
+        operators: dict | None = None,
+        note: str = "",
+        expectations: tuple = (),
+        extra_triples: dict | None = None,
+        q: tuple | None = None,
+        form: tuple | None = None,
+    ):
+        self._assign(
+            name,
+            family,
+            n,
+            dim,
+            basis,
+            lead_positions,
+            bracket,
+            triple,
+            {} if operators is None else operators,
+            note,
+            expectations,
+            {} if extra_triples is None else extra_triples,
+            q,
+            form,
+        )
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def expand(self, M) -> dict:
         """Coordinates of a matrix in the entry's basis; errors if outside the span."""
@@ -106,7 +152,100 @@ class CatalogEntry:
         return TrilinearStructure(self.dim, entries)
 
 
-@functools.lru_cache(maxsize=None)
+# ---------------------------------------------------------------------------
+# the sparse route: matrices as {(row, col): nonzero scalar}
+
+
+def _sparse(M) -> dict:
+    return {(r, c): x for r, row in enumerate(M) for c, x in enumerate(row) if x}
+
+
+def _sparse_iadd(acc: dict, m: dict, coeff=1) -> dict:
+    """acc += coeff * m in place, for coeff != 0, never leaving stored zeros."""
+    for key, x in m.items():
+        v = acc.get(key, 0) + coeff * x
+        if v:
+            acc[key] = v
+        else:
+            del acc[key]
+    return acc
+
+
+def _sparse_mul(a: dict, b: dict) -> dict:
+    """a b, summing only the partial products a[r,t] b[t,c] of stored entries."""
+    rows_of_b: dict = {}
+    for (t, c), y in b.items():
+        rows_of_b.setdefault(t, []).append((c, y))
+    out: dict = {}
+    for (r, t), x in a.items():
+        for c, y in rows_of_b.get(t, ()):
+            v = out.get((r, c), 0) + x * y
+            if v:
+                out[(r, c)] = v
+            else:
+                del out[(r, c)]
+    return out
+
+
+class _SparseBasis:
+    """An entry's basis as sparse matrices, with span-checked expansion and
+    the tensor and operator builders of the catalog."""
+
+    __slots__ = ("mats", "lead")
+
+    def __init__(self, basis, lead_positions):
+        self.mats = [_sparse(b) for b in basis]
+        self.lead = {pos: i for i, pos in enumerate(lead_positions)}
+
+    def expand(self, M: dict) -> dict:
+        """Coordinates of a sparse matrix; errors if it is outside the span.
+
+        Each basis matrix is 1 at its lead position, where every other basis
+        matrix is 0, so a coordinate is the entry at that position.
+        """
+        coords = {}
+        for pos, x in M.items():
+            i = self.lead.get(pos)
+            if i is not None:
+                coords[i] = x
+        recon: dict = {}
+        for i, c in coords.items():
+            _sparse_iadd(recon, self.mats[i], c)
+        if recon != M:
+            raise CatalogError("matrix does not lie in the basis span")
+        return coords
+
+    def commutator_tensor(self) -> BilinearStructure:
+        """[X,Y] = XY - YX."""
+        entries = {}
+        for i, x in enumerate(self.mats):
+            for j, y in enumerate(self.mats):
+                xy = _sparse_iadd(_sparse_mul(x, y), _sparse_mul(y, x), -1)
+                if xy:
+                    entries[(i, j)] = self.expand(xy)
+        return BilinearStructure(len(self.mats), entries)
+
+    def jordan_triple_tensor(self) -> TrilinearStructure:
+        """<X,Y,Z> = XYZ + ZYX; a pair (X, Y) with XY = YX = 0 is skipped whole."""
+        entries = {}
+        for i, x in enumerate(self.mats):
+            for j, y in enumerate(self.mats):
+                xy, yx = _sparse_mul(x, y), _sparse_mul(y, x)
+                if not xy and not yx:
+                    continue
+                for k, z in enumerate(self.mats):
+                    xyz = _sparse_iadd(_sparse_mul(xy, z), _sparse_mul(z, yx))
+                    if xyz:
+                        entries[(i, j, k)] = self.expand(xyz)
+        return TrilinearStructure(len(self.mats), entries)
+
+    def operator(self, images, d: int = 1) -> Operator:
+        """Operator whose c-th column is the coordinates of images[c], divided by d."""
+        cols = [self.expand(m) for m in images]
+        dim = len(cols)
+        return Operator(tuple(tuple(scalar(cols[c].get(r, 0), d) for c in range(dim)) for r in range(dim)))
+
+
 def so_n(n: int) -> CatalogEntry:
     """Skew-symmetric n x n matrices under the commutator.
 
@@ -126,42 +265,36 @@ def so_n(n: int) -> CatalogEntry:
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
         basis = tuple(mat_sub(mat_unit(n, a, b), mat_unit(n, b, a)) for a, b in pairs)
         positions = tuple(pairs)
-    entry = CatalogEntry(
+    return CatalogEntry(
         name=f"so{n}",
         family="so",
         n=n,
         dim=len(basis),
         basis=basis,
         lead_positions=positions,
-        bracket=None,  # filled below
+        bracket=_SparseBasis(basis, positions).commutator_tensor(),
         note=f"skew-symmetric {n}x{n} matrices with the commutator bracket",
     )
-    bracket = entry.bilinear_tensor_from_matrices(mat_commutator)
-    return replace(entry, bracket=bracket)
 
 
-@functools.lru_cache(maxsize=None)
 def gl_assoc(n: int) -> CatalogEntry:
     """Full n x n matrix algebra: commutator bracket and the triple XYZ + ZYX."""
     if n < 1:
         raise CatalogError("gl(n) requires n >= 1")
     positions = tuple((i, j) for i in range(n) for j in range(n))
     basis = tuple(mat_unit(n, i, j) for i, j in positions)
-    entry = CatalogEntry(
+    sparse = _SparseBasis(basis, positions)
+    return CatalogEntry(
         name=f"gl{n}",
         family="gl",
         n=n,
         dim=n * n,
         basis=basis,
         lead_positions=positions,
-        bracket=None,
+        bracket=sparse.commutator_tensor(),
+        triple=sparse.jordan_triple_tensor(),
         note=f"full {n}x{n} matrix algebra: commutator bracket, triple XYZ+ZYX",
     )
-    bracket = entry.bilinear_tensor_from_matrices(mat_commutator)
-    triple = entry.trilinear_tensor_from_matrices(
-        lambda x, y, z: mat_add(mat_mul(mat_mul(x, y), z), mat_mul(mat_mul(z, y), x))
-    )
-    return replace(entry, bracket=bracket, triple=triple)
 
 
 def mult_operators(entry: CatalogEntry, Q) -> dict:
@@ -175,22 +308,20 @@ def mult_operators(entry: CatalogEntry, Q) -> dict:
     Q = mat(Q)
     if len(Q) != entry.n or any(len(row) != entry.n for row in Q):
         raise CatalogError(f"Q must be {entry.n}x{entry.n} for {entry.name}")
+    if entry.family == "so" and not mat_is_symmetric(Q):
+        raise CatalogError("Q must be symmetric for skew-symmetric targets")
+    # the products run on the integer matrix dQ, d the lcm of Q's denominators,
+    # and each operator is divided back exactly by its power of d
+    d = common_denominator(x for row in Q for x in row)
+    q = {key: x.numerator * (d // x.denominator) for key, x in _sparse(Q).items()}
+    sparse = _SparseBasis(entry.basis, entry.lead_positions)
+    qx = [_sparse_mul(q, x) for x in sparse.mats]
+    xq = [_sparse_mul(x, q) for x in sparse.mats]
+    rho = sparse.operator([_sparse_mul(m, q) for m in qx], d * d)
     if entry.family == "so":
-        if not mat_is_symmetric(Q):
-            raise CatalogError("Q must be symmetric for skew-symmetric targets")
-        return {
-            "R": entry.operator_from_matrix_map(lambda x: mat_add(mat_mul(Q, x), mat_mul(x, Q))),
-            "rho": entry.operator_from_matrix_map(lambda x: mat_mul(mat_mul(Q, x), Q)),
-        }
-    right = entry.operator_from_matrix_map(lambda x: mat_mul(x, Q))
-    left = entry.operator_from_matrix_map(lambda x: mat_mul(Q, x))
-    return {
-        "R1": right,
-        "R2": left,
-        "xi": left - right,
-        "R": left + right,
-        "rho": entry.operator_from_matrix_map(lambda x: mat_mul(mat_mul(Q, x), Q)),
-    }
+        return {"R": sparse.operator([_sparse_iadd(dict(a), b) for a, b in zip(qx, xq)], d), "rho": rho}
+    right, left = sparse.operator(xq, d), sparse.operator(qx, d)
+    return {"R1": right, "R2": left, "xi": left - right, "R": left + right, "rho": rho}
 
 
 def example1_candidates(x0=None, form=None) -> CatalogEntry:
@@ -249,8 +380,7 @@ def example1_candidates(x0=None, form=None) -> CatalogEntry:
     rb_cols = [base.bracket.apply_first(x0_vec, c) for c in range(3)]
     rb_rows = tuple(tuple(rb_cols[c].get(r, 0) for c in range(3)) for r in range(3))
 
-    return replace(
-        base,
+    return base.replace(
         name="example1-so3",
         triple=three_term,
         extra_triples={"two-term": two_term},
@@ -291,8 +421,7 @@ def example2_gl(n: int, Q=None) -> CatalogEntry:
     """Matrix algebra with the right/left multiplication operator pair."""
     base = gl_assoc(n)
     Q = mat(Q) if Q is not None else _default_q(n)
-    entry = replace(
-        base,
+    entry = base.replace(
         name=f"example2-gl{n}",
         operators=mult_operators(base, Q),
         q=Q,
@@ -304,8 +433,7 @@ def example2_gl(n: int, Q=None) -> CatalogEntry:
 
 def example3_gl(n: int, Q=None) -> CatalogEntry:
     entry = example2_gl(n, Q)
-    return replace(
-        entry,
+    return entry.replace(
         name=f"example3-gl{n}",
         note="matrix-algebra triple XYZ+ZYX with right/left multiplication operators",
         expectations=(
@@ -321,8 +449,7 @@ def example4_so(n: int, Q=None) -> CatalogEntry:
     """Skew matrices with R X = QX + XQ and rho X = QXQ for symmetric Q."""
     base = so_n(n)
     Q = mat(Q) if Q is not None else _default_q(n)
-    entry = replace(
-        base,
+    entry = base.replace(
         name=f"example4-so{n}",
         operators=mult_operators(base, Q),
         q=Q,
@@ -346,8 +473,19 @@ def catalog_names() -> list:
     ]
 
 
-def build_entry(spec: str) -> CatalogEntry:
-    """Resolve a catalog name with optional ?key=value parameters."""
+def _entry_dim(kind: str, n: int) -> int:
+    """Dimension of the named entry's algebra, read off its name."""
+    if kind == "example1-so":
+        return 3
+    return n * n if kind.endswith("gl") else n * (n - 1) // 2
+
+
+def build_entry(spec: str, force: bool = False) -> CatalogEntry:
+    """Resolve a catalog name with optional ?key=value parameters.
+
+    An entry whose dimension exceeds the dim^3 guard is refused before
+    anything is built, unless forced.
+    """
     name, _, query = spec.partition("?")
     params = {}
     if query:
@@ -360,6 +498,7 @@ def build_entry(spec: str) -> CatalogEntry:
     if not m:
         raise CatalogError(f"unknown catalog entry: {name!r}")
     kind, n = m.group("kind"), int(m.group("n"))
+    guard_scan(_entry_dim(kind, n), 3, force)
     symmetric = kind.endswith("so")
     q = _parse_q(params.pop("q"), n, symmetric) if "q" in params else None
     triple_choice = params.pop("triple", None)
@@ -382,5 +521,5 @@ def build_entry(spec: str) -> CatalogEntry:
     if triple_choice:
         if triple_choice not in entry.extra_triples:
             raise CatalogError(f"no alternate triple named {triple_choice!r}")
-        entry = replace(entry, triple=entry.extra_triples[triple_choice])
+        entry = entry.replace(triple=entry.extra_triples[triple_choice])
     return entry

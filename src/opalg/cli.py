@@ -61,6 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     catalog_sub.add_parser("list")
     export = catalog_sub.add_parser("export")
     export.add_argument("name", help="catalog name, e.g. example2-gl2?q=diag:1,2")
+    export.add_argument("--force", action="store_true", help="override the dimension guard")
     export.add_argument("--out")
 
     search = sub.add_parser("search", help="seeded search for failure witnesses")
@@ -110,7 +111,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_derive(args) -> int:
-    af, _ = load_input(args.input)
+    af, _ = load_input(args.input, args.force)
     guard_scan(af.dimension, 2 if args.what == "derived-bracket" else 3, args.force)
     if args.what == "derived-bracket":
         out = AlgebraFile(
@@ -149,7 +150,7 @@ def _cmd_catalog(args) -> int:
         return 0
     from .algfile import entry_to_algebra_file
 
-    entry = build_entry(args.name)
+    entry = build_entry(args.name, args.force)
     _write(render_algebra_file(entry_to_algebra_file(entry)), args.out)
     return 0
 

@@ -10,8 +10,6 @@ lexicographically smallest witness and reports are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .formula import Formula, scan, states
 from .scalars import Scalar, as_scalar, common_denominator, render_scalar, scalar
 
@@ -30,6 +28,60 @@ class DimensionGuardError(WorkbenchError):
 
 class PreconditionError(WorkbenchError):
     """A checked operation was called outside its stated precondition."""
+
+
+# ---------------------------------------------------------------------------
+# records
+
+
+class Record:
+    """Base of the workbench's records: the fields are the subclass's
+    __slots__, in order, and every field is an argument of its __init__.
+
+    Records of one class compare by their field values and are unhashable;
+    FrozenRecord adds immutability and hashing.
+    """
+
+    __slots__ = ()
+
+    def _assign(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def replace(self, **changes):
+        """A new record of the same class with the given fields changed."""
+        values = {name: getattr(self, name) for name in self.__slots__}
+        values.update(changes)
+        return self.__class__(**values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A record whose fields cannot be assigned after __init__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 # Guards keep exhaustive scans at desk scale unless explicitly forced: at each
@@ -539,12 +591,13 @@ def apply_trilinear(t: TrilinearStructure, x, y, z) -> dict:
 # check reports
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(FrozenRecord):
     """Lexicographically smallest failing basis tuple plus its residual."""
 
-    indices: tuple
-    residual: tuple
+    __slots__ = ("indices", "residual")
+
+    def __init__(self, indices: tuple, residual: tuple):
+        self._assign(indices, residual)
 
     def to_dict(self) -> dict:
         return {
@@ -553,15 +606,20 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    passed: bool
-    witness: Witness | None = None
-    tuples_evaluated: int = 0
-    informational: bool = False
-    notes: tuple = ()
-    subchecks: tuple = ()
+class CheckReport(FrozenRecord):
+    __slots__ = ("name", "passed", "witness", "tuples_evaluated", "informational", "notes", "subchecks")
+
+    def __init__(
+        self,
+        name: str,
+        passed: bool,
+        witness: Witness | None = None,
+        tuples_evaluated: int = 0,
+        informational: bool = False,
+        notes: tuple = (),
+        subchecks: tuple = (),
+    ):
+        self._assign(name, passed, witness, tuples_evaluated, informational, notes, subchecks)
 
     def sub(self, name: str) -> "CheckReport":
         for s in self.subchecks:
@@ -686,9 +744,10 @@ def check_lie(b: BilinearStructure) -> CheckReport:
     return aggregate_report("lie", (check_antisymmetry(b), check_jacobi(b)))
 
 
-def require_lie(bracket: BilinearStructure) -> None:
-    """Precondition of every structure built on a Lie bracket."""
-    report = check_lie(bracket)
+def require_lie(bracket: BilinearStructure, lie: CheckReport | None = None) -> None:
+    """Precondition of every structure built on a Lie bracket.  A caller that
+    already holds check_lie(bracket) passes it as lie."""
+    report = check_lie(bracket) if lie is None else lie
     if not report.passed:
         bad = next(s for s in report.subchecks if not s.passed)
         raise ValueError(

@@ -9,13 +9,12 @@ the triple mYB identity holds, in the three-term reduced form
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
-
 from .core import (
     COMMUTE,
     BilinearStructure,
     CheckReport,
     DimensionMismatchError,
+    FrozenRecord,
     Operator,
     PreconditionError,
     TrilinearStructure,
@@ -31,51 +30,52 @@ from .formula import Formula, scan, states, tabulate
 BASE_UNVERIFIED_NOTE = "base-JTS-unverified"
 
 
-@dataclass(frozen=True)
-class TripleWithOperator:
+class TripleWithOperator(FrozenRecord):
     """A triple system with one operator, validated against a named JTS variant.
 
     Constructing with a failing (or guard-exceeding) triple requires
     unchecked=True; downstream reports then carry a base-JTS-unverified note.
     """
 
-    triple: TrilinearStructure
-    R: Operator
-    jts_variant: str = VARIANT_JACOBSON
-    base_unverified: bool = False
-    unchecked: InitVar[bool] = False
-    force: InitVar[bool] = False
+    __slots__ = ("triple", "R", "jts_variant", "base_unverified")
 
-    def __post_init__(self, unchecked, force):
-        if self.R.dim != self.triple.dim:
+    def __init__(
+        self,
+        triple: TrilinearStructure,
+        R: Operator,
+        jts_variant: str = VARIANT_JACOBSON,
+        base_unverified: bool = False,
+        unchecked: bool = False,
+        force: bool = False,
+    ):
+        if R.dim != triple.dim:
             raise DimensionMismatchError("operator dimension differs from triple dimension")
         if unchecked:
-            object.__setattr__(self, "base_unverified", True)
-            return
-        report = check_jts_identity(self.triple, self.jts_variant, force=force)
-        if not report.passed:
-            raise ValueError(
-                f"triple fails the {self.jts_variant} identity at "
-                f"{report.witness.indices}; pass unchecked=True to proceed"
-            )
+            base_unverified = True
+        else:
+            report = check_jts_identity(triple, jts_variant, force=force)
+            if not report.passed:
+                raise ValueError(
+                    f"triple fails the {jts_variant} identity at "
+                    f"{report.witness.indices}; pass unchecked=True to proceed"
+                )
+        self._assign(triple, R, jts_variant, base_unverified)
 
     @property
     def notes(self) -> tuple:
         return (BASE_UNVERIFIED_NOTE,) if self.base_unverified else ()
 
 
-@dataclass(frozen=True)
-class DesignCandidate:
+class DesignCandidate(FrozenRecord):
     """A Lie bracket plus a candidate triple; design conditions are checked, not assumed."""
 
-    bracket: BilinearStructure
-    triple: TrilinearStructure
-    jts_variant: str = VARIANT_JACOBSON
+    __slots__ = ("bracket", "triple", "jts_variant")
 
-    def __post_init__(self):
-        if self.bracket.dim != self.triple.dim:
+    def __init__(self, bracket: BilinearStructure, triple: TrilinearStructure, jts_variant: str = VARIANT_JACOBSON):
+        if bracket.dim != triple.dim:
             raise DimensionMismatchError("bracket and triple dimensions differ")
-        require_lie(self.bracket)
+        require_lie(bracket)
+        self._assign(bracket, triple, jts_variant)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,12 @@ failing candidates can always be checked and reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .core import (
     COMMUTE,
     BilinearStructure,
     CheckReport,
     DimensionMismatchError,
+    FrozenRecord,
     Operator,
     PreconditionError,
     aggregate_report,
@@ -47,29 +46,29 @@ def _require_dim(bracket: BilinearStructure, *operators: Operator) -> None:
             raise DimensionMismatchError("operator dimension differs from bracket dimension")
 
 
-@dataclass(frozen=True)
-class LieWithOperator:
+class LieWithOperator(FrozenRecord):
     """A Lie bracket together with one operator acting on it."""
 
-    bracket: BilinearStructure
-    R: Operator
+    __slots__ = ("bracket", "R")
 
-    def __post_init__(self):
-        require_lie(self.bracket)
-        _require_dim(self.bracket, self.R)
+    def __init__(self, bracket: BilinearStructure, R: Operator):
+        require_lie(bracket)
+        _require_dim(bracket, R)
+        self._assign(bracket, R)
 
 
-@dataclass(frozen=True)
-class LieBiOperator:
-    """A Lie bracket with two operators; their conditions are checked, not assumed."""
+class LieBiOperator(FrozenRecord):
+    """A Lie bracket with two operators; their conditions are checked, not assumed.
 
-    bracket: BilinearStructure
-    R1: Operator
-    R2: Operator
+    A caller that already holds the passing check_lie(bracket) passes it as lie.
+    """
 
-    def __post_init__(self):
-        require_lie(self.bracket)
-        _require_dim(self.bracket, self.R1, self.R2)
+    __slots__ = ("bracket", "R1", "R2")
+
+    def __init__(self, bracket: BilinearStructure, R1: Operator, R2: Operator, lie: CheckReport | None = None):
+        require_lie(bracket, lie)
+        _require_dim(bracket, R1, R2)
+        self._assign(bracket, R1, R2)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +181,7 @@ def probe_r0(g: LieBiOperator, bi_myb: CheckReport | None = None) -> CheckReport
         derived_bracket(g.bracket, g.R1),
     )
     myb = check_myb_raw(g.bracket, r0, "midpoint-myb")
-    return aggregate_report("midpoint-probe", (coincide, replace(myb, informational=True)))
+    return aggregate_report("midpoint-probe", (coincide, myb.replace(informational=True)))
 
 
 def convert_params(R1: Operator, R2: Operator) -> tuple:

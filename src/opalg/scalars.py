@@ -48,6 +48,8 @@ def as_scalar(value) -> Scalar:
     """Coerce an int / Fraction / mpq / scalar string to canonical form."""
     if isinstance(value, int):
         return value
+    if isinstance(value, _ratio):  # already reduced, with a positive denominator
+        return value if value.denominator != 1 else int(value)
     if isinstance(value, str):
         return parse_scalar(value)
     if isinstance(value, Rational):

@@ -13,8 +13,8 @@ import random
 
 from .algfile import AlgebraFile, algebra_file_to_dict, entry_to_algebra_file
 from .bunch import RRhoAlgebra, check_rrho
-from .catalog import example2_gl, example4_so, gl_assoc, so_n
-from .core import Operator, WorkbenchError, guard_scan
+from .catalog import example4_so, gl_assoc, mult_operators, so_n
+from .core import Operator, WorkbenchError, check_lie, guard_scan
 from .jordan import MODE_FULL, MODE_REDUCED, check_triple_bi_myb, check_triple_myb_raw, derived_triple, tensors_equal_report
 from .lie import LieBiOperator, check_even_tempered, check_myb_raw
 from .sampling import random_matrix, random_operator, random_scalar, random_symmetric_matrix
@@ -84,10 +84,10 @@ def _search_triple_r_modes(rng, trials, dim, entry_bound, findings):
 def _search_r0_not_myb(rng, trials, dim, entry_bound, findings):
     """Midpoint operators (R1+R2)/2 of bi-mYB pairs that fail the mYB identity."""
     n = dim or 2
+    entry = gl_assoc(n)
     for trial in range(trials):
-        Q = random_matrix(rng, n, entry_bound, entry_bound)
-        entry = example2_gl(n, Q)
-        r0 = (entry.operators["R1"] + entry.operators["R2"]).scale(scalar(1, 2))
+        ops = mult_operators(entry, random_matrix(rng, n, entry_bound, entry_bound))
+        r0 = (ops["R1"] + ops["R2"]).scale(scalar(1, 2))
         report = check_myb_raw(entry.bracket, r0, "midpoint-myb")
         if not report.passed:
             findings.append(
@@ -103,14 +103,15 @@ def _search_r0_not_myb(rng, trials, dim, entry_bound, findings):
 def _search_non_even_tempered(rng, trials, dim, entry_bound, findings):
     """mYB instances (R1 = R2 = right multiplication) failing even-temperedness."""
     n = dim or 2
+    entry = gl_assoc(n)
+    lie = None  # the bracket's Lie proof, scanned once, when first needed
     for trial in range(trials):
-        Q = random_matrix(rng, n, entry_bound, entry_bound)
-        entry = example2_gl(n, Q)
-        R = entry.operators["R1"]
+        R = mult_operators(entry, random_matrix(rng, n, entry_bound, entry_bound))["R1"]
         myb = check_myb_raw(entry.bracket, R)
         if not myb.passed:
             continue
-        et = check_even_tempered(LieBiOperator(entry.bracket, R, R))
+        lie = lie or check_lie(entry.bracket)
+        et = check_even_tempered(LieBiOperator(entry.bracket, R, R, lie))
         if not et.passed:
             findings.append(
                 {
@@ -126,11 +127,13 @@ def _search_non_even_tempered_diagonal(rng, trials, dim, entry_bound, findings):
     """Diagonal mYB operators on so(n) failing even-temperedness (R1 = R2 = R)."""
     n = dim or 3
     entry = so_n(n)
+    lie = None  # the bracket's Lie proof, scanned once, when first needed
     for trial in range(trials):
         R = Operator.diagonal([random_scalar(rng, entry_bound, entry_bound) for _ in range(entry.dim)])
         if not check_myb_raw(entry.bracket, R).passed:
             continue
-        et = check_even_tempered(LieBiOperator(entry.bracket, R, R))
+        lie = lie or check_lie(entry.bracket)
+        et = check_even_tempered(LieBiOperator(entry.bracket, R, R, lie))
         if not et.passed:
             findings.append(
                 {
@@ -145,10 +148,9 @@ def _search_non_even_tempered_diagonal(rng, trials, dim, entry_bound, findings):
 def _search_non_normal_triple(rng, trials, dim, entry_bound, findings):
     """Triple systems with R1 = R2 = R whose classification flags fail."""
     n = dim or 2
+    entry = gl_assoc(n)
     for trial in range(trials):
-        Q = random_matrix(rng, n, entry_bound, entry_bound)
-        entry = example2_gl(n, Q)
-        R = entry.operators["R1"]
+        R = mult_operators(entry, random_matrix(rng, n, entry_bound, entry_bound))["R1"]
         report = check_triple_bi_myb(entry.triple, R, R)
         if not report.passed:
             continue
@@ -249,6 +251,8 @@ def run_search(
     before anything is built, unless forced."""
     if trials < 1:
         raise WorkbenchError("trials must be >= 1")
+    if entry_bound < 1:
+        raise WorkbenchError("--entry-bound must be >= 1")
     if target in THEOREM_TARGETS:
         raise TargetIsTheoremError(
             f"target {target!r} is a theorem, not a claim: {THEOREM_TARGETS[target]}"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .algfile import AlgebraFile, ParseError, algebra_file_digest, entry_to_algebra_file, parse_algebra_file
@@ -13,6 +12,7 @@ from .catalog import build_entry
 from .core import (
     CheckReport,
     JTS_VARIANTS,
+    Record,
     VARIANT_JACOBSON,
     WorkbenchError,
     check_antisymmetry,
@@ -49,15 +49,28 @@ class UnknownSuiteError(WorkbenchError):
 TOOL = f"opalg {__version__}"
 
 
-@dataclass
-class RunReport:
-    source: str
-    input_digest: str
-    suite: str
-    options: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
-    findings: list = field(default_factory=list)
-    tool: str = TOOL
+class RunReport(Record):
+    __slots__ = ("source", "input_digest", "suite", "options", "checks", "findings", "tool")
+
+    def __init__(
+        self,
+        source: str,
+        input_digest: str,
+        suite: str,
+        options: dict | None = None,
+        checks: list | None = None,
+        findings: list | None = None,
+        tool: str = TOOL,
+    ):
+        self._assign(
+            source,
+            input_digest,
+            suite,
+            {} if options is None else options,
+            [] if checks is None else checks,
+            [] if findings is None else findings,
+            tool,
+        )
 
     @property
     def passed(self) -> bool:
@@ -111,10 +124,11 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def load_input(spec: str) -> tuple:
-    """Resolve 'catalog:NAME[?params]' or a file path to an AlgebraFile."""
+def load_input(spec: str, force: bool = False) -> tuple:
+    """Resolve 'catalog:NAME[?params]' or a file path to an AlgebraFile; a
+    catalog entry above the dim^3 guard is refused unless forced."""
     if spec.startswith("catalog:"):
-        entry = build_entry(spec[len("catalog:"):])
+        entry = build_entry(spec[len("catalog:"):], force)
         return entry_to_algebra_file(entry), spec
     try:
         with open(spec, "r", encoding="utf-8") as fh:
@@ -208,7 +222,7 @@ def _suite_jordan_base(af, opts):
     force = bool(opts.get("force"))
     other = next(v for v in JTS_VARIANTS if v != variant)
     checks = [check_jts_identity(triple, variant, force=force)]
-    checks.append(replace(check_jts_identity(triple, other, force=force), informational=True))
+    checks.append(check_jts_identity(triple, other, force=force).replace(informational=True))
     return checks, []
 
 
@@ -317,11 +331,12 @@ def run_suite(input_spec, suite: str, options: dict | None = None) -> RunReport:
     options = dict(options or {})
     if suite not in SUITES:
         raise UnknownSuiteError(f"unknown suite {suite!r}; known: {sorted(SUITES)}")
+    force = bool(options.get("force"))
     if isinstance(input_spec, AlgebraFile):
         af, source = input_spec, options.pop("source", "<memory>")
     else:
-        af, source = load_input(input_spec)
-    guard_scan(af.dimension, 3, bool(options.get("force")))  # every suite scans dim^3 tuples or more
+        af, source = load_input(input_spec, force)
+    guard_scan(af.dimension, 3, force)  # every suite scans dim^3 tuples or more
     checks, findings = SUITES[suite](af, options)
     return RunReport(
         source=source,

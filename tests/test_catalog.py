@@ -15,13 +15,16 @@ from opalg import (
     mult_operators,
     so_n,
 )
-from opalg import catalog, core
+from opalg import DimensionGuardError, catalog, core
 from opalg.catalog import CatalogError, build_entry
 from opalg.oracles import (
+    mat_add,
     mat_commutator,
     mat_identity,
     mat_inverse,
     mat_mul,
+    mat_scale,
+    mat_sub,
     mat_unit,
     word,
     word_add,
@@ -198,14 +201,26 @@ def test_building_benchmark_entries_runs_no_check(monkeypatch):
             for attr in dir(module):
                 if attr.startswith("check_"):
                     monkeypatch.setattr(module, attr, refuse)
-    # build afresh, past the catalog's lru cache
-    monkeypatch.setattr(catalog, "so_n", catalog.so_n.__wrapped__)
-    monkeypatch.setattr(catalog, "gl_assoc", catalog.gl_assoc.__wrapped__)
     specs = ["gl2", "gl3", "example1-so3", "example1-so3?triple=two-term"]
     specs += [f"example{k}-gl{n}{q}" for k in (2, 3) for n in (2, 3, 4) for q in ("", "?q=seed:1")]
     specs += [f"example4-so{n}{q}" for n in (3, 4, 5, 6) for q in ("", "?q=seed:1")]
     for spec in specs:
         assert build_entry(spec).bracket is not None
+
+
+def test_build_entry_guards_the_dimension_before_building(monkeypatch):
+    # so(10) has dimension 45, above the dim^3 limit of 36; so(9) has 36
+    assert build_entry("so10", force=True).dim == 45
+    assert build_entry("so9").dim == 36
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built part of an entry above the guard")
+
+    for name in ("so_n", "gl_assoc", "_parse_q"):
+        monkeypatch.setattr(catalog, name, refuse)
+    for spec in ("so10", "gl7", "example2-gl7?q=seed:1", "example3-gl99999999", "example4-so10?q=id"):
+        with pytest.raises(DimensionGuardError, match="guard"):
+            build_entry(spec)
 
 
 def test_build_entry_errors():
@@ -217,6 +232,101 @@ def test_build_entry_errors():
         build_entry("example2-gl2?color=red")
     with pytest.raises(CatalogError):
         build_entry("example1-so4")
+
+
+def test_catalog_entries_are_built_afresh():
+    a, b = so_n(3), so_n(3)
+    assert a is not b and a.bracket is not b.bracket
+    assert a.bracket == b.bracket and a.basis == b.basis
+    g, h = gl_assoc(2), gl_assoc(2)
+    assert g is not h
+    assert g.bracket == h.bracket and g.triple == h.triple
+
+
+# ---------------------------------------------------------------------------
+# the sparse route against the dense oracle route
+
+
+def _q_specs(n):
+    return ("", "?q=seed:5", "?q=diag:" + ",".join(["2", "-1", "1/2", "3"][:n]))
+
+
+SMALL_ENTRIES = (
+    [f"gl{n}" for n in range(1, 5)]
+    + [f"so{n}" for n in range(2, 5)]
+    + ["example1-so3", "example1-so3?triple=two-term"]
+    + [f"example{k}-gl{n}{q}" for k in (2, 3) for n in range(1, 5) for q in _q_specs(n)]
+    + [f"example4-so{n}{q}" for n in range(2, 5) for q in _q_specs(n)]
+)
+
+
+def _dense_operators(entry) -> dict:
+    """The multiplication operators, read off dense matrix products."""
+    op, Q = entry.operator_from_matrix_map, entry.q
+    if Q is None:
+        return {}
+    rho = op(lambda x: mat_mul(mat_mul(Q, x), Q))
+    if entry.family == "so":
+        return {"R": op(lambda x: mat_add(mat_mul(Q, x), mat_mul(x, Q))), "rho": rho}
+    right, left = op(lambda x: mat_mul(x, Q)), op(lambda x: mat_mul(Q, x))
+    return {"R1": right, "R2": left, "xi": left - right, "R": left + right, "rho": rho}
+
+
+def _dense_form_structures(entry) -> tuple:
+    """example1's triples and operators, from matrices and the form F."""
+
+    def F(x, y):
+        cx, cy = entry.expand(x), entry.expand(y)
+        return sum(cx[i] * entry.form[i][j] * cy[j] for i in cx for j in cy)
+
+    def two_term(x, y, z):
+        return mat_add(mat_scale(z, F(x, y)), mat_scale(x, F(y, z)))
+
+    x0 = entry.basis[2]  # the default X0 = e3
+    triples = {
+        "three-term": entry.trilinear_tensor_from_matrices(
+            lambda x, y, z: mat_sub(two_term(x, y, z), mat_scale(y, F(x, z)))
+        ),
+        "two-term": entry.trilinear_tensor_from_matrices(two_term),
+    }
+    operators = {
+        "Ra": entry.operator_from_matrix_map(lambda x: mat_scale(x0, F(x0, x))),
+        "Rb": entry.operator_from_matrix_map(lambda x: mat_commutator(x0, x)),
+    }
+    return triples, operators
+
+
+@pytest.mark.parametrize("spec", SMALL_ENTRIES)
+def test_sparse_route_matches_the_dense_oracle_route(spec):
+    entry = build_entry(spec)
+    assert entry.bracket == entry.bilinear_tensor_from_matrices(mat_commutator)
+    if entry.form is not None:
+        triples, operators = _dense_form_structures(entry)
+        expected = triples["two-term" if "two-term" in spec else "three-term"]
+        assert entry.triple == expected
+        assert entry.extra_triples["two-term"] == triples["two-term"]
+    else:
+        operators = _dense_operators(entry)
+        if entry.family == "gl":
+            expected = entry.trilinear_tensor_from_matrices(
+                lambda x, y, z: mat_add(mat_mul(mat_mul(x, y), z), mat_mul(mat_mul(z, y), x))
+            )
+            assert entry.triple == expected
+        else:
+            assert entry.triple is None
+    assert sorted(entry.operators) == sorted(operators)
+    for name, op in operators.items():
+        assert entry.operators[name] == op, name
+
+
+def test_sparse_expansion_keeps_its_span_check():
+    so3 = so_n(3)
+    basis = catalog._SparseBasis(so3.basis, so3.lead_positions)
+    assert basis.expand({(2, 1): 5, (1, 2): -5}) == {0: 5}
+    with pytest.raises(CatalogError, match="span"):
+        basis.expand({(2, 1): 1})  # not skew-symmetric
+    with pytest.raises(CatalogError, match="span"):
+        basis.expand({(0, 0): 1})
 
 
 # ---------------------------------------------------------------------------

@@ -230,3 +230,46 @@ def test_reports_are_deterministic():
     b = BilinearStructure(3, {(0, 1): {0: 1}, (1, 0): {0: -1}, (1, 2): {1: 1}, (2, 1): {1: -1}})
     assert check_jacobi(b) == check_jacobi(b)
     assert check_antisymmetry(b) == check_antisymmetry(b)
+
+
+# ---------------------------------------------------------------------------
+# records
+
+
+def test_records_keep_value_semantics():
+    from opalg import CheckReport, LieBiOperator, TripleWithOperator, Witness
+    from opalg.algfile import AlgebraFile
+
+    w = Witness((0, 1), (1, 0))
+    report = CheckReport("myb", False, w, 2)
+    assert w == Witness((0, 1), (1, 0)) and hash(w) == hash(Witness((0, 1), (1, 0)))
+    assert report == CheckReport("myb", False, Witness((0, 1), (1, 0)), 2)
+    assert hash(report) == hash(CheckReport("myb", False, Witness((0, 1), (1, 0)), 2))
+    assert report != report.replace(tuples_evaluated=3)
+    assert report != ("myb", False, w, 2, False, (), ())
+
+    info = report.replace(informational=True)
+    assert info is not report and info.informational and not report.informational
+    assert info.replace(informational=False) == report
+
+    gl2 = gl_assoc(2)
+    frozen = [
+        w,
+        report,
+        LieBiOperator(gl2.bracket, Operator.identity(4), Operator.identity(4)),
+        TripleWithOperator(gl2.triple, Operator.identity(4), unchecked=True),
+        gl2,
+    ]
+    for record in frozen:
+        for field in record.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+    assert report.passed is False and report.witness is w
+
+    # catalog entries compare by identity, as they always have
+    assert gl2 == gl2 and gl2 != gl2.replace()
+
+    af = AlgebraFile(4, None, gl2.bracket, gl2.triple, {"R": Operator.identity(4)})
+    assert (af.dimension, af.bracket, af.triple) == (4, gl2.bracket, gl2.triple)
+    assert af == AlgebraFile(4, bracket=gl2.bracket, triple=gl2.triple, operators={"R": Operator.identity(4)})
+    assert AlgebraFile(1).operators == {} and AlgebraFile(1).operators is not AlgebraFile(1).operators

@@ -1,6 +1,9 @@
 """Suites, searches, findings document, and the command-line contract."""
 
 import json
+import os
+import resource
+import subprocess
 import sys
 import time
 
@@ -172,6 +175,22 @@ def test_search_guards():
         run_search("perpetual-motion", seed=1, trials=1)
     with pytest.raises(Exception, match="trials"):
         run_search("so3-non-myb", seed=1, trials=0)
+
+
+def test_search_proves_the_bracket_lie_once(monkeypatch):
+    scans = []
+    scan_tuples = core.scan_tuples
+
+    def counted(name, *args, **kwargs):
+        scans.append(name)
+        return scan_tuples(name, *args, **kwargs)
+
+    monkeypatch.setattr(core, "scan_tuples", counted)
+    run_search("non-even-tempered", 1, 16, dim=3)
+    # every trial's operator passes mYB and builds a LieBiOperator on the
+    # same bracket; its Lie proof is scanned for the first one only
+    assert scans.count("myb") == 16
+    assert scans.count("antisymmetry") == scans.count("jacobi") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +388,6 @@ def test_lie_suites_never_check_the_catalog_triple(monkeypatch, capsys):
     for name, module in list(sys.modules.items()):
         if name.startswith("opalg") and hasattr(module, "check_jts_identity"):
             monkeypatch.setattr(module, "check_jts_identity", refuse)
-    # build afresh, past the catalog's lru cache
-    monkeypatch.setattr(catalog, "gl_assoc", catalog.gl_assoc.__wrapped__)
     for argv in (
         ("catalog:example2-gl4", "--suite", "bi-myb"),
         ("catalog:example2-gl3", "--suite", "myb", "--operator", "R1"),
@@ -432,6 +449,63 @@ def test_cli_force_lifts_the_search_dim_guard(monkeypatch, capsys, target, dim):
     assert code == 2 and "guard" in err and not reached
     code, _, _ = run_cli(capsys, *argv, "--force")
     assert code == 0 and reached == [dim]
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(catalog.__file__)))
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh isolated interpreter that imports opalg from SRC,
+    with its address space capped at 1 GiB."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    argv = [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {SRC!r})\n{code}"]
+    return subprocess.run(argv, capture_output=True, text=True, timeout=60, preexec_fn=cap)
+
+
+def test_cli_guards_catalog_construction():
+    # unguarded, gl(40) was still being built after 8 s, and gl(99999999)
+    # builds dense 10^8-wide matrices with no bound on memory: a child
+    # process with capped memory runs them
+    code = """
+import time
+from opalg.cli import main
+for argv in (["check", "catalog:example2-gl40", "--suite", "myb"], ["catalog", "export", "gl99999999"]):
+    start = time.perf_counter()
+    print(main(argv), time.perf_counter() - start, flush=True)
+"""
+    proc = _python(code)
+    results = [line.split() for line in proc.stdout.splitlines()]
+    assert [exit_code for exit_code, _ in results] == ["2", "2"], proc.stderr
+    assert all(float(seconds) < 1 for _, seconds in results)
+    errors = proc.stderr.splitlines()
+    assert len(errors) == 2 and all("guard" in line for line in errors)
+
+
+def test_cli_catalog_export_force_lifts_the_guard(capsys):
+    # so(10) has dimension 45, above the dim^3 limit of 36
+    code, _, err = run_cli(capsys, "catalog", "export", "so10")
+    assert code == 2 and "guard" in err
+    code, out, _ = run_cli(capsys, "catalog", "export", "so10", "--force")
+    assert code == 0 and parse_algebra_file(out).dimension == 45
+
+
+def test_cli_entry_bound_below_one_is_a_usage_error(capsys):
+    with pytest.raises(Exception, match="--entry-bound"):
+        run_search("non-normal-triple", seed=1, trials=1, entry_bound=0)
+    argv = ("search", "non-normal-triple", "--seed", "1", "--trials", "1")
+    code, _, err = run_cli(capsys, *argv, "--entry-bound", "0")
+    assert code == 2 and err.count("\n") == 1 and "--entry-bound" in err
+    code, _, _ = run_cli(capsys, *argv, "--entry-bound", "1")
+    assert code == 0
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    proc = _python("import opalg.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_cli_findings_deterministic(capsys):
