@@ -25,6 +25,7 @@ from .core import (
     check_jacobi,
     check_jts_identity,
     check_lie,
+    forced,
     op_polynomial,
 )
 from .lie import (

@@ -164,10 +164,11 @@ def from_bi_myb(g: LieBiOperator) -> RRhoAlgebra:
 
 def build_bunch(a: RRhoAlgebra) -> QuadraticBunch:
     """Quadratic bunch with b1, b2 the derived and quadratic brackets of (R, rho)."""
+    structures = _structures(a)
     return QuadraticBunch(
         b0=a.bracket,
-        b1=derived_bracket(a.bracket, a.R),
-        b2=bracket_rho(a),
+        b1=structures["bracket_R"],
+        b2=tabulate(QUADRATIC_BRACKET, structures),
         r0=Operator.identity(a.bracket.dim),
         r1=a.R,
         r2=a.rho,
@@ -212,12 +213,14 @@ def extract_rrho(q: QuadraticBunch, gamma: CheckReport | None = None) -> RRhoAlg
             f"bunch fails the gamma-bunch conditions ({bad.name} at {bad.witness.indices})"
         )
     a = RRhoAlgebra(q.b0, q.r1, q.r2)
-    b1_check = tensors_equal_report("b1-matches-derived-bracket", q.b1, derived_bracket(q.b0, q.r1))
+    structures = _structures(a)
+    b1_check = tensors_equal_report("b1-matches-derived-bracket", q.b1, structures["bracket_R"])
     if not b1_check.passed:
         raise CoefficientMismatchError(
             "b1 does not match the derived bracket of r1", b1_check.witness
         )
-    b2_check = tensors_equal_report("b2-matches-quadratic-bracket", q.b2, bracket_rho(a))
+    b2 = tabulate(QUADRATIC_BRACKET, structures)
+    b2_check = tensors_equal_report("b2-matches-quadratic-bracket", q.b2, b2)
     if not b2_check.passed:
         raise CoefficientMismatchError(
             "b2 does not match the quadratic bracket of (r1, r2)", b2_check.witness

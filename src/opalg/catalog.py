@@ -480,11 +480,12 @@ def _entry_dim(kind: str, n: int) -> int:
     return n * n if kind.endswith("gl") else n * (n - 1) // 2
 
 
-def build_entry(spec: str, force: bool = False) -> CatalogEntry:
+def build_entry(spec: str) -> CatalogEntry:
     """Resolve a catalog name with optional ?key=value parameters.
 
     An entry whose dimension exceeds the dim^3 guard is refused before
-    anything is built, unless forced.
+    anything is built, unless forced (opalg.forced()).  A repeated key, or a
+    q on an entry that has no Q, is refused rather than ignored.
     """
     name, _, query = spec.partition("?")
     params = {}
@@ -493,12 +494,16 @@ def build_entry(spec: str, force: bool = False) -> CatalogEntry:
             key, _, value = item.partition("=")
             if not value:
                 raise CatalogError(f"malformed catalog parameter: {item!r}")
+            if key in params:
+                raise CatalogError(f"repeated catalog parameter: {key!r}")
             params[key] = value
     m = _NAME_RE.match(name)
     if not m:
         raise CatalogError(f"unknown catalog entry: {name!r}")
     kind, n = m.group("kind"), int(m.group("n"))
-    guard_scan(_entry_dim(kind, n), 3, force)
+    guard_scan(_entry_dim(kind, n), 3)
+    if "q" in params and kind in ("so", "gl", "example1-so"):
+        raise CatalogError(f"catalog entry {name!r} takes no q parameter")
     symmetric = kind.endswith("so")
     q = _parse_q(params.pop("q"), n, symmetric) if "q" in params else None
     triple_choice = params.pop("triple", None)

@@ -14,7 +14,7 @@ import sys
 from .algfile import AlgebraFile, render_algebra_file
 from .bunch import RRhoAlgebra, bracket_rho
 from .catalog import build_entry, catalog_names
-from .core import WorkbenchError, guard_scan
+from .core import WorkbenchError, forced
 from .findings import render_findings
 from .jordan import MODE_FULL, MODE_REDUCED, check_triple_myb_raw, derived_triple
 from .lie import convert_params, convert_params_inverse, derived_bracket
@@ -111,8 +111,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_derive(args) -> int:
-    af, _ = load_input(args.input, args.force)
-    guard_scan(af.dimension, 2 if args.what == "derived-bracket" else 3, args.force)
+    af, _ = load_input(args.input)
     if args.what == "derived-bracket":
         out = AlgebraFile(
             af.dimension,
@@ -150,13 +149,13 @@ def _cmd_catalog(args) -> int:
         return 0
     from .algfile import entry_to_algebra_file
 
-    entry = build_entry(args.name, args.force)
+    entry = build_entry(args.name)
     _write(render_algebra_file(entry_to_algebra_file(entry)), args.out)
     return 0
 
 
 def _cmd_search(args) -> int:
-    report = run_search(args.target, args.seed, args.trials, args.dim, args.entry_bound, args.force)
+    report = run_search(args.target, args.seed, args.trials, args.dim, args.entry_bound)
     _write(report.to_json() if args.format == "json" else report.to_text(), args.out)
     return 0
 
@@ -200,7 +199,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return _COMMANDS[args.command](args)
+        with forced(getattr(args, "force", False)):
+            return _COMMANDS[args.command](args)
     except (WorkbenchError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -10,6 +10,9 @@ lexicographically smallest witness and reports are deterministic.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+
 from .formula import Formula, scan, states
 from .scalars import Scalar, as_scalar, common_denominator, render_scalar, scalar
 
@@ -84,22 +87,37 @@ class FrozenRecord(Record):
         return hash(self._values())
 
 
-# Guards keep exhaustive scans at desk scale unless explicitly forced: at each
-# limit a scan visits 2-5 * 10^4 basis tuples.  Measured per tuple (Python
-# 3.11, Fraction scalars): about 1 us for Jacobi on gl(n), 30-45 us for a
-# dim^2 scan with a dense operator at dim 64-128, 10-130 us for a dim^3
-# triple scan with an operator at dim 25-49, so a scan at a limit takes at
-# most a few seconds.  The dim^4 and dim^5 checks consult the guard
-# themselves; run_suite and `opalg derive` consult it for dim^2 and dim^3.
+# Guards keep exhaustive scans at desk scale unless forced: at each limit a
+# scan visits 2-5 * 10^4 basis tuples.  Measured per tuple (Python 3.11,
+# Fraction scalars): about 1 us for Jacobi on gl(n), 30-45 us for a dim^2
+# scan with a dense operator at dim 64-128, 10-130 us for a dim^3 triple scan
+# with an operator at dim 25-49, so a scan at a limit takes at most a few
+# seconds.  Formula.bind consults the guard before every scan and
+# tabulation; build_entry and run_search consult the dim^3 guard before they
+# build an algebra at all.
 _SCAN_GUARDS = {2: 128, 3: 36, 4: 12, 5: 8}
 
+# Whether the guards are lifted for the request in progress; set only by forced().
+_FORCE = contextvars.ContextVar("opalg_force", default=False)
 
-def guard_scan(dim: int, arity: int, force: bool = False) -> None:
+
+@contextlib.contextmanager
+def forced(on: bool = True):
+    """Lift the scan guards (or, with on=False, apply them) for the calls
+    made inside the with block."""
+    token = _FORCE.set(on)
+    try:
+        yield
+    finally:
+        _FORCE.reset(token)
+
+
+def guard_scan(dim: int, arity: int, name: str = "") -> None:
     limit = _SCAN_GUARDS.get(arity)
-    if not force and limit is not None and dim > limit:
+    if limit is not None and dim > limit and not _FORCE.get():
         raise DimensionGuardError(
-            f"dim^{arity} scan at dim={dim} exceeds guard (limit {limit}); "
-            f"set the force flag to run it anyway"
+            f"{name + ': ' if name else ''}dim^{arity} scan at dim={dim} exceeds guard "
+            f"(limit {limit}); set the force flag to run it anyway"
         )
 
 
@@ -730,12 +748,10 @@ def check_jacobi(b: BilinearStructure) -> CheckReport:
 
 
 @states(*JTS_IDENTITIES.values())
-def check_jts_identity(t: TrilinearStructure, variant: str, force: bool = False) -> CheckReport:
-    """Five-variable triple-system identity, scanned over all dim^5 tuples
-    once the dimension guard allows it."""
+def check_jts_identity(t: TrilinearStructure, variant: str) -> CheckReport:
+    """Five-variable triple-system identity, scanned over all dim^5 tuples."""
     if variant not in JTS_VARIANTS:
         raise ValueError(f"unknown triple-system identity variant: {variant!r}")
-    guard_scan(t.dim, 5, force)
     return scan(JTS_IDENTITIES[variant], {"triple": t})
 
 

@@ -342,7 +342,8 @@ class Formula:
         return structures, namespace[f"nonzero_{ident}"]
 
     def bind(self, structures: dict) -> tuple:
-        """(loop nest, dimension) on the structures the formula names.
+        """(loop nest, dimension) on the structures the formula names, refused
+        above the dimension guard for its arity unless forced.
 
         The nest yields (indices, residual) for every basis tuple with a
         nonzero residual, in lexicographic order.
@@ -353,6 +354,7 @@ class Formula:
         if len(dims) != 1:
             raise core.DimensionMismatchError(f"{self.name}: structure dimensions differ")
         dim = dims.pop()
+        core.guard_scan(dim, self.arity, self.name)
         forms = {key: s.integer_form() for key, s in used.items()}
         integer = {key: form for key, (form, _) in forms.items()}
         denominators = {f"_d_{key}": d for key, (_, d) in forms.items()}

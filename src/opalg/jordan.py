@@ -21,7 +21,6 @@ from .core import (
     VARIANT_JACOBSON,
     aggregate_report,
     check_jts_identity,
-    guard_scan,
     require_lie,
     tensors_equal_report,
 )
@@ -33,8 +32,9 @@ BASE_UNVERIFIED_NOTE = "base-JTS-unverified"
 class TripleWithOperator(FrozenRecord):
     """A triple system with one operator, validated against a named JTS variant.
 
-    Constructing with a failing (or guard-exceeding) triple requires
-    unchecked=True; downstream reports then carry a base-JTS-unverified note.
+    Constructing with a failing triple requires unchecked=True; downstream
+    reports then carry a base-JTS-unverified note.  Above dimension 8 the
+    validating dim^5 scan is refused unless it runs inside opalg.forced().
     """
 
     __slots__ = ("triple", "R", "jts_variant", "base_unverified")
@@ -46,14 +46,13 @@ class TripleWithOperator(FrozenRecord):
         jts_variant: str = VARIANT_JACOBSON,
         base_unverified: bool = False,
         unchecked: bool = False,
-        force: bool = False,
     ):
         if R.dim != triple.dim:
             raise DimensionMismatchError("operator dimension differs from triple dimension")
         if unchecked:
             base_unverified = True
         else:
-            report = check_jts_identity(triple, jts_variant, force=force)
+            report = check_jts_identity(triple, jts_variant)
             if not report.passed:
                 raise ValueError(
                     f"triple fails the {jts_variant} identity at "
@@ -95,21 +94,17 @@ POLARIZED_DESIGN = Formula(
 
 
 @states(EQUIVARIANCE)
-def check_equivariance(
-    bracket: BilinearStructure, triple: TrilinearStructure, force: bool = False
-) -> CheckReport:
+def check_equivariance(bracket: BilinearStructure, triple: TrilinearStructure) -> CheckReport:
     """ad_A as a derivation of the triple."""
-    guard_scan(bracket.dim, 4, force)
     return scan(EQUIVARIANCE, {"bracket": bracket, "triple": triple})
 
 
 @states(POLARIZED_DESIGN)
-def check_design(d: DesignCandidate, force: bool = False) -> CheckReport:
+def check_design(d: DesignCandidate) -> CheckReport:
     """JTS identity + equivariance + polarized quadratic bracket condition."""
-    guard_scan(d.bracket.dim, 4, force)
     subs = [
-        check_jts_identity(d.triple, d.jts_variant, force=force),
-        check_equivariance(d.bracket, d.triple, force=force),
+        check_jts_identity(d.triple, d.jts_variant),
+        check_equivariance(d.bracket, d.triple),
         scan(POLARIZED_DESIGN, {"bracket": d.bracket, "triple": d.triple}),
     ]
     return aggregate_report("design", subs)

@@ -244,11 +244,9 @@ THEOREM_TARGETS = {
 }
 
 
-def run_search(
-    target: str, seed: int, trials: int, dim: int | None = None, entry_bound: int = 3, force: bool = False
-) -> RunReport:
+def run_search(target: str, seed: int, trials: int, dim: int | None = None, entry_bound: int = 3) -> RunReport:
     """Run a search; a --dim whose algebra exceeds the dim^3 guard is refused
-    before anything is built, unless forced."""
+    before anything is built, unless forced (opalg.forced())."""
     if trials < 1:
         raise WorkbenchError("trials must be >= 1")
     if entry_bound < 1:
@@ -260,7 +258,7 @@ def run_search(
     if target not in SEARCH_TARGETS:
         raise UnknownTargetError(f"unknown search target {target!r}; known: {sorted(SEARCH_TARGETS)}")
     if dim and target in _DIM_FAMILIES:
-        guard_scan(dim * dim if _DIM_FAMILIES[target] == "gl" else dim * (dim - 1) // 2, 3, force)
+        guard_scan(dim * dim if _DIM_FAMILIES[target] == "gl" else dim * (dim - 1) // 2, 3)
     rng = random.Random(seed)
     findings: list = []
     SEARCH_TARGETS[target](rng, trials, dim, entry_bound, findings)

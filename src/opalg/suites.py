@@ -15,10 +15,11 @@ from .core import (
     Record,
     VARIANT_JACOBSON,
     WorkbenchError,
+    aggregate_report,
     check_antisymmetry,
     check_jacobi,
     check_jts_identity,
-    guard_scan,
+    forced,
 )
 from .jordan import (
     DesignCandidate,
@@ -124,11 +125,12 @@ class RunReport(Record):
         return "\n".join(lines) + "\n"
 
 
-def load_input(spec: str, force: bool = False) -> tuple:
+def load_input(spec: str) -> tuple:
     """Resolve 'catalog:NAME[?params]' or a file path to an AlgebraFile; a
-    catalog entry above the dim^3 guard is refused unless forced."""
+    catalog entry above the dim^3 guard is refused unless forced
+    (opalg.forced())."""
     if spec.startswith("catalog:"):
-        entry = build_entry(spec[len("catalog:"):], force)
+        entry = build_entry(spec[len("catalog:"):])
         return entry_to_algebra_file(entry), spec
     try:
         with open(spec, "r", encoding="utf-8") as fh:
@@ -138,75 +140,9 @@ def load_input(spec: str, force: bool = False) -> tuple:
     return parse_algebra_file(text), spec
 
 
-def _lie_base_checks(af: AlgebraFile) -> list:
-    bracket = af.require_bracket()
-    return [check_antisymmetry(bracket), check_jacobi(bracket)]
-
-
-def _suite_lie_base(af, opts):
-    return _lie_base_checks(af), []
-
-
-def _suite_myb(af, opts):
-    checks = _lie_base_checks(af)
-    if all(c.passed for c in checks):
-        checks.append(check_myb_raw(af.require_bracket(), af.require_operator(opts.get("operator", "R"))))
-    return checks, []
-
-
-def _bi_operator(af, opts) -> LieBiOperator:
-    return LieBiOperator(
-        af.require_bracket(),
-        af.require_operator(opts.get("operator", "R1")),
-        af.require_operator(opts.get("operator2", "R2")),
-    )
-
-
-def _suite_bi_myb(af, opts):
-    checks = _lie_base_checks(af)
-    if all(c.passed for c in checks):
-        checks.append(check_bi_myb(_bi_operator(af, opts)))
-    return checks, []
-
-
-def _suite_even_tempered(af, opts):
-    checks = _lie_base_checks(af)
-    if all(c.passed for c in checks):
-        g = _bi_operator(af, opts)
-        checks.append(check_bi_myb(g))
-        checks.append(check_even_tempered(g))
-    return checks, []
-
-
-def _suite_xi(af, opts):
-    checks = _lie_base_checks(af)
-    if all(c.passed for c in checks):
-        g = LieWithOperator(af.require_bracket(), af.require_operator(opts.get("operator", "R")))
-        xi = af.require_operator(opts.get("operator2", "xi"))
-        checks.append(check_xi_characterization(g, xi))
-        checks.append(check_even_tempered_xi(g, xi))
-    return checks, []
-
-
-def _suite_r0_probe(af, opts):
-    checks = _lie_base_checks(af)
-    findings = []
-    if all(c.passed for c in checks):
-        g = _bi_operator(af, opts)
-        bi = check_bi_myb(g)
-        checks.append(bi)
-        if bi.passed:
-            probe = probe_r0(g, bi)
-            checks.append(probe)
-            myb = probe.sub("midpoint-myb")
-            findings.append(
-                {
-                    "kind": "midpoint-myb-outcome",
-                    "passed": myb.passed,
-                    "witness": myb.witness.to_dict() if myb.witness else None,
-                }
-            )
-    return checks, findings
+# A suite is a gate, the checks of the base structure it builds on, and a
+# body, its own checks; run_suite runs the body only when every gate check
+# passes, and hands it those checks.  A body returns (checks, findings).
 
 
 def _variant(opts) -> str:
@@ -216,58 +152,91 @@ def _variant(opts) -> str:
     return variant
 
 
-def _suite_jordan_base(af, opts):
+def _lie_gate(af, opts) -> list:
+    bracket = af.require_bracket()
+    return [check_antisymmetry(bracket), check_jacobi(bracket)]
+
+
+def _jts_gate(af, opts) -> list:
+    return [check_jts_identity(af.require_triple(), _variant(opts))]
+
+
+def _suite_lie_base(af, opts, gate):
+    return [], []
+
+
+def _suite_myb(af, opts, gate):
+    return [check_myb_raw(af.require_bracket(), af.require_operator(opts.get("operator", "R")))], []
+
+
+def _bi_operator(af, opts, gate) -> LieBiOperator:
+    return LieBiOperator(
+        af.require_bracket(),
+        af.require_operator(opts.get("operator", "R1")),
+        af.require_operator(opts.get("operator2", "R2")),
+        lie=aggregate_report("lie", gate),
+    )
+
+
+def _suite_bi_myb(af, opts, gate):
+    return [check_bi_myb(_bi_operator(af, opts, gate))], []
+
+
+def _suite_even_tempered(af, opts, gate):
+    g = _bi_operator(af, opts, gate)
+    return [check_bi_myb(g), check_even_tempered(g)], []
+
+
+def _suite_xi(af, opts, gate):
+    g = LieWithOperator(af.require_bracket(), af.require_operator(opts.get("operator", "R")))
+    xi = af.require_operator(opts.get("operator2", "xi"))
+    return [check_xi_characterization(g, xi), check_even_tempered_xi(g, xi)], []
+
+
+def _suite_r0_probe(af, opts, gate):
+    g = _bi_operator(af, opts, gate)
+    bi = check_bi_myb(g)
+    if not bi.passed:
+        return [bi], []
+    probe = probe_r0(g, bi)
+    myb = probe.sub("midpoint-myb")
+    finding = {
+        "kind": "midpoint-myb-outcome",
+        "passed": myb.passed,
+        "witness": myb.witness.to_dict() if myb.witness else None,
+    }
+    return [bi, probe], [finding]
+
+
+def _suite_jordan_base(af, opts, gate):
     triple = af.require_triple()
     variant = _variant(opts)
-    force = bool(opts.get("force"))
     other = next(v for v in JTS_VARIANTS if v != variant)
-    checks = [check_jts_identity(triple, variant, force=force)]
-    checks.append(check_jts_identity(triple, other, force=force).replace(informational=True))
+    checks = [check_jts_identity(triple, variant)]
+    checks.append(check_jts_identity(triple, other).replace(informational=True))
     return checks, []
 
 
-def _suite_triple_myb(af, opts):
-    triple = af.require_triple()
-    force = bool(opts.get("force"))
-    checks = [check_jts_identity(triple, _variant(opts), force=force)]
-    if checks[0].passed:
-        checks.append(check_triple_myb_raw(triple, af.require_operator(opts.get("operator", "R"))))
-    return checks, []
+def _suite_triple_myb(af, opts, gate):
+    return [check_triple_myb_raw(af.require_triple(), af.require_operator(opts.get("operator", "R")))], []
 
 
-def _suite_triple_bi_myb(af, opts):
-    triple = af.require_triple()
-    force = bool(opts.get("force"))
-    checks = [check_jts_identity(triple, _variant(opts), force=force)]
-    if checks[0].passed:
-        checks.append(
-            check_triple_bi_myb(
-                triple,
-                af.require_operator(opts.get("operator", "R1")),
-                af.require_operator(opts.get("operator2", "R2")),
-            )
-        )
-    return checks, []
+def _suite_triple_bi_myb(af, opts, gate):
+    R1 = af.require_operator(opts.get("operator", "R1"))
+    R2 = af.require_operator(opts.get("operator2", "R2"))
+    return [check_triple_bi_myb(af.require_triple(), R1, R2)], []
 
 
-def _suite_design(af, opts):
-    checks = _lie_base_checks(af)
-    if all(c.passed for c in checks):
-        candidate = DesignCandidate(af.require_bracket(), af.require_triple(), _variant(opts))
-        checks.append(check_design(candidate, force=bool(opts.get("force"))))
-    return checks, []
+def _suite_design(af, opts, gate):
+    candidate = DesignCandidate(af.require_bracket(), af.require_triple(), _variant(opts))
+    return [check_design(candidate)], []
 
 
-def _suite_equivariance(af, opts):
-    checks = _lie_base_checks(af)
-    if all(c.passed for c in checks):
-        checks.append(
-            check_equivariance(af.require_bracket(), af.require_triple(), force=bool(opts.get("force")))
-        )
-    return checks, []
+def _suite_equivariance(af, opts, gate):
+    return [check_equivariance(af.require_bracket(), af.require_triple())], []
 
 
-def _suite_rho(af, opts):
+def _suite_rho(af, opts, gate):
     triple = af.require_triple()
     rho = af.require_operator(opts.get("operator", "rho"))
     derived = None
@@ -284,60 +253,59 @@ def _rrho_algebra(af, opts) -> RRhoAlgebra:
     )
 
 
-def _suite_rrho(af, opts):
-    checks = _lie_base_checks(af)
-    if all(c.passed for c in checks):
-        checks.append(check_rrho(_rrho_algebra(af, opts)))
+def _suite_rrho(af, opts, gate):
+    return [check_rrho(_rrho_algebra(af, opts))], []
+
+
+def _suite_rrho_bunch(af, opts, gate):
+    a = _rrho_algebra(af, opts)
+    bunch = build_bunch(a)
+    gamma = check_gamma_bunch(bunch)
+    checks = [check_rrho(a), gamma]
+    if gamma.passed:
+        back = extract_rrho(bunch, gamma)
+        checks.append(CheckReport(name="extraction-round-trip", passed=back == a, tuples_evaluated=1))
     return checks, []
 
 
-def _suite_rrho_bunch(af, opts):
-    checks = _lie_base_checks(af)
-    findings = []
-    if all(c.passed for c in checks):
-        a = _rrho_algebra(af, opts)
-        checks.append(check_rrho(a))
-        bunch = build_bunch(a)
-        gamma = check_gamma_bunch(bunch)
-        checks.append(gamma)
-        if gamma.passed:
-            back = extract_rrho(bunch, gamma)
-            checks.append(
-                CheckReport(name="extraction-round-trip", passed=back == a, tuples_evaluated=1)
-            )
-    return checks, findings
-
-
 SUITES = {
-    "lie-base": _suite_lie_base,
-    "myb": _suite_myb,
-    "bi-myb": _suite_bi_myb,
-    "even-tempered": _suite_even_tempered,
-    "xi": _suite_xi,
-    "r0-probe": _suite_r0_probe,
-    "jordan-base": _suite_jordan_base,
-    "triple-myb": _suite_triple_myb,
-    "triple-bi-myb": _suite_triple_bi_myb,
-    "design": _suite_design,
-    "equivariance": _suite_equivariance,
-    "rho": _suite_rho,
-    "rrho": _suite_rrho,
-    "rrho+bunch": _suite_rrho_bunch,
+    "lie-base": (_lie_gate, _suite_lie_base),
+    "myb": (_lie_gate, _suite_myb),
+    "bi-myb": (_lie_gate, _suite_bi_myb),
+    "even-tempered": (_lie_gate, _suite_even_tempered),
+    "xi": (_lie_gate, _suite_xi),
+    "r0-probe": (_lie_gate, _suite_r0_probe),
+    "jordan-base": (None, _suite_jordan_base),
+    "triple-myb": (_jts_gate, _suite_triple_myb),
+    "triple-bi-myb": (_jts_gate, _suite_triple_bi_myb),
+    "design": (_lie_gate, _suite_design),
+    "equivariance": (_lie_gate, _suite_equivariance),
+    "rho": (None, _suite_rho),
+    "rrho": (_lie_gate, _suite_rrho),
+    "rrho+bunch": (_lie_gate, _suite_rrho_bunch),
 }
 
 
 def run_suite(input_spec, suite: str, options: dict | None = None) -> RunReport:
-    """Run a named suite against a file path, catalog name, or AlgebraFile."""
+    """Run a named suite against a file path, catalog name, or AlgebraFile.
+
+    options["force"] lifts the scan guards for this call, and its absence
+    applies them, whatever the caller's opalg.forced() says.
+    """
     options = dict(options or {})
     if suite not in SUITES:
         raise UnknownSuiteError(f"unknown suite {suite!r}; known: {sorted(SUITES)}")
-    force = bool(options.get("force"))
-    if isinstance(input_spec, AlgebraFile):
-        af, source = input_spec, options.pop("source", "<memory>")
-    else:
-        af, source = load_input(input_spec, force)
-    guard_scan(af.dimension, 3, force)  # every suite scans dim^3 tuples or more
-    checks, findings = SUITES[suite](af, options)
+    gate, body = SUITES[suite]
+    with forced(bool(options.get("force"))):
+        if isinstance(input_spec, AlgebraFile):
+            af, source = input_spec, options.pop("source", "<memory>")
+        else:
+            af, source = load_input(input_spec)
+        checks = gate(af, options) if gate else []
+        findings = []
+        if all(c.passed for c in checks):
+            more, findings = body(af, options, checks)
+            checks += more
     return RunReport(
         source=source,
         input_digest=algebra_file_digest(af),

@@ -43,6 +43,7 @@ from opalg import (
     example3_gl,
     example4_so,
     extract_rrho,
+    forced,
     from_bi_myb,
     op_polynomial,
     probe_r0,
@@ -141,9 +142,8 @@ def test_criterion_3_triple_systems_with_sign_adjudication():
             triple_entry = example3_gl(n, entry.q)
             t = triple_entry.triple
             ops = triple_entry.operators
-            systems = {
-                name: TripleWithOperator(t, ops[name], force=True) for name in ("R1", "R2")
-            }
+            with forced():
+                systems = {name: TripleWithOperator(t, ops[name]) for name in ("R1", "R2")}
             for s in systems.values():
                 assert check_triple_myb(s).passed
             d1 = triple_r(systems["R1"], MODE_REDUCED)

@@ -11,6 +11,7 @@ from opalg import (
     example1_candidates,
     example2_gl,
     example4_so,
+    forced,
     gl_assoc,
     mult_operators,
     so_n,
@@ -161,7 +162,8 @@ def test_form_triples_are_valid_jacobson_systems():
     assert check_jts_identity(entry.triple, "jacobson").passed
     assert check_jts_identity(entry.extra_triples["two-term"], "jacobson").passed
     for n in range(1, 4):
-        assert check_jts_identity(gl_assoc(n).triple, "jacobson", force=True).passed, n
+        with forced():
+            assert check_jts_identity(gl_assoc(n).triple, "jacobson").passed, n
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +212,8 @@ def test_building_benchmark_entries_runs_no_check(monkeypatch):
 
 def test_build_entry_guards_the_dimension_before_building(monkeypatch):
     # so(10) has dimension 45, above the dim^3 limit of 36; so(9) has 36
-    assert build_entry("so10", force=True).dim == 45
+    with forced():
+        assert build_entry("so10").dim == 45
     assert build_entry("so9").dim == 36
 
     def refuse(*args, **kwargs):
@@ -221,6 +224,18 @@ def test_build_entry_guards_the_dimension_before_building(monkeypatch):
     for spec in ("so10", "gl7", "example2-gl7?q=seed:1", "example3-gl99999999", "example4-so10?q=id"):
         with pytest.raises(DimensionGuardError, match="guard"):
             build_entry(spec)
+
+
+@pytest.mark.parametrize("spec", ["so3?q=diag:1,2,3", "gl2?q=id", "example1-so3?q=seed:1"])
+def test_build_entry_refuses_a_q_it_would_ignore(spec):
+    with pytest.raises(CatalogError, match="takes no q parameter"):
+        build_entry(spec)
+
+
+@pytest.mark.parametrize("spec", ["example2-gl2?q=diag:1,2&q=id", "example1-so3?triple=two-term&triple=x"])
+def test_build_entry_refuses_a_repeated_parameter(spec):
+    with pytest.raises(CatalogError, match="repeated catalog parameter"):
+        build_entry(spec)
 
 
 def test_build_entry_errors():

@@ -1,0 +1,191 @@
+"""The exit-code contract, fuzzed: whatever the input, `opalg` ends in 0, 1 or 2.
+
+Hypothesis generates argv for every subcommand over valid and malformed
+algebra files and catalog specs with n up to 10^8, and runs each case
+in-process under a wall-clock bound.  Exit 2 (usage, parse or guard error)
+must print exactly one stderr line; exit 3 (a crash) or a case that outlives
+its bound fails the test.  `--force` is never passed, so the dimension guards
+are what keeps every case small.
+"""
+
+import contextlib
+import io
+import json
+import signal
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from opalg.algfile import entry_to_algebra_file, render_algebra_file
+from opalg.catalog import build_entry
+from opalg.cli import main
+from opalg.searches import SEARCH_TARGETS, THEOREM_TARGETS
+from opalg.suites import SUITES
+
+SECONDS_PER_CASE = 5
+OPERATOR_NAMES = ("R", "R1", "R2", "xi", "rho")
+NEGATED = {"0": "0", "1": "-1", "-1": "1", "2": "-2", "1/2": "-1/2", "-3/4": "3/4"}
+SCALARS = tuple(NEGATED)
+BAD_SCALARS = ("2/4", "1/0", "x", "", 1)
+
+
+class CaseTimeout(BaseException):
+    """Raised by SIGALRM; a BaseException, so the CLI's crash handler cannot turn it into exit 3."""
+
+
+def _alarm(signum, frame):
+    raise CaseTimeout(f"a case ran longer than {SECONDS_PER_CASE} s")
+
+
+def _rarely(draw) -> bool:
+    """True for about one case in eight: most cases are well formed, so that
+    they get past parsing to the checks and the guards."""
+    return draw(st.integers(0, 7)) == 3  # not 0: Hypothesis draws the bounds often
+
+
+# Sizes: small ones run real checks; the large ones lie above every guard.
+# Sizes in between are legal but take the guard's few seconds per scan.
+small = st.integers(0, 4)
+huge = st.integers(37, 10**8)
+
+
+@st.composite
+def catalog_specs(draw) -> str:
+    kind = draw(st.sampled_from(("so", "gl", "example1-so", "example2-gl", "example3-gl", "example4-so")))
+    name = f"{kind}{draw(small | huge)}" if kind != "example1-so" or _rarely(draw) else "example1-so3"
+    if _rarely(draw):
+        junk = ("q=seed:x", "q=diag:1,2", "q=diag:1,1/0", "q=", "q", "triple=none", "color=red", "q=id&q=id")
+        return f"{name}?{draw(st.sampled_from(junk))}"
+    if kind == "example1-so" and draw(st.booleans()):
+        return f"{name}?triple=two-term"
+    if kind.startswith("example") and kind != "example1-so" and draw(st.booleans()):
+        return f"{name}?q={draw(st.sampled_from(('id', 'seed:3', 'seed:11')))}"
+    return name
+
+
+def _rows(draw, dim: int, arity: int) -> list:
+    """Sparse rows on indices below min(dim, 4), antisymmetric in the first
+    two about half the time; now and then a malformed or a repeated row."""
+    index = st.integers(0, min(dim, 4) - 1)
+    rows = draw(st.lists(st.tuples(*[index] * arity, st.sampled_from(SCALARS)).map(list), max_size=5))
+    if draw(st.booleans()):
+        rows += [[j, i, *rest[:-1], NEGATED[rest[-1]]] for i, j, *rest in rows]
+    if _rarely(draw):
+        rows.append(draw(st.sampled_from(([0], [dim, 0, 0, 0, "1"][: arity + 1], [0] * arity + ["x"]))))
+    unique = {tuple(row[:-1]): row for row in rows}
+    return list(unique.values()) if not _rarely(draw) else rows
+
+
+@st.composite
+def algebra_texts(draw) -> str:
+    """Exported catalog entries, files built field by field, and broken JSON."""
+    how = draw(st.sampled_from(("catalog", "fields", "fields", "fields")))
+    if how == "catalog":
+        exported = ("so3", "gl2", "example1-so3", "example2-gl2", "example3-gl2", "example4-so3")
+        spec = draw(st.sampled_from(exported))
+        return render_algebra_file(entry_to_algebra_file(build_entry(spec)))
+    if _rarely(draw):
+        broken = ("", "{", "[]", "null", '{"dimension": 2', "[" * 5000, '{"dimension": 2, "x": 1}')
+        return draw(st.sampled_from(broken))
+    dim = draw(st.sampled_from((0, -1, True, 2.5, "3", None)) if _rarely(draw) else st.integers(1, 4) | huge)
+    data = {"dimension": dim}
+    size = dim if isinstance(dim, int) and 0 < dim else 2
+    if not _rarely(draw):
+        data["bracket"] = _rows(draw, size, 3)
+    if draw(st.booleans()):
+        data["triple"] = _rows(draw, size, 4)
+    names = OPERATOR_NAMES[: draw(st.integers(0, 4))] if _rarely(draw) else OPERATOR_NAMES
+    if size <= 4:
+        side = size + 1 if _rarely(draw) else size
+        scalars = st.sampled_from(BAD_SCALARS) if _rarely(draw) else st.sampled_from(SCALARS)
+        data["operators"] = {n: [[draw(scalars) for _ in range(side)] for _ in range(side)] for n in names}
+    elif size <= 140:  # zero operators, just around the dim^2 limit of 128
+        data["operators"] = {name: [["0"] * size] * size for name in names}
+    if _rarely(draw):
+        data["basis_names"] = ["e"] * (size if draw(st.booleans()) else 1)
+    return json.dumps(data)
+
+
+def _options(draw, *flags) -> list:
+    argv = []
+    for flag, values in flags:
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+@st.composite
+def cases(draw) -> tuple:
+    """(argv with INPUT and OUT placeholders, algebra file text or None)."""
+    commands = ("check", "check", "check", "derive", "derive", "catalog", "search", "convert", "findings")
+    command = draw(st.sampled_from(commands))
+    text = None
+    if command in ("check", "derive", "convert"):
+        if draw(st.booleans()):
+            source = "catalog:" + draw(catalog_specs())
+        else:
+            source, text = "INPUT", draw(algebra_texts())
+    if command == "check":
+        argv = ["check", source, "--suite", draw(st.sampled_from(sorted(SUITES)))]
+        argv += _options(
+            draw,
+            ("--operator", OPERATOR_NAMES),
+            ("--operator2", OPERATOR_NAMES),
+            ("--variant", ("jacobson", "alternate", "jacobson", "classical")),
+            ("--format", ("text", "json")),
+        )
+    elif command == "derive":
+        what = draw(st.sampled_from(("derived-bracket", "quadratic-bracket", "derived-triple")))
+        argv = ["derive", source, "--what", what]
+        argv += _options(
+            draw,
+            ("--mode", ("full", "reduced")),
+            ("--operator", OPERATOR_NAMES),
+            ("--operator2", OPERATOR_NAMES),
+        )
+    elif command == "catalog":
+        argv = ["catalog", "export", draw(catalog_specs())] if draw(st.booleans()) else ["catalog", "list"]
+    elif command == "search":
+        target = draw(st.sampled_from((*SEARCH_TARGETS, *THEOREM_TARGETS, "perpetual-motion")))
+        seed = str(draw(st.integers(-(10**9), 10**9)))
+        argv = ["search", target, "--seed", seed, "--trials", str(draw(st.integers(1, 4)))]
+        if draw(st.booleans()):
+            argv += ["--dim", str(draw(st.integers(-3, 3) | huge | huge.map(lambda n: -n)))]
+        bounds = ("-1", "0", "1", "3", "7")
+        argv += _options(draw, ("--entry-bound", bounds), ("--format", ("text", "json")))
+    elif command == "convert":
+        argv = ["convert", source, "--to", draw(st.sampled_from(("xi", "pair")))]
+        argv += _options(draw, ("--operator", OPERATOR_NAMES), ("--operator2", OPERATOR_NAMES))
+    else:
+        argv = ["findings"]
+    if command != "catalog" or argv[1] == "export":
+        argv += ["--out", "OUT"] if draw(st.integers(0, 3)) == 0 else []
+    return argv, text
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=250,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(case=cases())
+def test_every_input_ends_in_a_documented_exit_code(tmp_path, case):
+    argv, text = case
+    path, out = tmp_path / "input.json", tmp_path / "out.txt"
+    if text is not None:
+        path.write_text(text)
+    argv = [str(path) if a == "INPUT" else str(out) if a == "OUT" else a for a in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, SECONDS_PER_CASE)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2), stderr.getvalue()
+    if code == 2:
+        assert len(stderr.getvalue().splitlines()) == 1, stderr.getvalue()

@@ -11,6 +11,7 @@ from opalg import (
     check_antisymmetry,
     check_jacobi,
     check_jts_identity,
+    forced,
     gl_assoc,
     op_polynomial,
     so_n,
@@ -207,13 +208,23 @@ def test_dimension_guard_on_wide_scans():
     big = TrilinearStructure(9)
     with pytest.raises(DimensionGuardError):
         check_jts_identity(big, "jacobson")
-    assert check_jts_identity(big, "jacobson", force=True).passed
+    with forced():
+        assert check_jts_identity(big, "jacobson").passed
 
     from opalg import check_equivariance
 
     wide = BilinearStructure(13)
     with pytest.raises(DimensionGuardError):
         check_equivariance(wide, TrilinearStructure(13))
+
+
+def test_forced_is_reset_after_an_exception():
+    wide = BilinearStructure(37)  # above the dim^3 limit of 36
+    with pytest.raises(RuntimeError), forced():
+        assert check_jacobi(wide).passed
+        raise RuntimeError("inside the forced block")
+    with pytest.raises(DimensionGuardError):
+        check_jacobi(wide)
 
 
 def test_report_invariant_passed_iff_no_witness():

@@ -247,6 +247,32 @@ def test_stated_formula_compiles_and_matches_an_interpreter(name):
         assert dict(nonzero) == _interpreted(formula, structures)
 
 
+def _empty_structures(dim: int) -> dict:
+    """Every structure name a stated formula reads, zero on dimension dim."""
+    s = {name: oa.Operator.zero(dim) for name in ("R", "R1", "R2", "S", "xi", "rho", "r0", "r1", "r2")}
+    for key in ("bracket", "bracket_R", "bracket_rho", "bracket_b0", "bracket_b1", "bracket_b2"):
+        s[key] = oa.BilinearStructure(dim)
+    s.update(triple=oa.TrilinearStructure(dim), triple_R=oa.TrilinearStructure(dim))
+    return s
+
+
+@pytest.mark.parametrize("name", sorted(n for n, f in STATED.items() if f.arity in core._SCAN_GUARDS))
+def test_bind_is_guarded_before_integer_forms(monkeypatch, name):
+    formula = STATED[name]
+    dim = core._SCAN_GUARDS[formula.arity] + 1
+    structures = _empty_structures(dim)
+    cleared = []
+    for cls in (oa.Operator, oa.BilinearStructure, oa.TrilinearStructure):
+        integer_form = cls.integer_form
+        monkeypatch.setattr(cls, "integer_form", lambda self, f=integer_form: cleared.append(self) or f(self))
+    with pytest.raises(oa.DimensionGuardError, match=f"{name}: dim\\^{formula.arity} scan at dim={dim}"):
+        formula.bind(structures)
+    assert cleared == []
+    with oa.forced():
+        _, bound_dim = formula.bind(structures)
+    assert bound_dim == dim and cleared
+
+
 def test_rational_structures_clear_to_distinct_denominators():
     denominators = {name: s.integer_form()[1] for name, s in _generic_structures(True).items()}
     assert set(denominators.values()) >= {2, 3, 4, 5, 6}

@@ -22,6 +22,7 @@ from opalg import (
     derived_triple,
     example1_candidates,
     example3_gl,
+    forced,
     gl_assoc,
     so_n,
     triple_r,
@@ -228,7 +229,8 @@ def test_outer_symmetry_is_preserved_by_derivation():
         t = e3.triple
         for (i, j, k) in t.support():
             assert t.value(i, j, k) == t.value(k, j, i)
-        s = TripleWithOperator(t, e3.operators["R1"], force=True)
+        with forced():
+            s = TripleWithOperator(t, e3.operators["R1"])
         derived = triple_r(s, MODE_REDUCED)
         for (i, j, k) in derived.support():
             assert derived.value(i, j, k) == derived.value(k, j, i)

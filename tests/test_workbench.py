@@ -9,10 +9,11 @@ import time
 
 import pytest
 
-from opalg import catalog, core, searches
+from opalg import DimensionGuardError, catalog, core, forced, searches
 from opalg.algfile import parse_algebra_file
 from opalg.cli import main
 from opalg.findings import open_question_findings, render_findings
+from opalg.formula import Formula
 from opalg.searches import TargetIsTheoremError, UnknownTargetError, run_search
 from opalg.suites import UnknownSuiteError, run_suite
 
@@ -101,6 +102,46 @@ def test_rrho_bunch_suite_scans_gamma_bunch_once(monkeypatch):
     # the extraction reuses the suite's gamma-bunch report instead of scanning again
     for d in range(5):
         assert scans.count(f"homomorphism-deg{d}") == scans.count(f"jacobi-deg{d}") == 1
+
+
+def _count_binds(monkeypatch) -> list:
+    """Wrap Formula.bind; the list it returns collects each bound formula's name."""
+    binds = []
+    bind = Formula.bind
+
+    def counted(self, structures):
+        binds.append(self.name)
+        return bind(self, structures)
+
+    monkeypatch.setattr(Formula, "bind", counted)
+    return binds
+
+
+@pytest.mark.parametrize("suite", ["bi-myb", "even-tempered", "r0-probe"])
+def test_lie_suites_prove_the_bracket_once(monkeypatch, suite):
+    binds = _count_binds(monkeypatch)
+    assert run_suite("catalog:example2-gl2", suite).passed
+    # the operator pair takes the suite's own antisymmetry and Jacobi checks
+    assert binds.count("antisymmetry") == binds.count("jacobi") == 1
+
+
+def test_rrho_bunch_suite_tabulates_the_derived_bracket_three_times(monkeypatch):
+    binds = _count_binds(monkeypatch)
+    assert run_suite("catalog:example4-so4?q=seed:11", "rrho+bunch").passed
+    # once each in check_rrho, build_bunch and extract_rrho
+    assert binds.count("derived-bracket") == 3
+
+
+def test_run_suite_force_holds_for_its_own_call_only(tmp_path):
+    dim = core._SCAN_GUARDS[3] + 1
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"dimension": dim, "bracket": []}))
+    assert run_suite(str(path), "lie-base", {"force": True}).passed
+    with pytest.raises(DimensionGuardError, match="jacobi"):
+        run_suite(str(path), "lie-base")
+    # without its own force option a suite is guarded, whatever its caller set
+    with forced(), pytest.raises(DimensionGuardError, match="jacobi"):
+        run_suite(str(path), "lie-base")
 
 
 def test_jordan_base_suite_reports_both_variants():
@@ -397,14 +438,16 @@ def test_lie_suites_never_check_the_catalog_triple(monkeypatch, capsys):
 
 
 def test_cli_guards_dim2_and_dim3_scans(tmp_path, capsys):
-    # unguarded, lie-base would start a 3000^3-tuple Jacobi scan and the
-    # derived bracket a 3000^2-tuple one
+    # unguarded, lie-base would start a 3000^3-tuple Jacobi scan; the file
+    # has no operator R, so derive stops on that before any scan (its guard
+    # is asserted at dim 129 with an operator below)
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"dimension": 3000, "bracket": []}))
     start = time.perf_counter()
-    for argv in (("check", str(path), "--suite", "lie-base"), ("derive", str(path), "--what", "derived-bracket")):
-        code, _, err = run_cli(capsys, *argv)
-        assert code == 2 and "guard" in err
+    code, _, err = run_cli(capsys, "check", str(path), "--suite", "lie-base")
+    assert code == 2 and "guard" in err
+    code, _, err = run_cli(capsys, "derive", str(path), "--what", "derived-bracket")
+    assert code == 2 and "no operator named 'R'" in err
     assert time.perf_counter() - start < 1
 
 
@@ -482,6 +525,29 @@ for argv in (["check", "catalog:example2-gl40", "--suite", "myb"], ["catalog", "
     assert all(float(seconds) < 1 for _, seconds in results)
     errors = proc.stderr.splitlines()
     assert len(errors) == 2 and all("guard" in line for line in errors)
+
+
+def test_library_checks_are_guarded():
+    # unguarded, check_jacobi on dimension 3000 was still scanning its
+    # 2.7 * 10^10 tuples after 5 s: a child process with a timeout runs it
+    code = """
+import time
+from opalg import BilinearStructure, DimensionGuardError, check_jacobi
+start = time.perf_counter()
+try:
+    check_jacobi(BilinearStructure(3000))
+except DimensionGuardError as exc:
+    print(time.perf_counter() - start, exc)
+"""
+    proc = _python(code)
+    seconds, message = proc.stdout.split(" ", 1)
+    assert float(seconds) < 1 and "guard" in message, proc.stderr
+
+
+def test_cli_refuses_catalog_parameters_it_would_ignore(capsys):
+    for spec in ("catalog:so3?q=diag:1,2,3", "catalog:example2-gl2?q=diag:1,2&q=id"):
+        code, out, err = run_cli(capsys, "check", spec, "--suite", "lie-base")
+        assert code == 2 and out == "" and err.count("\n") == 1 and "parameter" in err
 
 
 def test_cli_catalog_export_force_lifts_the_guard(capsys):
