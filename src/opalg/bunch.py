@@ -82,7 +82,7 @@ class RRhoAlgebra(FrozenRecord):
     __slots__ = ("bracket", "R", "rho")
 
     def __init__(self, bracket: BilinearStructure, R: Operator, rho: Operator):
-        require_lie(bracket)
+        bracket = require_lie(bracket)
         if R.dim != bracket.dim or rho.dim != bracket.dim:
             raise DimensionMismatchError("operator dimension differs from bracket dimension")
         self._assign(bracket, R, rho)
@@ -102,7 +102,7 @@ class QuadraticBunch(FrozenRecord):
         r1: Operator,
         r2: Operator,
     ):
-        require_lie(b0)
+        b0 = require_lie(b0)
         if len({b0.dim, b1.dim, b2.dim, r0.dim, r1.dim, r2.dim}) != 1:
             raise DimensionMismatchError("bunch coefficients have mixed dimensions")
         self._assign(b0, b1, b2, r0, r1, r2)

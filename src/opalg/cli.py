@@ -22,8 +22,16 @@ from .searches import run_search
 from .suites import SUITES, load_input, run_suite
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error where argparse prints usage and exits, so that
+    main reports it in one line."""
+
+    def error(self, message):
+        raise WorkbenchError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="opalg",
         description="Exact verification workbench for Lie algebras and Jordan "
         "triple systems with operators.",
@@ -193,11 +201,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
+        args = _build_parser().parse_args(argv)
+    except SystemExit:  # --help, which prints and exits 0
+        return 0
+    except WorkbenchError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     try:
         with forced(getattr(args, "force", False)):
             return _COMMANDS[args.command](args)

@@ -760,12 +760,36 @@ def check_lie(b: BilinearStructure) -> CheckReport:
     return aggregate_report("lie", (check_antisymmetry(b), check_jacobi(b)))
 
 
-def require_lie(bracket: BilinearStructure, lie: CheckReport | None = None) -> None:
-    """Precondition of every structure built on a Lie bracket.  A caller that
-    already holds check_lie(bracket) passes it as lie."""
-    report = check_lie(bracket) if lie is None else lie
+class LieBracket(BilinearStructure):
+    """A bracket with its passing check_lie report as lie.  Only prove_lie makes
+    one; it shares the entries of the bracket it proves and compares equal to it."""
+
+    __slots__ = ("lie",)
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a LieBracket is made only by prove_lie")
+
+
+def prove_lie(bracket: BilinearStructure) -> tuple:
+    """(check_lie(bracket), the bracket as a LieBracket, or None if the report fails)."""
+    report = check_lie(bracket)
     if not report.passed:
+        return report, None
+    proven = object.__new__(LieBracket)
+    for name, value in (("dim", bracket.dim), ("_c", bracket._c), ("_hash", bracket._hash), ("lie", report)):
+        object.__setattr__(proven, name, value)
+    return report, proven
+
+
+def require_lie(bracket: BilinearStructure) -> LieBracket:
+    """Precondition of every structure built on a Lie bracket.  A LieBracket
+    is returned as it is; a plain bracket is proved, or refused with ValueError."""
+    if isinstance(bracket, LieBracket):
+        return bracket
+    report, proven = prove_lie(bracket)
+    if proven is None:
         bad = next(s for s in report.subchecks if not s.passed)
         raise ValueError(
             f"bracket is not a Lie bracket: {bad.name} fails at {bad.witness.indices}"
         )
+    return proven

@@ -73,8 +73,7 @@ class DesignCandidate(FrozenRecord):
     def __init__(self, bracket: BilinearStructure, triple: TrilinearStructure, jts_variant: str = VARIANT_JACOBSON):
         if bracket.dim != triple.dim:
             raise DimensionMismatchError("bracket and triple dimensions differ")
-        require_lie(bracket)
-        self._assign(bracket, triple, jts_variant)
+        self._assign(require_lie(bracket), triple, jts_variant)
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +198,7 @@ EVEN_TEMPERED_AS_PRINTED = Formula(
     COMMUTE, TRIPLE_MYB, NORMAL_OUTER_PAIR, NORMAL_REDUCED,
     EVEN_TEMPERED_TRIPLE, EVEN_TEMPERED_AS_PRINTED, MIDDLE_RHO,
 )
-def check_triple_bi_myb(
-    triple: TrilinearStructure, R1: Operator, R2: Operator, notes=()
-) -> CheckReport:
+def check_triple_bi_myb(triple: TrilinearStructure, R1: Operator, R2: Operator) -> CheckReport:
     """Core two-operator conditions plus normal / even-tempered classification.
 
     Core (asserted): R1 and R2 commute, both are triple-mYB, and the two full
@@ -214,21 +211,21 @@ def check_triple_bi_myb(
     normal = aggregate_report(
         "normal",
         (
-            scan(NORMAL_OUTER_PAIR, pair, notes=notes),
-            scan(NORMAL_REDUCED, {**pair, "S": R1}, name="normal-reduced-r1", notes=notes),
-            scan(NORMAL_REDUCED, {**pair, "S": R2}, name="normal-reduced-r2", notes=notes),
+            scan(NORMAL_OUTER_PAIR, pair),
+            scan(NORMAL_REDUCED, {**pair, "S": R1}, name="normal-reduced-r1"),
+            scan(NORMAL_REDUCED, {**pair, "S": R2}, name="normal-reduced-r2"),
         ),
         informational=True,
     )
     even = aggregate_report(
         "even-tempered",
         (
-            scan(EVEN_TEMPERED_TRIPLE, {**pair, "S": R1}, name="even-tempered-r1", notes=notes),
-            scan(EVEN_TEMPERED_TRIPLE, {**pair, "S": R2}, name="even-tempered-r2", notes=notes),
+            scan(EVEN_TEMPERED_TRIPLE, {**pair, "S": R1}, name="even-tempered-r1"),
+            scan(EVEN_TEMPERED_TRIPLE, {**pair, "S": R2}, name="even-tempered-r2"),
         ),
         informational=True,
     )
-    printed = scan(EVEN_TEMPERED_AS_PRINTED, pair, notes=notes, informational=True)
+    printed = scan(EVEN_TEMPERED_AS_PRINTED, pair, informational=True)
 
     derived_full_1 = derived_triple(triple, R1, MODE_FULL)
     middle_rho_form = tensors_equal_report(
@@ -242,8 +239,8 @@ def check_triple_bi_myb(
 
     subs = [
         scan(COMMUTE, pair),
-        check_triple_myb_raw(triple, R1, "triple-myb-r1", notes=notes),
-        check_triple_myb_raw(triple, R2, "triple-myb-r2", notes=notes),
+        check_triple_myb_raw(triple, R1, "triple-myb-r1"),
+        check_triple_myb_raw(triple, R2, "triple-myb-r2"),
         tensors_equal_report(
             "derived-triples-coincide",
             derived_full_1,
@@ -255,7 +252,7 @@ def check_triple_bi_myb(
         middle_rho_form,
         consistency,
     ]
-    return aggregate_report("triple-bi-myb", subs, notes=notes)
+    return aggregate_report("triple-bi-myb", subs)
 
 
 RHO_EXCHANGE = Formula("rho-exchange", "X Y Z", "<rhoX,Y,rhoZ> = rho<X,rhoY,Z>")

@@ -52,7 +52,7 @@ class LieWithOperator(FrozenRecord):
     __slots__ = ("bracket", "R")
 
     def __init__(self, bracket: BilinearStructure, R: Operator):
-        require_lie(bracket)
+        bracket = require_lie(bracket)
         _require_dim(bracket, R)
         self._assign(bracket, R)
 
@@ -60,13 +60,13 @@ class LieWithOperator(FrozenRecord):
 class LieBiOperator(FrozenRecord):
     """A Lie bracket with two operators; their conditions are checked, not assumed.
 
-    A caller that already holds the passing check_lie(bracket) passes it as lie.
+    The bracket is kept as require_lie returns it, proved Lie unless it already was.
     """
 
     __slots__ = ("bracket", "R1", "R2")
 
-    def __init__(self, bracket: BilinearStructure, R1: Operator, R2: Operator, lie: CheckReport | None = None):
-        require_lie(bracket, lie)
+    def __init__(self, bracket: BilinearStructure, R1: Operator, R2: Operator):
+        bracket = require_lie(bracket)
         _require_dim(bracket, R1, R2)
         self._assign(bracket, R1, R2)
 

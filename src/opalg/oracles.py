@@ -80,10 +80,6 @@ def mat_is_symmetric(a):
     return a == mat_transpose(a)
 
 
-def mat_is_zero(a):
-    return all(not x for row in a for x in row)
-
-
 def mat_inverse(a):
     """Exact inverse by Gaussian elimination; raises on singular input."""
     n = len(a)
@@ -120,10 +116,6 @@ def mat_det3(a):
 
 def word(symbol):
     return {(symbol,): 1}
-
-
-def word_zero():
-    return {}
 
 
 def word_add(a, b, coeff=1):

@@ -14,11 +14,11 @@ import random
 from .algfile import AlgebraFile, algebra_file_to_dict, entry_to_algebra_file
 from .bunch import RRhoAlgebra, check_rrho
 from .catalog import example4_so, gl_assoc, mult_operators, so_n
-from .core import Operator, WorkbenchError, check_lie, guard_scan
+from .core import Operator, WorkbenchError, guard_scan
 from .jordan import MODE_FULL, MODE_REDUCED, check_triple_bi_myb, check_triple_myb_raw, derived_triple, tensors_equal_report
-from .lie import LieBiOperator, check_even_tempered, check_myb_raw
+from .lie import LieBiOperator, check_bi_myb, check_even_tempered, check_myb_raw
 from .sampling import random_matrix, random_operator, random_scalar, random_symmetric_matrix
-from .scalars import render_scalar, scalar
+from .scalars import scalar
 from .suites import RunReport
 
 
@@ -28,10 +28,6 @@ class UnknownTargetError(WorkbenchError):
 
 class TargetIsTheoremError(WorkbenchError):
     pass
-
-
-def _operator_dict(op: Operator) -> list:
-    return [[render_scalar(x) for x in row] for row in op.rows]
 
 
 def _instance(entry, **operators) -> dict:
@@ -104,14 +100,15 @@ def _search_non_even_tempered(rng, trials, dim, entry_bound, findings):
     """mYB instances (R1 = R2 = right multiplication) failing even-temperedness."""
     n = dim or 2
     entry = gl_assoc(n)
-    lie = None  # the bracket's Lie proof, scanned once, when first needed
+    bracket = entry.bracket  # proved Lie by the first pair built on it
     for trial in range(trials):
         R = mult_operators(entry, random_matrix(rng, n, entry_bound, entry_bound))["R1"]
         myb = check_myb_raw(entry.bracket, R)
         if not myb.passed:
             continue
-        lie = lie or check_lie(entry.bracket)
-        et = check_even_tempered(LieBiOperator(entry.bracket, R, R, lie))
+        g = LieBiOperator(bracket, R, R)
+        bracket = g.bracket
+        et = check_even_tempered(g)
         if not et.passed:
             findings.append(
                 {
@@ -127,13 +124,14 @@ def _search_non_even_tempered_diagonal(rng, trials, dim, entry_bound, findings):
     """Diagonal mYB operators on so(n) failing even-temperedness (R1 = R2 = R)."""
     n = dim or 3
     entry = so_n(n)
-    lie = None  # the bracket's Lie proof, scanned once, when first needed
+    bracket = entry.bracket  # proved Lie by the first pair built on it
     for trial in range(trials):
         R = Operator.diagonal([random_scalar(rng, entry_bound, entry_bound) for _ in range(entry.dim)])
         if not check_myb_raw(entry.bracket, R).passed:
             continue
-        lie = lie or check_lie(entry.bracket)
-        et = check_even_tempered(LieBiOperator(entry.bracket, R, R, lie))
+        g = LieBiOperator(bracket, R, R)
+        bracket = g.bracket
+        et = check_even_tempered(g)
         if not et.passed:
             findings.append(
                 {
@@ -190,9 +188,7 @@ def _search_example4_factorization(rng, trials, dim, entry_bound, findings):
         R2 = R - R1
         if R1 @ R2 != rho or R1 @ R2 != R2 @ R1:
             continue
-        g = LieBiOperator(entry.bracket, R1, R2)
-        from .lie import check_bi_myb
-
+        g = LieBiOperator(a.bracket, R1, R2)
         if check_bi_myb(g).passed:
             successes += 1
             findings.append(
@@ -251,6 +247,8 @@ def run_search(target: str, seed: int, trials: int, dim: int | None = None, entr
         raise WorkbenchError("trials must be >= 1")
     if entry_bound < 1:
         raise WorkbenchError("--entry-bound must be >= 1")
+    if dim is not None and dim < 1:
+        raise WorkbenchError("--dim must be >= 1")
     if target in THEOREM_TARGETS:
         raise TargetIsTheoremError(
             f"target {target!r} is a theorem, not a claim: {THEOREM_TARGETS[target]}"

@@ -15,11 +15,9 @@ from .core import (
     Record,
     VARIANT_JACOBSON,
     WorkbenchError,
-    aggregate_report,
-    check_antisymmetry,
-    check_jacobi,
     check_jts_identity,
     forced,
+    prove_lie,
 )
 from .jordan import (
     DesignCandidate,
@@ -142,7 +140,9 @@ def load_input(spec: str) -> tuple:
 
 # A suite is a gate, the checks of the base structure it builds on, and a
 # body, its own checks; run_suite runs the body only when every gate check
-# passes, and hands it those checks.  A body returns (checks, findings).
+# passes.  A gate returns (checks, the input as the body reads it): the Lie
+# gate hands on the proven bracket, so nothing the body builds on it proves
+# it again.  A body returns (checks, findings).
 
 
 def _variant(opts) -> str:
@@ -152,49 +152,48 @@ def _variant(opts) -> str:
     return variant
 
 
-def _lie_gate(af, opts) -> list:
-    bracket = af.require_bracket()
-    return [check_antisymmetry(bracket), check_jacobi(bracket)]
+def _lie_gate(af, opts) -> tuple:
+    report, bracket = prove_lie(af.require_bracket())
+    return list(report.subchecks), af.replace(bracket=bracket)
 
 
-def _jts_gate(af, opts) -> list:
-    return [check_jts_identity(af.require_triple(), _variant(opts))]
+def _jts_gate(af, opts) -> tuple:
+    return [check_jts_identity(af.require_triple(), _variant(opts))], af
 
 
-def _suite_lie_base(af, opts, gate):
+def _suite_lie_base(af, opts):
     return [], []
 
 
-def _suite_myb(af, opts, gate):
+def _suite_myb(af, opts):
     return [check_myb_raw(af.require_bracket(), af.require_operator(opts.get("operator", "R")))], []
 
 
-def _bi_operator(af, opts, gate) -> LieBiOperator:
+def _bi_operator(af, opts) -> LieBiOperator:
     return LieBiOperator(
         af.require_bracket(),
         af.require_operator(opts.get("operator", "R1")),
         af.require_operator(opts.get("operator2", "R2")),
-        lie=aggregate_report("lie", gate),
     )
 
 
-def _suite_bi_myb(af, opts, gate):
-    return [check_bi_myb(_bi_operator(af, opts, gate))], []
+def _suite_bi_myb(af, opts):
+    return [check_bi_myb(_bi_operator(af, opts))], []
 
 
-def _suite_even_tempered(af, opts, gate):
-    g = _bi_operator(af, opts, gate)
+def _suite_even_tempered(af, opts):
+    g = _bi_operator(af, opts)
     return [check_bi_myb(g), check_even_tempered(g)], []
 
 
-def _suite_xi(af, opts, gate):
+def _suite_xi(af, opts):
     g = LieWithOperator(af.require_bracket(), af.require_operator(opts.get("operator", "R")))
     xi = af.require_operator(opts.get("operator2", "xi"))
     return [check_xi_characterization(g, xi), check_even_tempered_xi(g, xi)], []
 
 
-def _suite_r0_probe(af, opts, gate):
-    g = _bi_operator(af, opts, gate)
+def _suite_r0_probe(af, opts):
+    g = _bi_operator(af, opts)
     bi = check_bi_myb(g)
     if not bi.passed:
         return [bi], []
@@ -208,7 +207,7 @@ def _suite_r0_probe(af, opts, gate):
     return [bi, probe], [finding]
 
 
-def _suite_jordan_base(af, opts, gate):
+def _suite_jordan_base(af, opts):
     triple = af.require_triple()
     variant = _variant(opts)
     other = next(v for v in JTS_VARIANTS if v != variant)
@@ -217,26 +216,26 @@ def _suite_jordan_base(af, opts, gate):
     return checks, []
 
 
-def _suite_triple_myb(af, opts, gate):
+def _suite_triple_myb(af, opts):
     return [check_triple_myb_raw(af.require_triple(), af.require_operator(opts.get("operator", "R")))], []
 
 
-def _suite_triple_bi_myb(af, opts, gate):
+def _suite_triple_bi_myb(af, opts):
     R1 = af.require_operator(opts.get("operator", "R1"))
     R2 = af.require_operator(opts.get("operator2", "R2"))
     return [check_triple_bi_myb(af.require_triple(), R1, R2)], []
 
 
-def _suite_design(af, opts, gate):
+def _suite_design(af, opts):
     candidate = DesignCandidate(af.require_bracket(), af.require_triple(), _variant(opts))
     return [check_design(candidate)], []
 
 
-def _suite_equivariance(af, opts, gate):
+def _suite_equivariance(af, opts):
     return [check_equivariance(af.require_bracket(), af.require_triple())], []
 
 
-def _suite_rho(af, opts, gate):
+def _suite_rho(af, opts):
     triple = af.require_triple()
     rho = af.require_operator(opts.get("operator", "rho"))
     derived = None
@@ -253,11 +252,11 @@ def _rrho_algebra(af, opts) -> RRhoAlgebra:
     )
 
 
-def _suite_rrho(af, opts, gate):
+def _suite_rrho(af, opts):
     return [check_rrho(_rrho_algebra(af, opts))], []
 
 
-def _suite_rrho_bunch(af, opts, gate):
+def _suite_rrho_bunch(af, opts):
     a = _rrho_algebra(af, opts)
     bunch = build_bunch(a)
     gamma = check_gamma_bunch(bunch)
@@ -301,10 +300,10 @@ def run_suite(input_spec, suite: str, options: dict | None = None) -> RunReport:
             af, source = input_spec, options.pop("source", "<memory>")
         else:
             af, source = load_input(input_spec)
-        checks = gate(af, options) if gate else []
+        checks, gated = gate(af, options) if gate else ([], af)
         findings = []
         if all(c.passed for c in checks):
-            more, findings = body(af, options, checks)
+            more, findings = body(gated, options)
             checks += more
     return RunReport(
         source=source,

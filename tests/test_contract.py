@@ -5,7 +5,8 @@ algebra files and catalog specs with n up to 10^8, and runs each case
 in-process under a wall-clock bound.  Exit 2 (usage, parse or guard error)
 must print exactly one stderr line; exit 3 (a crash) or a case that outlives
 its bound fails the test.  `--force` is never passed, so the dimension guards
-are what keeps every case small.
+are what keeps every case small.  A second test draws argv that does not
+parse at all, which must also end in exit 2 with one `error:` line.
 """
 
 import contextlib
@@ -189,3 +190,42 @@ def test_every_input_ends_in_a_documented_exit_code(tmp_path, case):
     assert code in (0, 1, 2), stderr.getvalue()
     if code == 2:
         assert len(stderr.getvalue().splitlines()) == 1, stderr.getvalue()
+
+
+@st.composite
+def unparsed_argv(draw) -> list:
+    """argv that argparse refuses: a non-integer --seed or --trials, an
+    unknown flag or suite, a missing required option, a missing subcommand."""
+    search = ["search", draw(st.sampled_from(sorted(SEARCH_TARGETS))), "--seed", "1", "--trials", "2"]
+    check = ["check", "catalog:so3", "--suite", draw(st.sampled_from(sorted(SUITES)))]
+    flaw = draw(st.sampled_from(("integer", "flag", "suite", "required", "subcommand")))
+    if flaw == "integer":
+        search[draw(st.sampled_from((3, 5)))] = draw(st.sampled_from(("x", "1.5", "", "0x10", "--dim")))
+        return search
+    if flaw == "flag":
+        argv = draw(st.sampled_from((search, check, ["findings"], ["catalog", "list"])))
+        return argv + [draw(st.sampled_from(("--bogus", "--seeds", "-z", "--no-force")))]
+    if flaw == "suite":
+        return check[:3] + [draw(st.text(min_size=1).filter(lambda name: name not in SUITES and name[0] != "-"))]
+    if flaw == "required":
+        argv = draw(st.sampled_from((search, check, ["derive", "catalog:so3"], ["convert", "catalog:so3"])))
+        return argv[:2] + argv[4:] if argv[0] in ("search", "check") else argv
+    return draw(st.sampled_from(([], ["--force"], ["catalog"], ["catalog", "--out", "x"])))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(argv=unparsed_argv())
+def test_argv_that_does_not_parse_is_one_line_exit_2(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code == 2 and stdout.getvalue() == ""
+    lines = stderr.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: opalg"), stderr.getvalue()
+
+
+def test_help_exits_zero():
+    for argv in (["--help"], ["check", "--help"], ["search", "-h"]):
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert main(argv) == 0
+        assert stdout.getvalue().startswith("usage: opalg")

@@ -1,5 +1,6 @@
 """Suites, searches, findings document, and the command-line contract."""
 
+import collections
 import json
 import os
 import resource
@@ -15,7 +16,7 @@ from opalg.cli import main
 from opalg.findings import open_question_findings, render_findings
 from opalg.formula import Formula
 from opalg.searches import TargetIsTheoremError, UnknownTargetError, run_search
-from opalg.suites import UnknownSuiteError, run_suite
+from opalg.suites import SUITES, UnknownSuiteError, _lie_gate, run_suite
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +118,30 @@ def _count_binds(monkeypatch) -> list:
     return binds
 
 
-@pytest.mark.parametrize("suite", ["bi-myb", "even-tempered", "r0-probe"])
+@pytest.mark.parametrize("suite", [name for name, (gate, _) in SUITES.items() if gate is _lie_gate])
 def test_lie_suites_prove_the_bracket_once(monkeypatch, suite):
-    binds = _count_binds(monkeypatch)
-    assert run_suite("catalog:example2-gl2", suite).passed
-    # the operator pair takes the suite's own antisymmetry and Jacobi checks
-    assert binds.count("antisymmetry") == binds.count("jacobi") == 1
+    proofs = collections.Counter()
+    bind = Formula.bind
+
+    def counted(self, structures):
+        if self.name in ("antisymmetry", "jacobi"):
+            proofs[self.name, structures["bracket"]] += 1
+        return bind(self, structures)
+
+    monkeypatch.setattr(Formula, "bind", counted)
+    entries = ["example2-gl2", "example2-gl3"]
+    if suite in ("lie-base", "myb", "rrho", "rrho+bunch"):  # the suites that read only R and rho
+        entries.append("example4-so4?q=seed:11")
+    for entry in entries:
+        proofs.clear()
+        report = run_suite(f"catalog:{entry}", suite, {"force": True})
+        bracket = catalog.build_entry(entry).bracket
+        # the gate proves the bracket, and every record the body builds on it
+        # takes that proof; gamma-bunch reports the antisymmetry of its b0 again
+        again = sum(c.name == "gamma-bunch" for c in report.checks)
+        assert proofs.pop(("antisymmetry", bracket)) == 1 + again, entry
+        assert proofs.pop(("jacobi", bracket)) == 1, entry
+        assert set(proofs.values()) <= {1}, entry
 
 
 def test_rrho_bunch_suite_tabulates_the_derived_bracket_three_times(monkeypatch):
@@ -566,6 +585,16 @@ def test_cli_entry_bound_below_one_is_a_usage_error(capsys):
     assert code == 2 and err.count("\n") == 1 and "--entry-bound" in err
     code, _, _ = run_cli(capsys, *argv, "--entry-bound", "1")
     assert code == 0
+
+
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_cli_search_dim_below_one_is_a_usage_error(capsys, dim):
+    # --dim 0 is refused, not read as "no --dim"
+    for target in ("r0-not-myb", "so3-non-myb"):
+        code, out, err = run_cli(capsys, "search", target, "--seed", "1", "--trials", "1", "--dim", dim)
+        assert code == 2 and out == "" and err == "error: --dim must be >= 1\n"
+    with pytest.raises(Exception, match="--dim"):
+        run_search("r0-not-myb", seed=1, trials=1, dim=int(dim))
 
 
 def test_importing_the_cli_loads_no_dataclass_machinery():
