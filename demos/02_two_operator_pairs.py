@@ -47,8 +47,9 @@ for sub in xi_report.subchecks:
 
 print()
 print("== midpoint operator R0 = (R1 + R2)/2 ==")
-probe = probe_r0(g)
+bi_myb, probe = probe_r0(g)  # checks bi-mYB first and returns that report too
 coincide = probe.sub("midpoint-bracket-coincidence")
+print("  precondition bi-mYB:", bi_myb.passed)
 myb = probe.sub("midpoint-myb")
 print("  bracket coincidence:", coincide.passed)
 print("  R0 satisfies mYB itself:", myb.passed, "(informational; fails for this Q)")

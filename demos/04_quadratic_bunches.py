@@ -14,7 +14,6 @@ from opalg import (
     RRhoAlgebra,
     bracket_rho,
     build_bunch,
-    check_gamma_bunch,
     check_jacobi,
     check_rrho,
     example2_gl,
@@ -37,13 +36,11 @@ print("  quadratic bracket obeys Jacobi:", check_jacobi(quadratic).passed)
 
 print()
 print("== the induced quadratic family ==")
-bunch = build_bunch(a)
-gamma = check_gamma_bunch(bunch)
+# extraction checks the gamma-bunch conditions first and returns that report
+gamma, back = extract_rrho(build_bunch(a))
 print("  all homomorphism degrees and Jacobiator degrees pass:", gamma.passed)
 print("  degree dictionary: deg1 = derived-bracket definition, deg2 = quadratic-")
 print("  bracket definition, deg3 and deg4 = the two defining identities")
-
-back = extract_rrho(bunch)
 print("  extraction recovers (R, rho) exactly:", back == a)
 
 print()

@@ -60,7 +60,6 @@ from .jordan import (
     triple_r,
 )
 from .bunch import (
-    CoefficientMismatchError,
     QuadraticBunch,
     RRhoAlgebra,
     bracket_rho,

@@ -32,37 +32,35 @@ BASE_UNVERIFIED_NOTE = "base-JTS-unverified"
 class TripleWithOperator(FrozenRecord):
     """A triple system with one operator, validated against a named JTS variant.
 
-    Constructing with a failing triple requires unchecked=True; downstream
-    reports then carry a base-JTS-unverified note.  Above dimension 8 the
+    Constructing with a failing triple requires unchecked=True; the record
+    keeps the flag, so replace() scans nothing either, and downstream reports
+    carry a base-JTS-unverified note.  Above dimension 8 the
     validating dim^5 scan is refused unless it runs inside opalg.forced().
     """
 
-    __slots__ = ("triple", "R", "jts_variant", "base_unverified")
+    __slots__ = ("triple", "R", "jts_variant", "unchecked")
 
     def __init__(
         self,
         triple: TrilinearStructure,
         R: Operator,
         jts_variant: str = VARIANT_JACOBSON,
-        base_unverified: bool = False,
         unchecked: bool = False,
     ):
         if R.dim != triple.dim:
             raise DimensionMismatchError("operator dimension differs from triple dimension")
-        if unchecked:
-            base_unverified = True
-        else:
+        if not unchecked:
             report = check_jts_identity(triple, jts_variant)
             if not report.passed:
                 raise ValueError(
                     f"triple fails the {jts_variant} identity at "
                     f"{report.witness.indices}; pass unchecked=True to proceed"
                 )
-        self._assign(triple, R, jts_variant, base_unverified)
+        self._assign(triple, R, jts_variant, unchecked)
 
     @property
     def notes(self) -> tuple:
-        return (BASE_UNVERIFIED_NOTE,) if self.base_unverified else ()
+        return (BASE_UNVERIFIED_NOTE,) if self.unchecked else ()
 
 
 class DesignCandidate(FrozenRecord):

@@ -164,16 +164,16 @@ def check_even_tempered_xi(g: LieWithOperator, xi: Operator) -> CheckReport:
     return scan(EVEN_TEMPERED_XI, {"bracket": g.bracket, "R": g.R, "xi": xi})
 
 
-def probe_r0(g: LieBiOperator, bi_myb: CheckReport | None = None) -> CheckReport:
-    """Midpoint operator R0 = (R1+R2)/2: bracket coincidence plus an mYB probe.
+def probe_r0(g: LieBiOperator) -> tuple:
+    """(check_bi_myb(g), the midpoint probe, or None if the bi-mYB report fails).
 
-    The derived bracket of R0 must coincide with the common derived bracket
-    (asserted); whether (bracket, R0) satisfies mYB is reported informationally.
-    A caller that already holds check_bi_myb(g) passes it as bi_myb.
+    The probe of R0 = (R1+R2)/2 asserts that the derived bracket of R0
+    coincides with the common derived bracket, and reports whether
+    (bracket, R0) satisfies mYB informationally.
     """
-    base = check_bi_myb(g) if bi_myb is None else bi_myb
-    if not base.passed:
-        raise PreconditionError("midpoint probe requires a bi-mYB instance")
+    bi_myb = check_bi_myb(g)
+    if not bi_myb.passed:
+        return bi_myb, None
     r0 = (g.R1 + g.R2).scale(scalar(1, 2))
     coincide = tensors_equal_report(
         "midpoint-bracket-coincidence",
@@ -181,7 +181,7 @@ def probe_r0(g: LieBiOperator, bi_myb: CheckReport | None = None) -> CheckReport
         derived_bracket(g.bracket, g.R1),
     )
     myb = check_myb_raw(g.bracket, r0, "midpoint-myb")
-    return aggregate_report("midpoint-probe", (coincide, myb.replace(informational=True)))
+    return bi_myb, aggregate_report("midpoint-probe", (coincide, myb.replace(informational=True)))
 
 
 def convert_params(R1: Operator, R2: Operator) -> tuple:

@@ -7,7 +7,7 @@ import json
 from . import __version__
 from .algfile import AlgebraFile, ParseError, algebra_file_digest, entry_to_algebra_file, parse_algebra_file
 from .scalars import render_scalar
-from .bunch import RRhoAlgebra, build_bunch, check_gamma_bunch, check_rrho, extract_rrho
+from .bunch import RRhoAlgebra, build_bunch, check_rrho, extract_rrho
 from .catalog import build_entry
 from .core import (
     CheckReport,
@@ -193,11 +193,9 @@ def _suite_xi(af, opts):
 
 
 def _suite_r0_probe(af, opts):
-    g = _bi_operator(af, opts)
-    bi = check_bi_myb(g)
-    if not bi.passed:
+    bi, probe = probe_r0(_bi_operator(af, opts))
+    if probe is None:
         return [bi], []
-    probe = probe_r0(g, bi)
     myb = probe.sub("midpoint-myb")
     finding = {
         "kind": "midpoint-myb-outcome",
@@ -258,11 +256,9 @@ def _suite_rrho(af, opts):
 
 def _suite_rrho_bunch(af, opts):
     a = _rrho_algebra(af, opts)
-    bunch = build_bunch(a)
-    gamma = check_gamma_bunch(bunch)
+    gamma, back = extract_rrho(build_bunch(a))
     checks = [check_rrho(a), gamma]
-    if gamma.passed:
-        back = extract_rrho(bunch, gamma)
+    if back is not None:
         checks.append(CheckReport(name="extraction-round-trip", passed=back == a, tuples_evaluated=1))
     return checks, []
 

@@ -24,7 +24,6 @@ from opalg import (
     check_equivariance,
     check_even_tempered,
     check_even_tempered_xi,
-    check_gamma_bunch,
     check_jacobi,
     check_jts_identity,
     check_myb,
@@ -204,13 +203,12 @@ def test_criterion_5_rrho_identities_and_bunch_correspondence():
             quadratic = bracket_rho(a)
             assert check_antisymmetry(quadratic).passed
             assert check_jacobi(quadratic).passed
-            bunch = build_bunch(a)
-            gamma = check_gamma_bunch(bunch)
+            gamma, back = extract_rrho(build_bunch(a))
             assert gamma.passed
             for d in range(5):
                 assert gamma.sub(f"homomorphism-deg{d}").passed
                 assert gamma.sub(f"jacobi-deg{d}").passed
-            assert extract_rrho(bunch) == a
+            assert back == a
     _done("criterion-5 (R,rho) identities and two-way bunch correspondence", started, 20)
 
 
@@ -264,7 +262,8 @@ def test_criterion_8_negative_witnesses_and_midpoint_findings():
     midpoint_outcomes = []
     for n in (2, 3):
         for entry in multiplication_entries(n):
-            probe = probe_r0(pair_of(entry))
+            bi_myb, probe = probe_r0(pair_of(entry))
+            assert bi_myb.passed
             assert probe.sub("midpoint-bracket-coincidence").passed
             midpoint_outcomes.append(probe.sub("midpoint-myb").passed)
     assert len(midpoint_outcomes) == 2 * (RANDOM_Q_COUNT + 1)

@@ -4,7 +4,6 @@ import pytest
 
 from opalg import (
     BilinearStructure,
-    CoefficientMismatchError,
     LieBiOperator,
     Operator,
     PreconditionError,
@@ -197,19 +196,24 @@ def test_gamma_bunch_end_to_end_from_multiplication_pair():
     assert check_gamma_bunch(build_bunch(from_bi_myb(g))).passed
 
 
-def test_gamma_bunch_detects_perturbed_quadratic_coefficient():
+@pytest.mark.parametrize("coefficient, degree", [("b1", 1), ("b2", 2)], ids=["b1", "b2"])
+def test_gamma_bunch_detects_perturbed_quadratic_coefficient(coefficient, degree):
+    # with r0 = 1, the deg1 residual is b1 - [.,.]_R(r1) and then the deg2
+    # residual is b2 - [.,.]_rho(r1, r2): a passing report pins both coefficients
     q = build_bunch(example4_algebra())
-    perturbed_entries = {key: dict(q.b2.value(*key)) for key in q.b2.support()}
+    b = getattr(q, coefficient)
+    perturbed_entries = {key: dict(b.value(*key)) for key in b.support()}
     bump = perturbed_entries.setdefault((0, 1), {})
     bump[0] = bump.get(0, 0) + 1
     mirror = perturbed_entries.setdefault((1, 0), {})
     mirror[0] = mirror.get(0, 0) - 1  # keep antisymmetry so degree checks decide
-    bad = QuadraticBunch(q.b0, q.b1, BilinearStructure(3, perturbed_entries), q.r0, q.r1, q.r2)
+    bad = q.replace(**{coefficient: BilinearStructure(3, perturbed_entries)})
     report = check_gamma_bunch(bad)
     assert not report.passed
     failing = [s.name for s in report.subchecks if not s.passed]
-    assert "homomorphism-deg2" in failing
+    assert failing[0] == f"homomorphism-deg{degree}"
     assert report.witness is not None
+    assert extract_rrho(bad) == (report, None)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +227,8 @@ def test_extract_round_trip_on_catalog_instances():
         from_bi_myb(LieBiOperator(e2.bracket, e2.operators["R1"], e2.operators["R2"]))
     )
     for a in instances:
-        assert extract_rrho(build_bunch(a)) == a
+        gamma, back = extract_rrho(build_bunch(a))
+        assert gamma.passed and back == a
 
 
 def test_extract_constant_bunch_gives_zero_operators():
@@ -232,7 +237,8 @@ def test_extract_constant_bunch_gives_zero_operators():
     q = QuadraticBunch(
         so3.bracket, zero, zero, Operator.identity(3), Operator.zero(3), Operator.zero(3)
     )
-    a = extract_rrho(q)
+    gamma, a = extract_rrho(q)
+    assert gamma.passed
     assert a.R == Operator.zero(3) and a.rho == Operator.zero(3)
 
 
@@ -240,7 +246,8 @@ def test_extract_recovers_multiplication_operators_exactly():
     e2 = example2_gl(2)
     g = LieBiOperator(e2.bracket, e2.operators["R1"], e2.operators["R2"])
     a = from_bi_myb(g)
-    back = extract_rrho(build_bunch(a))
+    gamma, back = extract_rrho(build_bunch(a))
+    assert gamma.passed
     assert back.R == e2.operators["R"]
     assert back.rho == e2.operators["rho"]
 
@@ -255,12 +262,9 @@ def test_extract_requires_identity_constant_term():
 def test_extract_rejects_non_gamma_bunch():
     q = build_bunch(example4_algebra())
     bad = QuadraticBunch(q.b0, q.b2, q.b1, q.r0, q.r1, q.r2)  # swapped coefficients
-    with pytest.raises(PreconditionError):
-        extract_rrho(bad)
-
-
-def test_coefficient_mismatch_error_type_exists():
-    assert issubclass(CoefficientMismatchError, Exception)
+    gamma, back = extract_rrho(bad)
+    assert not gamma.passed and back is None
+    assert gamma == check_gamma_bunch(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +289,8 @@ def test_forward_and_backward_correspondence():
         a = example4_algebra(3, random_symmetric_matrix(rng, 3))
         assert check_rrho(a).passed
         bunch = build_bunch(a)
-        assert check_gamma_bunch(bunch).passed  # forward
-        back = extract_rrho(bunch)  # backward
+        gamma, back = extract_rrho(bunch)  # forward, then backward
+        assert gamma.passed
         assert back == a
         assert check_rrho(back).passed
 

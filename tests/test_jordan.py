@@ -27,6 +27,7 @@ from opalg import (
     so_n,
     triple_r,
 )
+from opalg.formula import Formula
 from opalg.jordan import BASE_UNVERIFIED_NOTE, MODE_FULL, MODE_REDUCED
 from opalg.oracles import mat_add, mat_mul, mat_transpose
 from opalg.sampling import random_operator
@@ -327,9 +328,22 @@ def test_triple_with_operator_rejects_failing_base():
 def test_unchecked_construction_marks_reports():
     gl2 = gl_assoc(2)
     s = TripleWithOperator(gl2.triple, Operator.identity(4), "alternate", unchecked=True)
-    assert s.base_unverified
+    assert s.unchecked
     report = check_triple_myb(s)
     assert BASE_UNVERIFIED_NOTE in report.notes
+
+
+def test_replacing_a_field_of_an_unchecked_record_scans_nothing(monkeypatch):
+    gl2 = gl_assoc(2)
+    s = TripleWithOperator(gl2.triple, Operator.identity(4), "alternate", unchecked=True)
+
+    def refuse(self, structures):
+        raise AssertionError(f"an unchecked record bound {self.name}")
+
+    monkeypatch.setattr(Formula, "bind", refuse)
+    t = s.replace(R=Operator.zero(4))
+    assert t.unchecked and t.notes == (BASE_UNVERIFIED_NOTE,)
+    assert t.R == Operator.zero(4) and t.triple is s.triple
 
 
 def test_guarded_dimension_requires_force():

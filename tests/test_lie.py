@@ -241,7 +241,8 @@ def test_even_tempered_xi_random_pair_fails_with_witness():
 def test_probe_r0_bracket_coincidence():
     e2 = example2_gl(2)
     g = LieBiOperator(e2.bracket, e2.operators["R1"], e2.operators["R2"])
-    report = probe_r0(g)
+    bi_myb, report = probe_r0(g)
+    assert bi_myb == check_bi_myb(g) and bi_myb.passed
     assert report.passed
     assert report.sub("midpoint-bracket-coincidence").passed
     assert report.sub("midpoint-myb").informational
@@ -250,7 +251,8 @@ def test_probe_r0_bracket_coincidence():
 def test_probe_r0_degenerate_midpoint():
     e2 = example2_gl(2)
     R = e2.operators["R1"]
-    report = probe_r0(LieBiOperator(e2.bracket, R, R))
+    bi_myb, report = probe_r0(LieBiOperator(e2.bracket, R, R))
+    assert bi_myb.passed
     assert report.passed
     assert report.sub("midpoint-myb").passed  # R0 = R is mYB here
 
@@ -259,8 +261,10 @@ def test_probe_r0_precondition():
     gl2 = gl_assoc(2)
     r_q = right_mult(gl2, ((1, 0), (0, 2)))
     r_qp = right_mult(gl2, ((0, 1), (1, 0)))
-    with pytest.raises(PreconditionError):
-        probe_r0(LieBiOperator(gl2.bracket, r_q, r_qp))
+    g = LieBiOperator(gl2.bracket, r_q, r_qp)
+    bi_myb, report = probe_r0(g)
+    assert not bi_myb.passed and report is None
+    assert bi_myb == check_bi_myb(g)
 
 
 def test_convert_params_equal_operators_give_zero_xi():

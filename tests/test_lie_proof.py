@@ -1,5 +1,7 @@
 """The Lie proof travels with the bracket: a LieBracket is a bracket that
-check_lie has passed on, and every record built on a Lie bracket keeps one."""
+check_lie has passed on, and every record built on a Lie bracket keeps one.
+Every other precondition is checked by the call that needs it and returned
+with its result, so no function takes a report as evidence."""
 
 import inspect
 
@@ -16,11 +18,13 @@ from opalg import (
     RRhoAlgebra,
     TrilinearStructure,
     build_bunch,
+    check_bi_myb,
     check_gamma_bunch,
     example2_gl,
     example4_so,
     extract_rrho,
     from_bi_myb,
+    probe_r0,
     so_n,
 )
 from opalg.algfile import algebra_file_digest, entry_to_algebra_file, render_algebra_file
@@ -97,17 +101,18 @@ def test_records_built_on_a_records_bracket_scan_nothing(monkeypatch):
     g = LieBiOperator(e2.bracket, R1, R2)
     e4 = example4_so(3)
     a = RRhoAlgebra(e4.bracket, e4.operators["R"], e4.operators["rho"])
-    gamma = check_gamma_bunch(build_bunch(a))
-    assert gamma.passed
+    bunch = build_bunch(a)
+    # extraction scans gamma-bunch, whose antisymmetry lines bind again; the
+    # (R, rho) pair it returns keeps the bunch's proven b0
+    gamma, back = extract_rrho(bunch)
+    assert gamma.passed and back == a and back.bracket is bunch.b0
     _lie_binds(monkeypatch, refuse=True)
     assert LieWithOperator(g.bracket, R1).bracket is g.bracket
     assert LieBiOperator(g.bracket, R2, R1).bracket is g.bracket
     assert RRhoAlgebra(g.bracket, R1 + R2, R1 @ R2).bracket is g.bracket
     assert DesignCandidate(g.bracket, e2.triple).bracket is g.bracket
     assert from_bi_myb(g).bracket is g.bracket
-    bunch = build_bunch(a)
-    assert bunch.b0 is a.bracket
-    assert extract_rrho(bunch, gamma) == a
+    assert build_bunch(a).b0 is a.bracket
 
 
 def test_replacing_the_bracket_proves_the_new_one(monkeypatch):
@@ -125,12 +130,41 @@ def test_replacing_the_bracket_proves_the_new_one(monkeypatch):
 def test_no_public_function_takes_a_report_as_lie_proof():
     assert list(inspect.signature(require_lie).parameters) == ["bracket"]
     assert list(inspect.signature(LieBiOperator).parameters) == ["bracket", "R1", "R2"]
+    assert list(inspect.signature(probe_r0).parameters) == ["g"]
+    assert list(inspect.signature(extract_rrho).parameters) == ["q"]
     for module in (core, lie, bunch, jordan, suites, searches):
         for name, obj in vars(module).items():
             if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
                 continue
             if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception)):
-                assert "lie" not in inspect.signature(obj).parameters, name
+                parameters = inspect.signature(obj).parameters
+                assert "lie" not in parameters, name
+                # a precondition is checked by the call that needs it, never handed in
+                for parameter in parameters.values():
+                    assert "CheckReport" not in str(parameter.annotation), (name, parameter.name)
+
+
+def test_extraction_reports_its_own_failing_gamma_bunch():
+    e4 = example4_so(3)
+    good = build_bunch(RRhoAlgebra(e4.bracket, e4.operators["R"], e4.operators["rho"]))
+    b2 = {key: dict(good.b2.value(*key)) for key in good.b2.support()}
+    b2.setdefault((0, 1), {})[0] = good.b2.value(0, 1).get(0, 0) + 1
+    bad = good.replace(b2=BilinearStructure(3, b2))
+    gamma, back = extract_rrho(bad)
+    assert back is None and not gamma.passed
+    assert gamma == check_gamma_bunch(bad)
+    assert next(s.name for s in gamma.subchecks if not s.passed) == "antisymmetry-deg2"
+
+
+def test_midpoint_probe_reports_its_own_failing_bi_myb():
+    e2 = example2_gl(2)
+    R1 = e2.operators["R1"]
+    g = LieBiOperator(e2.bracket, R1, R1 @ R1)
+    bi_myb, probe = probe_r0(g)
+    assert probe is None and not bi_myb.passed
+    assert bi_myb == check_bi_myb(g)
+    # the verdict is this pair's own, not that of the catalog pair on the same bracket
+    assert check_bi_myb(LieBiOperator(e2.bracket, R1, e2.operators["R2"])).passed
 
 
 def test_run_suite_leaves_an_in_memory_file_unchanged(monkeypatch):

@@ -84,7 +84,7 @@ def test_r0_probe_suite_emits_findings(monkeypatch):
     assert report.passed  # midpoint-myb failure is informational
     assert report.findings
     assert report.findings[0]["kind"] == "midpoint-myb-outcome"
-    # the probe reuses the suite's bi-mYB report instead of scanning again
+    # the suite reports the bi-mYB check that the probe ran as its precondition
     assert scans.count("myb-r1") == scans.count("myb-r2") == 1
 
 
@@ -100,7 +100,7 @@ def test_rrho_bunch_suite_scans_gamma_bunch_once(monkeypatch):
     report = run_suite("catalog:example4-so3", "rrho+bunch")
     assert report.passed
     assert [c.name for c in report.checks][-1] == "extraction-round-trip"
-    # the extraction reuses the suite's gamma-bunch report instead of scanning again
+    # the suite reports the gamma-bunch check that the extraction ran as its precondition
     for d in range(5):
         assert scans.count(f"homomorphism-deg{d}") == scans.count(f"jacobi-deg{d}") == 1
 
@@ -144,11 +144,13 @@ def test_lie_suites_prove_the_bracket_once(monkeypatch, suite):
         assert set(proofs.values()) <= {1}, entry
 
 
-def test_rrho_bunch_suite_tabulates_the_derived_bracket_three_times(monkeypatch):
+def test_rrho_bunch_suite_tabulates_each_bracket_twice(monkeypatch):
     binds = _count_binds(monkeypatch)
     assert run_suite("catalog:example4-so4?q=seed:11", "rrho+bunch").passed
-    # once each in check_rrho, build_bunch and extract_rrho
-    assert binds.count("derived-bracket") == 3
+    # once each in check_rrho and build_bunch; extraction compares nothing,
+    # since its passing gamma-bunch report pins b1 and b2
+    assert binds.count("derived-bracket") == 2
+    assert binds.count("quadratic-bracket") == 2
 
 
 def test_run_suite_force_holds_for_its_own_call_only(tmp_path):
