@@ -14,30 +14,34 @@ from opalg import (
     check_jts_identity,
     check_rho_identity,
     check_triple_bi_myb,
-    check_triple_myb,
     check_triple_r_homomorphism,
+    derived_triple,
     example3_gl,
     triple_r,
 )
-from opalg.jordan import MODE_FULL, MODE_REDUCED
+from opalg.core import prove_jts
+from opalg.jordan import MODE_FULL
 
 e3 = example3_gl(2)
 t = e3.triple
 
 print("== base triple <X,Y,Z> = XYZ + ZYX on gl(2) ==")
-print("  jacobson identity:", check_jts_identity(t, "jacobson").passed)
+# prove_jts returns the report and the triple carrying it, so the records
+# built on the proven triple below scan the identity no more
+jacobson, t = prove_jts(t, "jacobson")
+print("  jacobson identity:", jacobson.passed)
 alt = check_jts_identity(t, "alternate")
 print("  alternate identity:", alt.passed, "- first failing tuple", alt.witness.indices)
 
 print()
 print("== triple mYB system with R = right multiplication by Q = diag(1,2) ==")
 s = TripleWithOperator(t, e3.operators["R1"])
-print("  triple mYB identity:", check_triple_myb(s).passed)
-
-derived = triple_r(s, MODE_REDUCED)
-print("  full and reduced derived triples agree:", derived == triple_r(s, MODE_FULL))
+# the reduced form presupposes triple mYB, so triple_r returns that report too
+myb, derived = triple_r(s)
+print("  triple mYB identity:", myb.passed)
+print("  full and reduced derived triples agree:", derived == derived_triple(s.triple, s.R, MODE_FULL))
 print("  derived <E11,E11,E11> =", derived.value(0, 0, 0), " (XQYQZ + ZQYQX at E11 is 2*E11)")
-print("  R transports the derived triple onto R-images:", check_triple_r_homomorphism(s).passed)
+print("  R transports the derived triple onto R-images:", check_triple_r_homomorphism(s)[1].passed)
 
 print()
 print("== two-operator triple system (right, left) ==")

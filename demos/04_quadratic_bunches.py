@@ -47,7 +47,8 @@ print()
 print("== the pair construction: R = R1 + R2, rho = R1 R2 ==")
 e2 = example2_gl(2)
 g = LieBiOperator(e2.bracket, e2.operators["R1"], e2.operators["R2"])
-a2 = from_bi_myb(g)
+pair, a2 = from_bi_myb(g)
+print("  bi-mYB and even-tempered:", pair.passed)
 r2 = check_rrho(a2)
 print("  identities pass:", r2.passed, " regular flag:", r2.sub("regular").passed)
 print("  R X = QX + XQ:", a2.R == e2.operators["R"], "  rho X = QXQ:", a2.rho == e2.operators["rho"])

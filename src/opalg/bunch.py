@@ -143,13 +143,10 @@ def check_rrho(a: RRhoAlgebra) -> CheckReport:
     return aggregate_report("rrho", subs)
 
 
-def from_bi_myb(g: LieBiOperator) -> RRhoAlgebra:
-    """Even-tempered bi-mYB pair -> (R, rho) = (R1 + R2, R1 R2)."""
-    if not check_bi_myb(g).passed:
-        raise PreconditionError("bi-mYB conditions fail; cannot build the operator pair")
-    if not check_even_tempered(g).passed:
-        raise PreconditionError("even-tempered identities fail; cannot build the operator pair")
-    return RRhoAlgebra(g.bracket, g.R1 + g.R2, g.R1 @ g.R2)
+def from_bi_myb(g: LieBiOperator) -> tuple:
+    """(g's bi-mYB and even-tempered reports, aggregated, and (R, rho) = (R1 + R2, R1 R2) or None)."""
+    report = aggregate_report("even-tempered-pair", (check_bi_myb(g), check_even_tempered(g)))
+    return report, RRhoAlgebra(g.bracket, g.R1 + g.R2, g.R1 @ g.R2) if report.passed else None
 
 
 def build_bunch(a: RRhoAlgebra) -> QuadraticBunch:

@@ -760,6 +760,15 @@ def check_lie(b: BilinearStructure) -> CheckReport:
     return aggregate_report("lie", (check_antisymmetry(b), check_jacobi(b)))
 
 
+def _proven(cls, structure, report):
+    """structure's entries, shared, in an instance of cls, whose one slot holds report."""
+    proven = object.__new__(cls)
+    for name in cls.__bases__[0].__slots__:
+        object.__setattr__(proven, name, getattr(structure, name))
+    object.__setattr__(proven, cls.__slots__[0], report)
+    return proven
+
+
 class LieBracket(BilinearStructure):
     """A bracket with its passing check_lie report as lie.  Only prove_lie makes
     one; it shares the entries of the bracket it proves and compares equal to it."""
@@ -771,25 +780,38 @@ class LieBracket(BilinearStructure):
 
 
 def prove_lie(bracket: BilinearStructure) -> tuple:
-    """(check_lie(bracket), the bracket as a LieBracket, or None if the report fails)."""
+    """(check_lie(bracket), the bracket as a LieBracket or None); a LieBracket is its own proof."""
+    if isinstance(bracket, LieBracket):
+        return bracket.lie, bracket
     report = check_lie(bracket)
-    if not report.passed:
-        return report, None
-    proven = object.__new__(LieBracket)
-    for name, value in (("dim", bracket.dim), ("_c", bracket._c), ("_hash", bracket._hash), ("lie", report)):
-        object.__setattr__(proven, name, value)
-    return report, proven
+    return report, _proven(LieBracket, bracket, report) if report.passed else None
+
+
+class JordanTriple(TrilinearStructure):
+    """A triple with its passing check_jts_identity report for one variant as jts.
+    Only prove_jts makes one; it shares its triple's entries and compares equal to it."""
+
+    __slots__ = ("jts",)
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a JordanTriple is made only by prove_jts")
+
+
+def prove_jts(triple: TrilinearStructure, variant: str) -> tuple:
+    """(check_jts_identity(triple, variant), the triple as a JordanTriple or None);
+    a JordanTriple proven for the variant is its own proof, and a jacobson
+    proof is not an alternate one."""
+    if isinstance(triple, JordanTriple) and triple.jts.name == f"jts-{variant}":
+        return triple.jts, triple
+    report = check_jts_identity(triple, variant)
+    return report, _proven(JordanTriple, triple, report) if report.passed else None
 
 
 def require_lie(bracket: BilinearStructure) -> LieBracket:
-    """Precondition of every structure built on a Lie bracket.  A LieBracket
-    is returned as it is; a plain bracket is proved, or refused with ValueError."""
-    if isinstance(bracket, LieBracket):
-        return bracket
+    """Precondition of every structure built on a Lie bracket: the bracket as
+    prove_lie returns it, or ValueError if it is not Lie."""
     report, proven = prove_lie(bracket)
     if proven is None:
         bad = next(s for s in report.subchecks if not s.passed)
-        raise ValueError(
-            f"bracket is not a Lie bracket: {bad.name} fails at {bad.witness.indices}"
-        )
+        raise ValueError(f"bracket is not a Lie bracket: {bad.name} fails at {bad.witness.indices}")
     return proven

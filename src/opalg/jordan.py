@@ -16,11 +16,10 @@ from .core import (
     DimensionMismatchError,
     FrozenRecord,
     Operator,
-    PreconditionError,
     TrilinearStructure,
     VARIANT_JACOBSON,
     aggregate_report,
-    check_jts_identity,
+    prove_jts,
     require_lie,
     tensors_equal_report,
 )
@@ -30,12 +29,11 @@ BASE_UNVERIFIED_NOTE = "base-JTS-unverified"
 
 
 class TripleWithOperator(FrozenRecord):
-    """A triple system with one operator, validated against a named JTS variant.
+    """A triple system with one operator; the triple is kept as prove_jts returns it.
 
-    Constructing with a failing triple requires unchecked=True; the record
-    keeps the flag, so replace() scans nothing either, and downstream reports
-    carry a base-JTS-unverified note.  Above dimension 8 the
-    validating dim^5 scan is refused unless it runs inside opalg.forced().
+    A failing triple requires unchecked=True; the record keeps the flag and the
+    plain triple, and downstream reports carry a base-JTS-unverified note.
+    Above dimension 8 the dim^5 proof is refused unless run inside opalg.forced().
     """
 
     __slots__ = ("triple", "R", "jts_variant", "unchecked")
@@ -50,8 +48,8 @@ class TripleWithOperator(FrozenRecord):
         if R.dim != triple.dim:
             raise DimensionMismatchError("operator dimension differs from triple dimension")
         if not unchecked:
-            report = check_jts_identity(triple, jts_variant)
-            if not report.passed:
+            report, triple = prove_jts(triple, jts_variant)
+            if triple is None:
                 raise ValueError(
                     f"triple fails the {jts_variant} identity at "
                     f"{report.witness.indices}; pass unchecked=True to proceed"
@@ -100,7 +98,7 @@ def check_equivariance(bracket: BilinearStructure, triple: TrilinearStructure) -
 def check_design(d: DesignCandidate) -> CheckReport:
     """JTS identity + equivariance + polarized quadratic bracket condition."""
     subs = [
-        check_jts_identity(d.triple, d.jts_variant),
+        prove_jts(d.triple, d.jts_variant)[0],
         check_equivariance(d.bracket, d.triple),
         scan(POLARIZED_DESIGN, {"bracket": d.bracket, "triple": d.triple}),
     ]
@@ -140,33 +138,26 @@ def derived_triple(triple: TrilinearStructure, R: Operator, mode: str = MODE_RED
     """Raw derived-triple tensor in the requested form.
 
     The two forms agree exactly when the triple mYB identity holds; this
-    function enforces nothing (see triple_r for the checked wrapper).
+    function enforces nothing (see triple_r for the checked reduced form).
     """
     if mode not in DERIVED_TRIPLES:
         raise ValueError(f"unknown derived-triple mode: {mode!r}")
     return tabulate(DERIVED_TRIPLES[mode], {"triple": triple, "R": R})
 
 
-def triple_r(s: TripleWithOperator, mode: str = MODE_REDUCED) -> TrilinearStructure:
-    """Derived triple of a triple-with-operator; reduced mode requires triple mYB."""
-    if mode == MODE_REDUCED:
-        report = check_triple_myb(s)
-        if not report.passed:
-            raise PreconditionError(
-                f"reduced derived triple requires the triple mYB identity; it "
-                f"fails at {report.witness.indices}"
-            )
-    return derived_triple(s.triple, s.R, mode)
+def triple_r(s: TripleWithOperator) -> tuple:
+    """(check_triple_myb(s), the reduced derived triple, or None if the report fails)."""
+    report = check_triple_myb(s)
+    return report, derived_triple(s.triple, s.R, MODE_REDUCED) if report.passed else None
 
 
 @states(TRIPLE_R_HOMOMORPHISM)
-def check_triple_r_homomorphism(s: TripleWithOperator) -> CheckReport:
-    """R maps the derived triple onto R-images."""
-    base = check_triple_myb(s)
-    if not base.passed:
-        raise PreconditionError("the transport identity presupposes the triple mYB identity")
-    derived = derived_triple(s.triple, s.R, MODE_REDUCED)
-    return scan(TRIPLE_R_HOMOMORPHISM, {"triple": s.triple, "triple_R": derived, "R": s.R}, notes=s.notes)
+def check_triple_r_homomorphism(s: TripleWithOperator) -> tuple:
+    """(check_triple_myb(s), whether R maps the derived triple onto R-images, or None)."""
+    base, derived = triple_r(s)
+    if derived is None:
+        return base, None
+    return base, scan(TRIPLE_R_HOMOMORPHISM, {"triple": s.triple, "triple_R": derived, "R": s.R}, notes=s.notes)
 
 
 # ---------------------------------------------------------------------------

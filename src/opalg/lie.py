@@ -15,7 +15,6 @@ from .core import (
     DimensionMismatchError,
     FrozenRecord,
     Operator,
-    PreconditionError,
     aggregate_report,
     op_polynomial,
     require_lie,
@@ -97,16 +96,13 @@ def bracket_r(g: LieWithOperator) -> BilinearStructure:
     return derived_bracket(g.bracket, g.R)
 
 
-def check_polynomial_closure(g: LieWithOperator, coeffs) -> CheckReport:
-    """mYB check for (g, f(R)); requires that (g, R) itself passes."""
+def check_polynomial_closure(g: LieWithOperator, coeffs) -> tuple:
+    """(check_myb(g), the mYB check for (g, f(R)), or None if the report fails)."""
     base = check_myb(g)
     if not base.passed:
-        raise PreconditionError(
-            f"polynomial closure requires the mYB identity for R; it fails at "
-            f"{base.witness.indices}"
-        )
+        return base, None
     inner = check_myb_raw(g.bracket, op_polynomial(coeffs, g.R))
-    return aggregate_report("polynomial-closure", (inner,))
+    return base, aggregate_report("polynomial-closure", (inner,))
 
 
 # ---------------------------------------------------------------------------

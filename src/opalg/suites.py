@@ -17,6 +17,7 @@ from .core import (
     WorkbenchError,
     check_jts_identity,
     forced,
+    prove_jts,
     prove_lie,
 )
 from .jordan import (
@@ -141,8 +142,9 @@ def load_input(spec: str) -> tuple:
 # A suite is a gate, the checks of the base structure it builds on, and a
 # body, its own checks; run_suite runs the body only when every gate check
 # passes.  A gate returns (checks, the input as the body reads it): the Lie
-# gate hands on the proven bracket, so nothing the body builds on it proves
-# it again.  A body returns (checks, findings).
+# gate hands on the proven bracket and the JTS gate the proven triple, so
+# nothing the body builds on them proves them again.  A body returns
+# (checks, findings).
 
 
 def _variant(opts) -> str:
@@ -158,7 +160,8 @@ def _lie_gate(af, opts) -> tuple:
 
 
 def _jts_gate(af, opts) -> tuple:
-    return [check_jts_identity(af.require_triple(), _variant(opts))], af
+    report, triple = prove_jts(af.require_triple(), _variant(opts))
+    return [report], af.replace(triple=triple)
 
 
 def _suite_lie_base(af, opts):

@@ -31,7 +31,6 @@ from opalg import (
     check_rho_identity,
     check_rrho,
     check_triple_bi_myb,
-    check_triple_myb,
     check_triple_r_homomorphism,
     check_xi_characterization,
     convert_params,
@@ -49,8 +48,9 @@ from opalg import (
     so_n,
     triple_r,
 )
+from opalg.core import prove_jts
 from opalg.findings import open_question_findings, render_findings
-from opalg.jordan import MODE_FULL, MODE_REDUCED
+from opalg.jordan import MODE_FULL
 from opalg.oracles import mat_add, mat_diag, mat_mul, mat_sub
 from opalg.sampling import random_matrix, random_operator, random_polynomial, random_symmetric_matrix
 from opalg.searches import run_search
@@ -123,8 +123,8 @@ def test_criterion_2_derived_brackets_and_polynomial_transport():
             assert check_jacobi(bracket_r(g1)).passed
             g2 = LieWithOperator(entry.bracket, entry.operators["R2"])
             for coeffs in polynomials:
-                assert check_polynomial_closure(g1, coeffs).passed
-                assert check_polynomial_closure(g2, coeffs).passed
+                assert all(r.passed for r in check_polynomial_closure(g1, coeffs))
+                assert all(r.passed for r in check_polynomial_closure(g2, coeffs))
                 pair = LieBiOperator(
                     entry.bracket,
                     op_polynomial(coeffs, g1.R),
@@ -141,16 +141,19 @@ def test_criterion_3_triple_systems_with_sign_adjudication():
             triple_entry = example3_gl(n, entry.q)
             t = triple_entry.triple
             ops = triple_entry.operators
+            # one jacobson scan; both records keep the proven triple
             with forced():
-                systems = {name: TripleWithOperator(t, ops[name]) for name in ("R1", "R2")}
-            for s in systems.values():
-                assert check_triple_myb(s).passed
-            d1 = triple_r(systems["R1"], MODE_REDUCED)
-            d2 = triple_r(systems["R2"], MODE_REDUCED)
+                jacobson, proven = prove_jts(t, "jacobson")
+            assert jacobson.passed
+            systems = {name: TripleWithOperator(proven, ops[name]) for name in ("R1", "R2")}
+            myb1, d1 = triple_r(systems["R1"])
+            myb2, d2 = triple_r(systems["R2"])
+            assert myb1.passed and myb2.passed
             assert d1 == d2
-            assert triple_r(systems["R1"], MODE_FULL) == d1
-            assert triple_r(systems["R2"], MODE_FULL) == d2
-            assert check_triple_r_homomorphism(systems["R1"]).passed
+            assert derived_triple(t, ops["R1"], MODE_FULL) == d1
+            assert derived_triple(t, ops["R2"], MODE_FULL) == d2
+            myb, transport = check_triple_r_homomorphism(systems["R1"])
+            assert myb == myb1 and transport.passed
             report = check_triple_bi_myb(t, ops["R1"], ops["R2"])
             assert report.passed
             assert report.sub("normal").passed
@@ -177,10 +180,12 @@ def test_criterion_4_derived_structures_remain_designs():
         g = LieWithOperator(entry.bracket, entry.operators["R1"])
         s = TripleWithOperator(t, entry.operators["R1"])
         derived_bracket_tensor = bracket_r(g)
-        derived_triple_tensor = triple_r(s, MODE_REDUCED)
+        myb, derived_triple_tensor = triple_r(s)
+        assert myb.passed
         assert check_jts_identity(derived_triple_tensor, "jacobson").passed
         assert check_equivariance(derived_bracket_tensor, derived_triple_tensor).passed
-        assert check_design(DesignCandidate(entry.bracket, t)).passed
+        # the design's jts-jacobson line is the proof s.triple carries
+        assert check_design(DesignCandidate(entry.bracket, s.triple)).passed
         assert check_design(
             DesignCandidate(derived_bracket_tensor, derived_triple_tensor)
         ).passed
@@ -216,7 +221,8 @@ def test_criterion_6_pairs_give_regular_rrho_algebras():
     started = time.monotonic()
     for n in (2, 3):
         for entry in multiplication_entries(n):
-            a = from_bi_myb(pair_of(entry))
+            pair, a = from_bi_myb(pair_of(entry))
+            assert pair.passed
             report = check_rrho(a)
             assert report.passed
             assert report.sub("regular").passed

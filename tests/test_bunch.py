@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -12,8 +13,6 @@ from opalg import (
     bracket_rho,
     build_bunch,
     check_antisymmetry,
-    check_bi_myb,
-    check_even_tempered,
     check_gamma_bunch,
     check_jacobi,
     check_rrho,
@@ -25,6 +24,7 @@ from opalg import (
     so_n,
 )
 from opalg.core import vec_iadd
+from opalg.formula import Formula
 from opalg.oracles import mat_inverse
 from opalg.sampling import random_symmetric_matrix
 from opalg.scalars import scalar
@@ -116,10 +116,17 @@ def test_rrho_fails_without_rho():
 # construction from a two-operator pair
 
 
+def _pair_algebra(g: LieBiOperator) -> RRhoAlgebra:
+    """from_bi_myb(g)'s (R, rho) pair, once its precondition report has passed."""
+    report, a = from_bi_myb(g)
+    assert report.passed
+    return a
+
+
 def test_from_bi_myb_multiplication_pair():
     e2 = example2_gl(2)
     g = LieBiOperator(e2.bracket, e2.operators["R1"], e2.operators["R2"])
-    a = from_bi_myb(g)
+    a = _pair_algebra(g)
     assert a.R == e2.operators["R"]  # X -> XQ + QX
     assert a.rho == e2.operators["rho"]  # X -> QXQ
     report = check_rrho(a)
@@ -130,7 +137,7 @@ def test_from_bi_myb_multiplication_pair():
 def test_from_bi_myb_scalar_pair():
     so3 = so_n(3)
     c = Operator.identity(3).scale(scalar(2, 3))
-    a = from_bi_myb(LieBiOperator(so3.bracket, c, c))
+    a = _pair_algebra(LieBiOperator(so3.bracket, c, c))
     assert a.R == Operator.identity(3).scale(scalar(4, 3))
     assert a.rho == Operator.identity(3).scale(scalar(4, 9))
 
@@ -139,10 +146,29 @@ def test_from_bi_myb_requires_even_temperedness():
     e2 = example2_gl(2)
     R = e2.operators["R1"]
     g = LieBiOperator(e2.bracket, R, R)
-    assert check_bi_myb(g).passed
-    assert not check_even_tempered(g).passed
-    with pytest.raises(PreconditionError):
-        from_bi_myb(g)
+    report, a = from_bi_myb(g)
+    assert a is None and not report.passed and report.name == "even-tempered-pair"
+    assert report.sub("bi-myb").passed
+    failing = next(s for s in report.subchecks if not s.passed)
+    assert failing.name == "even-tempered" and report.witness == failing.witness is not None
+
+
+def test_from_bi_myb_scans_each_precondition_once(monkeypatch):
+    e2 = example2_gl(2)
+    g = LieBiOperator(e2.bracket, e2.operators["R1"], e2.operators["R2"])
+    binds = collections.Counter()
+    bind = Formula.bind
+
+    def counted(self, structures):
+        binds[self.name] += 1
+        return bind(self, structures)
+
+    monkeypatch.setattr(Formula, "bind", counted)
+    report, a = from_bi_myb(g)
+    assert report.passed and [s.name for s in report.subchecks] == ["bi-myb", "even-tempered"]
+    assert a.R == e2.operators["R"]
+    # both reports, from one scan per operator of each identity
+    assert binds == {"myb": 2, "derived-bracket": 2, "even-tempered": 2, "operators-commute": 1}
 
 
 def test_from_bi_myb_gl3_random_diagonal():
@@ -152,7 +178,7 @@ def test_from_bi_myb_gl3_random_diagonal():
     )
     e2 = example2_gl(3, Q)
     g = LieBiOperator(e2.bracket, e2.operators["R1"], e2.operators["R2"])
-    report = check_rrho(from_bi_myb(g))
+    report = check_rrho(_pair_algebra(g))
     assert report.passed
     assert report.sub("regular").passed
 
@@ -193,7 +219,7 @@ def test_gamma_bunch_passes_for_symmetric_q_pair():
 def test_gamma_bunch_end_to_end_from_multiplication_pair():
     e2 = example2_gl(2)
     g = LieBiOperator(e2.bracket, e2.operators["R1"], e2.operators["R2"])
-    assert check_gamma_bunch(build_bunch(from_bi_myb(g))).passed
+    assert check_gamma_bunch(build_bunch(_pair_algebra(g))).passed
 
 
 @pytest.mark.parametrize("coefficient, degree", [("b1", 1), ("b2", 2)], ids=["b1", "b2"])
@@ -224,7 +250,7 @@ def test_extract_round_trip_on_catalog_instances():
     instances = [example4_algebra(3), example4_algebra(4)]
     e2 = example2_gl(2)
     instances.append(
-        from_bi_myb(LieBiOperator(e2.bracket, e2.operators["R1"], e2.operators["R2"]))
+        _pair_algebra(LieBiOperator(e2.bracket, e2.operators["R1"], e2.operators["R2"]))
     )
     for a in instances:
         gamma, back = extract_rrho(build_bunch(a))
@@ -245,7 +271,7 @@ def test_extract_constant_bunch_gives_zero_operators():
 def test_extract_recovers_multiplication_operators_exactly():
     e2 = example2_gl(2)
     g = LieBiOperator(e2.bracket, e2.operators["R1"], e2.operators["R2"])
-    a = from_bi_myb(g)
+    a = _pair_algebra(g)
     gamma, back = extract_rrho(build_bunch(a))
     assert gamma.passed
     assert back.R == e2.operators["R"]

@@ -123,11 +123,11 @@ def _library_report(name, q):
     entry = oa.build_entry(f"example3-gl2{q}")
     ops = entry.operators
     if name == "polynomial-closure":
-        report = oa.check_polynomial_closure(oa.LieWithOperator(entry.bracket, ops["R1"]), (1, 2, -3))
+        _, report = oa.check_polynomial_closure(oa.LieWithOperator(entry.bracket, ops["R1"]), (1, 2, -3))
     elif name == "triple-r-homomorphism":
-        report = oa.check_triple_r_homomorphism(oa.TripleWithOperator(entry.triple, ops["R1"]))
+        _, report = oa.check_triple_r_homomorphism(oa.TripleWithOperator(entry.triple, ops["R1"]))
     elif name == "triple-r-homomorphism-unchecked":
-        report = oa.check_triple_r_homomorphism(oa.TripleWithOperator(entry.triple, ops["R2"], unchecked=True))
+        _, report = oa.check_triple_r_homomorphism(oa.TripleWithOperator(entry.triple, ops["R2"], unchecked=True))
     elif name == "gamma-bunch-of-a-non-pair":
         report = oa.check_gamma_bunch(oa.build_bunch(oa.RRhoAlgebra(entry.bracket, ops["R"], ops["R1"])))
     else:

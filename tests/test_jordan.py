@@ -7,7 +7,6 @@ from opalg import (
     DesignCandidate,
     LieWithOperator,
     Operator,
-    PreconditionError,
     TripleWithOperator,
     TrilinearStructure,
     bracket_r,
@@ -139,23 +138,30 @@ def test_triple_myb_transpose_fails():
     assert report.witness.indices == (0, 1, 3)
 
 
+def _reduced(s):
+    """triple_r(s)'s derived triple, once its triple mYB report has passed."""
+    myb, derived = triple_r(s)
+    assert myb.passed
+    return derived
+
+
 def test_triple_r_identity_operator():
     gl2 = gl_assoc(2)
     s = TripleWithOperator(gl2.triple, Operator.identity(4))
-    assert triple_r(s, MODE_FULL) == gl2.triple  # 3 - 3 + 1 = 1 copy
-    assert triple_r(s, MODE_REDUCED) == gl2.triple
+    assert derived_triple(s.triple, s.R, MODE_FULL) == gl2.triple  # 3 - 3 + 1 = 1 copy
+    assert _reduced(s) == gl2.triple
 
 
 def test_triple_r_zero_operator():
     gl2 = gl_assoc(2)
     s = TripleWithOperator(gl2.triple, Operator.zero(4))
-    assert triple_r(s, MODE_FULL).sorted_rows() == []
+    assert derived_triple(s.triple, s.R, MODE_FULL).sorted_rows() == []
 
 
 def test_triple_r_matches_monomial_oracle_with_plus_sign():
     e3 = example3_gl(2)
     s = TripleWithOperator(e3.triple, e3.operators["R1"])
-    derived = triple_r(s, MODE_REDUCED)
+    derived = _reduced(s)
     assert derived == qq_triple_oracle(e3, e3.q)
 
 
@@ -163,8 +169,11 @@ def test_triple_r_reduced_mode_precondition():
     gl2 = gl_assoc(2)
     transpose = gl2.operator_from_matrix_map(mat_transpose)
     s = TripleWithOperator(gl2.triple, transpose)
-    with pytest.raises(PreconditionError):
-        triple_r(s, MODE_REDUCED)
+    myb, derived = triple_r(s)
+    assert derived is None and not myb.passed
+    assert myb.name == "triple-myb" and myb.witness.indices == (0, 1, 3)
+    # the transport check presupposes the same report and returns it unchanged
+    assert check_triple_r_homomorphism(s) == (myb, None)
 
 
 def test_full_and_reduced_agree_exactly_under_triple_myb():
@@ -189,9 +198,11 @@ def test_triple_r_homomorphism_instances():
     e3 = example3_gl(2)
     for op in ("R1", "R2"):
         s = TripleWithOperator(e3.triple, e3.operators[op])
-        assert check_triple_r_homomorphism(s).passed
+        myb, transport = check_triple_r_homomorphism(s)
+        assert myb.passed and transport.passed
     for op in (Operator.identity(4), Operator.zero(4)):
-        assert check_triple_r_homomorphism(TripleWithOperator(e3.triple, op)).passed
+        myb, transport = check_triple_r_homomorphism(TripleWithOperator(e3.triple, op))
+        assert myb.passed and transport.passed
 
 
 def test_derived_triple_is_again_a_triple_system():
@@ -199,7 +210,7 @@ def test_derived_triple_is_again_a_triple_system():
     # the alternate-variant outcome is recorded, not asserted
     e3 = example3_gl(2)
     s = TripleWithOperator(e3.triple, e3.operators["R1"])
-    derived = triple_r(s, MODE_REDUCED)
+    derived = _reduced(s)
     assert check_jts_identity(derived, "jacobson").passed
     alternate = check_jts_identity(derived, "alternate")
     assert alternate.passed == (alternate.witness is None)
@@ -211,7 +222,7 @@ def test_derived_structures_stay_equivariant():
     g = LieWithOperator(e3.bracket, e3.operators["R1"])
     s = TripleWithOperator(e3.triple, e3.operators["R1"])
     assert check_equivariance(e3.bracket, e3.triple).passed
-    assert check_equivariance(bracket_r(g), triple_r(s, MODE_REDUCED)).passed
+    assert check_equivariance(bracket_r(g), _reduced(s)).passed
 
 
 def test_derived_structures_form_a_design():
@@ -220,7 +231,7 @@ def test_derived_structures_form_a_design():
     g = LieWithOperator(e3.bracket, e3.operators["R1"])
     s = TripleWithOperator(e3.triple, e3.operators["R1"])
     base = check_design(DesignCandidate(e3.bracket, e3.triple))
-    derived = check_design(DesignCandidate(bracket_r(g), triple_r(s, MODE_REDUCED)))
+    derived = check_design(DesignCandidate(bracket_r(g), _reduced(s)))
     assert base.passed and derived.passed
 
 
@@ -232,7 +243,7 @@ def test_outer_symmetry_is_preserved_by_derivation():
             assert t.value(i, j, k) == t.value(k, j, i)
         with forced():
             s = TripleWithOperator(t, e3.operators["R1"])
-        derived = triple_r(s, MODE_REDUCED)
+        derived = _reduced(s)
         for (i, j, k) in derived.support():
             assert derived.value(i, j, k) == derived.value(k, j, i)
 
@@ -309,7 +320,7 @@ def test_rho_identity_random_operator_fails():
 def test_rho_identity_transport_against_derived_triple():
     e3 = example3_gl(2)
     s = TripleWithOperator(e3.triple, e3.operators["R1"])
-    derived = triple_r(s, MODE_REDUCED)
+    derived = _reduced(s)
     report = check_rho_identity(e3.triple, e3.operators["rho"], derived)
     assert report.passed
     assert report.sub("rho-derived-transport").passed

@@ -6,7 +6,6 @@ from opalg import (
     LieBiOperator,
     LieWithOperator,
     Operator,
-    PreconditionError,
     bracket_r,
     check_bi_myb,
     check_even_tempered,
@@ -107,20 +106,20 @@ def test_bracket_r_matches_matrix_oracle_entrywise():
 def test_polynomial_closure_affine():
     e2 = example2_gl(2)
     g = LieWithOperator(e2.bracket, e2.operators["R1"])
-    assert check_polynomial_closure(g, [1, 1]).passed  # f(x) = 1 + x
+    assert all(r.passed for r in check_polynomial_closure(g, [1, 1]))  # f(x) = 1 + x
 
 
 def test_polynomial_closure_identity_polynomial():
     e2 = example2_gl(2)
     g = LieWithOperator(e2.bracket, e2.operators["R1"])
-    assert check_polynomial_closure(g, [0, 1]).passed
+    assert all(r.passed for r in check_polynomial_closure(g, [0, 1]))
 
 
 def test_polynomial_closure_square_is_right_mult_by_q_squared():
     e2 = example2_gl(2)
     R = e2.operators["R1"]
     g = LieWithOperator(e2.bracket, R)
-    assert check_polynomial_closure(g, [0, 0, 1]).passed
+    assert all(r.passed for r in check_polynomial_closure(g, [0, 0, 1]))
     q_squared = mat_mul(e2.q, e2.q)
     assert op_polynomial([0, 0, 1], R) == right_mult(e2, q_squared)
 
@@ -128,8 +127,9 @@ def test_polynomial_closure_square_is_right_mult_by_q_squared():
 def test_polynomial_closure_precondition_error():
     so3 = so_n(3)
     g = LieWithOperator(so3.bracket, Operator.diagonal([1, 0, 0]))
-    with pytest.raises(PreconditionError):
-        check_polynomial_closure(g, [0, 1])
+    base, closure = check_polynomial_closure(g, [0, 1])
+    assert closure is None and not base.passed
+    assert base.name == "myb" and base.witness.indices == (1, 2)
 
 
 # ---------------------------------------------------------------------------

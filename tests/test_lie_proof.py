@@ -1,7 +1,8 @@
-"""The Lie proof travels with the bracket: a LieBracket is a bracket that
-check_lie has passed on, and every record built on a Lie bracket keeps one.
-Every other precondition is checked by the call that needs it and returned
-with its result, so no function takes a report as evidence."""
+"""Proofs travel with the structure: a LieBracket is a bracket that check_lie
+has passed on, a JordanTriple a triple that check_jts_identity has passed on
+for one variant, and every record built on one keeps it.  Every other
+precondition is checked by the call that needs it and returned with its
+result, so no function takes a report as evidence."""
 
 import inspect
 
@@ -17,36 +18,46 @@ from opalg import (
     QuadraticBunch,
     RRhoAlgebra,
     TrilinearStructure,
+    TripleWithOperator,
     build_bunch,
     check_bi_myb,
+    check_design,
     check_gamma_bunch,
     example2_gl,
+    example3_gl,
     example4_so,
     extract_rrho,
     from_bi_myb,
+    gl_assoc,
     probe_r0,
     so_n,
 )
 from opalg.algfile import algebra_file_digest, entry_to_algebra_file, render_algebra_file
-from opalg.core import LieBracket, prove_lie, require_lie
+from opalg.core import JordanTriple, LieBracket, prove_jts, prove_lie, require_lie
 from opalg.formula import Formula
 from opalg.suites import run_suite
 
 NOT_ANTISYMMETRIC = BilinearStructure(2, {(0, 0): {1: 1}})
 # antisymmetric, but Jacobi fails at (0, 1, 2)
 NOT_JACOBI = BilinearStructure(3, {(0, 1): {0: 1}, (1, 0): {0: -1}, (1, 2): {1: 1}, (2, 1): {1: -1}})
+# fails both identity variants at (0, 0, 0, 1, 1)
+NOT_JTS = TrilinearStructure(2, {(0, 0, 1): {0: 1}})
+# <e0,e0,e0> = e1, every other product zero: passes both variants
+SQUARE_ZERO = TrilinearStructure(2, {(0, 0, 0): {1: 1}})
+LIE_FORMULAS = ("antisymmetry", "jacobi")
+JTS_FORMULAS = ("jts-jacobson", "jts-alternate")
 
 
-def _lie_binds(monkeypatch, refuse=False) -> list:
-    """Wrap Formula.bind; the list it returns collects each antisymmetry or
-    Jacobi bind, and with refuse=True such a bind raises instead."""
+def _proof_binds(monkeypatch, names=LIE_FORMULAS, refuse=False) -> list:
+    """Wrap Formula.bind; the list it returns collects each bind of a formula
+    in names, and with refuse=True such a bind raises instead."""
     binds = []
     bind = Formula.bind
 
     def counted(self, structures):
-        if self.name in ("antisymmetry", "jacobi"):
+        if self.name in names:
             if refuse:
-                raise AssertionError(f"{self.name} scanned a bracket that was already proved Lie")
+                raise AssertionError(f"{self.name} scanned a structure that was already proved")
             binds.append(self.name)
         return bind(self, structures)
 
@@ -54,29 +65,86 @@ def _lie_binds(monkeypatch, refuse=False) -> list:
     return binds
 
 
-def test_a_lie_bracket_is_its_plain_bracket_with_the_proof():
-    plain = so_n(3).bracket
-    report, proven = prove_lie(plain)
-    assert report.passed and [s.name for s in report.subchecks] == ["antisymmetry", "jacobi"]
-    assert isinstance(proven, LieBracket) and proven.lie is report
+def _prove_jacobson(triple) -> tuple:
+    return prove_jts(triple, "jacobson")
+
+
+def _jacobson_record(triple) -> TripleWithOperator:
+    return TripleWithOperator(triple, Operator.identity(triple.dim))
+
+
+def _alternate_record(triple) -> TripleWithOperator:
+    return TripleWithOperator(triple, Operator.identity(triple.dim), "alternate")
+
+
+# the plain structure, how it is proved, the proof's class and slot, the
+# report's name and sub-check names, and how a record keeps a proven one
+PROOFS = {
+    "LieBracket": (
+        so_n(3).bracket, prove_lie, LieBracket, "lie", ("lie", ["antisymmetry", "jacobi"]), require_lie,
+    ),
+    "JordanTriple": (
+        gl_assoc(2).triple, _prove_jacobson, JordanTriple, "jts", ("jts-jacobson", []),
+        lambda t: _jacobson_record(t).triple,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", PROOFS)
+def test_a_proven_structure_is_the_plain_one_with_its_proof(monkeypatch, kind):
+    plain, prove, cls, slot, names, keep = PROOFS[kind]
+    report, proven = prove(plain)
+    assert report.passed and (report.name, [s.name for s in report.subchecks]) == names
+    assert isinstance(proven, cls) and getattr(proven, slot) is report
     assert proven == plain and plain == proven and hash(proven) == hash(plain)
     assert proven.sorted_rows() == plain.sorted_rows() and repr(proven) == repr(plain)
-    assert require_lie(proven) is proven
+    _proof_binds(monkeypatch, LIE_FORMULAS + JTS_FORMULAS, refuse=True)
+    assert keep(proven) is proven and prove(proven) == (report, proven) and prove(proven)[1] is proven
     with pytest.raises(AttributeError):
-        proven.lie = None
-    # nothing but prove_lie makes one
+        setattr(proven, slot, None)
+    # nothing but the prove function makes one
     with pytest.raises(TypeError):
-        LieBracket(3, {})
+        cls(3, {})
     with pytest.raises(TypeError):
-        LieBracket.from_rows(3, [])
+        cls.from_rows(3, [])
 
 
-def test_a_failing_bracket_gets_a_report_and_no_proof():
-    for bad, failing in ((NOT_ANTISYMMETRIC, "antisymmetry"), (NOT_JACOBI, "jacobi")):
-        report, proven = prove_lie(bad)
-        assert not report.passed and proven is None
-        with pytest.raises(ValueError, match=f"{failing} fails"):
-            require_lie(bad)
+# the failing structure, how it is proved, the first failing sub-check (the
+# report itself for an identity variant), and how a record refuses it
+FAILURES = {
+    "antisymmetry": (NOT_ANTISYMMETRIC, prove_lie, "antisymmetry", require_lie, "antisymmetry fails"),
+    "jacobi": (NOT_JACOBI, prove_lie, "jacobi", require_lie, "jacobi fails"),
+    "jts-jacobson": (NOT_JTS, _prove_jacobson, "jts-jacobson", _jacobson_record, "fails the jacobson identity"),
+    "jts-alternate": (
+        gl_assoc(2).triple, lambda t: prove_jts(t, "alternate"), "jts-alternate", _alternate_record,
+        "fails the alternate identity",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", FAILURES)
+def test_a_failing_structure_gets_a_report_and_no_proof(kind):
+    bad, prove, failing, keep, message = FAILURES[kind]
+    report, proven = prove(bad)
+    assert not report.passed and proven is None
+    first = next((s for s in report.subchecks if not s.passed), report)
+    assert first.name == failing and report.witness == first.witness is not None
+    with pytest.raises(ValueError, match=message):
+        keep(bad)
+
+
+def test_an_alternate_proof_is_not_a_jacobson_proof(monkeypatch):
+    binds = _proof_binds(monkeypatch, JTS_FORMULAS)
+    jacobson, by_jacobson = prove_jts(SQUARE_ZERO, "jacobson")
+    alternate, by_alternate = prove_jts(by_jacobson, "alternate")
+    assert binds == ["jts-jacobson", "jts-alternate"]
+    assert jacobson.passed and alternate.passed and alternate.name == "jts-alternate"
+    assert by_alternate.jts is alternate and by_jacobson.jts is jacobson
+    assert by_alternate == by_jacobson and by_alternate is not by_jacobson
+    # each is proved again for the variant it does not carry, and only for that one
+    assert prove_jts(by_alternate, "jacobson")[1] is not by_jacobson
+    assert prove_jts(by_alternate, "alternate")[1] is by_alternate
+    assert binds == ["jts-jacobson", "jts-alternate", "jts-jacobson"]
 
 
 @pytest.mark.parametrize("bad", [NOT_ANTISYMMETRIC, NOT_JACOBI], ids=["antisymmetry", "jacobi"])
@@ -106,19 +174,47 @@ def test_records_built_on_a_records_bracket_scan_nothing(monkeypatch):
     # (R, rho) pair it returns keeps the bunch's proven b0
     gamma, back = extract_rrho(bunch)
     assert gamma.passed and back == a and back.bracket is bunch.b0
-    _lie_binds(monkeypatch, refuse=True)
+    _proof_binds(monkeypatch, refuse=True)
     assert LieWithOperator(g.bracket, R1).bracket is g.bracket
     assert LieBiOperator(g.bracket, R2, R1).bracket is g.bracket
     assert RRhoAlgebra(g.bracket, R1 + R2, R1 @ R2).bracket is g.bracket
     assert DesignCandidate(g.bracket, e2.triple).bracket is g.bracket
-    assert from_bi_myb(g).bracket is g.bracket
+    pair, built = from_bi_myb(g)
+    assert pair.passed and built.bracket is g.bracket
     assert build_bunch(a).b0 is a.bracket
+
+
+def test_records_built_on_a_records_triple_scan_nothing(monkeypatch):
+    e3 = example3_gl(2)
+    R1, R2 = e3.operators["R1"], e3.operators["R2"]
+    s = TripleWithOperator(e3.triple, R1)
+    assert isinstance(s.triple, JordanTriple) and s.triple.jts.name == "jts-jacobson"
+    _proof_binds(monkeypatch, JTS_FORMULAS, refuse=True)
+    assert TripleWithOperator(s.triple, R2).triple is s.triple
+    assert s.replace(R=R2).triple is s.triple
+    d = DesignCandidate(e3.bracket, s.triple)
+    assert d.triple is s.triple
+    design = check_design(d)
+    assert design.passed and design.sub("jts-jacobson") is s.triple.jts
+
+
+def test_replacing_the_variant_proves_the_triple_again(monkeypatch):
+    s = TripleWithOperator(SQUARE_ZERO, Operator.identity(2))
+    binds = _proof_binds(monkeypatch, JTS_FORMULAS)
+    alternate = s.replace(jts_variant="alternate")
+    assert binds == ["jts-alternate"]
+    assert alternate.triple == s.triple and alternate.triple is not s.triple
+    assert alternate.triple.jts.name == "jts-alternate"
+    assert alternate.replace(jts_variant="jacobson").triple.jts.name == "jts-jacobson"
+    assert binds == ["jts-alternate", "jts-jacobson"]
+    with pytest.raises(ValueError, match="fails the alternate identity"):
+        _jacobson_record(gl_assoc(2).triple).replace(jts_variant="alternate")
 
 
 def test_replacing_the_bracket_proves_the_new_one(monkeypatch):
     so3 = so_n(3)
     g = LieWithOperator(so3.bracket, Operator.identity(3))
-    binds = _lie_binds(monkeypatch)
+    binds = _proof_binds(monkeypatch)
     assert g.replace(R=Operator.zero(3)).bracket is g.bracket and binds == []
     again = g.replace(bracket=so_n(3).bracket)
     assert binds == ["antisymmetry", "jacobi"]
@@ -132,6 +228,9 @@ def test_no_public_function_takes_a_report_as_lie_proof():
     assert list(inspect.signature(LieBiOperator).parameters) == ["bracket", "R1", "R2"]
     assert list(inspect.signature(probe_r0).parameters) == ["g"]
     assert list(inspect.signature(extract_rrho).parameters) == ["q"]
+    assert list(inspect.signature(prove_jts).parameters) == ["triple", "variant"]
+    # the full derived triple has no precondition, so triple_r has no mode
+    assert list(inspect.signature(jordan.triple_r).parameters) == ["s"]
     for module in (core, lie, bunch, jordan, suites, searches):
         for name, obj in vars(module).items():
             if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
@@ -170,7 +269,7 @@ def test_midpoint_probe_reports_its_own_failing_bi_myb():
 def test_run_suite_leaves_an_in_memory_file_unchanged(monkeypatch):
     af = entry_to_algebra_file(example2_gl(2))
     bracket, operators, text = af.bracket, dict(af.operators), render_algebra_file(af)
-    binds = _lie_binds(monkeypatch)
+    binds = _proof_binds(monkeypatch)
     for _ in range(2):
         report = run_suite(af, "xi", {"operator": "R1", "operator2": "xi"})
         assert report.input_digest == algebra_file_digest(af)

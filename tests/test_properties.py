@@ -153,7 +153,7 @@ def test_derived_bracket_of_polynomial_images_is_lie(q_rows, coeffs):
 def test_polynomial_closure_and_pair_transport(coeffs):
     e2 = example2_gl(2)
     g = LieWithOperator(e2.bracket, e2.operators["R1"])
-    assert check_polynomial_closure(g, coeffs).passed
+    assert all(r.passed for r in check_polynomial_closure(g, coeffs))
     pair = LieBiOperator(
         e2.bracket,
         op_polynomial(coeffs, e2.operators["R1"]),
