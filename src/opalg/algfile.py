@@ -72,6 +72,25 @@ def _parse_scalar(value, where):
         raise ParseError(f"{where}: {exc}") from None
 
 
+def _parse_tensor(cls, rows, dim):
+    """The bracket or triple section: sparse rows [*index tuple, component, scalar]."""
+    if not isinstance(rows, list):
+        raise ParseError(f"{cls.kind} must be a list")
+    shape = f"[{', '.join('ijkl'[: cls.arity + 1])}, scalar]"
+    parsed = []
+    seen = set()
+    for pos, row in enumerate(rows):
+        where = f"{cls.kind}[{pos}]"
+        if not isinstance(row, list) or len(row) != cls.arity + 2:
+            raise ParseError(f"{where}: expected {shape}")
+        index = tuple([_parse_index(v, dim, where) for v in row[:-1]])
+        if index in seen:
+            raise ParseError(f"{where}: duplicate entry {index}")
+        seen.add(index)
+        parsed.append((*index, _parse_scalar(row[-1], where)))
+    return cls.from_rows(dim, parsed)
+
+
 def parse_algebra_file(text: str) -> AlgebraFile:
     try:
         data = json.loads(text)
@@ -95,41 +114,10 @@ def parse_algebra_file(text: str) -> AlgebraFile:
             raise ParseError(f"basis_names must be a list of {dim} strings")
         names = tuple(raw)
 
-    bracket = None
-    if "bracket" in data:
-        rows = data["bracket"]
-        if not isinstance(rows, list):
-            raise ParseError("bracket must be a list")
-        quads = []
-        seen = set()
-        for pos, row in enumerate(rows):
-            where = f"bracket[{pos}]"
-            if not isinstance(row, list) or len(row) != 4:
-                raise ParseError(f"{where}: expected [i, j, k, scalar]")
-            i, j, k = (_parse_index(v, dim, where) for v in row[:3])
-            if (i, j, k) in seen:
-                raise ParseError(f"{where}: duplicate entry ({i}, {j}, {k})")
-            seen.add((i, j, k))
-            quads.append((i, j, k, _parse_scalar(row[3], where)))
-        bracket = BilinearStructure.from_rows(dim, quads)
-
-    triple = None
-    if "triple" in data:
-        rows = data["triple"]
-        if not isinstance(rows, list):
-            raise ParseError("triple must be a list")
-        quints = []
-        seen = set()
-        for pos, row in enumerate(rows):
-            where = f"triple[{pos}]"
-            if not isinstance(row, list) or len(row) != 5:
-                raise ParseError(f"{where}: expected [i, j, k, l, scalar]")
-            i, j, k, l = (_parse_index(v, dim, where) for v in row[:4])
-            if (i, j, k, l) in seen:
-                raise ParseError(f"{where}: duplicate entry ({i}, {j}, {k}, {l})")
-            seen.add((i, j, k, l))
-            quints.append((i, j, k, l, _parse_scalar(row[4], where)))
-        triple = TrilinearStructure.from_rows(dim, quints)
+    bracket, triple = (
+        _parse_tensor(cls, data[cls.kind], dim) if cls.kind in data else None
+        for cls in (BilinearStructure, TrilinearStructure)
+    )
 
     operators = {}
     if "operators" in data:
@@ -159,14 +147,11 @@ def algebra_file_to_dict(af: AlgebraFile) -> dict:
     out: dict = {"dimension": af.dimension}
     if af.basis_names is not None:
         out["basis_names"] = list(af.basis_names)
-    if af.bracket is not None:
-        out["bracket"] = [
-            [i, j, k, render_scalar(s)] for i, j, k, s in af.bracket.sorted_rows()
-        ]
-    if af.triple is not None:
-        out["triple"] = [
-            [i, j, k, l, render_scalar(s)] for i, j, k, l, s in af.triple.sorted_rows()
-        ]
+    for tensor in (af.bracket, af.triple):
+        if tensor is not None:
+            rows = out[tensor.kind] = [list(row) for row in tensor.sorted_rows()]
+            for row in rows:
+                row[-1] = render_scalar(row[-1])
     if af.operators:
         out["operators"] = {
             name: [[render_scalar(x) for x in row] for row in op.rows]

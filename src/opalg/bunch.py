@@ -28,7 +28,7 @@ from .core import (
     vec_iadd,
 )
 from .formula import Formula, scan, states, tabulate
-from .lie import LieBiOperator, check_bi_myb, check_even_tempered, derived_bracket
+from .lie import LieBiOperator, _require_dim, check_bi_myb, check_even_tempered, derived_bracket
 
 QUADRATIC_BRACKET = Formula("quadratic-bracket", "X Y", "[rhoX,Y] + [X,rhoY] - rho[X,Y] + [RX,RY] - R[X,Y]_R")
 RHO_HOMOMORPHISM = Formula("rho-bracket-homomorphism", "X Y", "rho[X,Y]_rho = [rhoX,rhoY]")
@@ -73,8 +73,7 @@ class RRhoAlgebra(FrozenRecord):
 
     def __init__(self, bracket: BilinearStructure, R: Operator, rho: Operator):
         bracket = require_lie(bracket)
-        if R.dim != bracket.dim or rho.dim != bracket.dim:
-            raise DimensionMismatchError("operator dimension differs from bracket dimension")
+        _require_dim(bracket, R, rho)
         self._assign(bracket, R, rho)
 
 

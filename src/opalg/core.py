@@ -6,6 +6,9 @@ trilinear products are sparse structure-constant tensors.  Everything is
 immutable after construction and safe to share; identity checkers scan
 basis tuples in lexicographic order, so the first failure found is the
 lexicographically smallest witness and reports are deterministic.
+
+Brackets and triples share one sparse-tensor implementation (storage, row
+I/O, integer form, equality and hashing); only their per-tuple kernels differ.
 """
 
 from __future__ import annotations
@@ -328,45 +331,96 @@ def _clean_entries(dim: int, entries, arity: int) -> dict:
     return clean
 
 
-def _integer_entries(entries: dict) -> tuple:
-    """(d * entries, d) for the least d > 0 that makes every component an integer."""
-    d = common_denominator(s for vec in entries.values() for s in vec.values())
-    if d == 1:
-        return entries, 1
-    return {key: {k: s.numerator * (d // s.denominator) for k, s in v.items()} for key, v in entries.items()}, d
+class _SparseTensor:
+    """Structure constants of a product of arity basis vectors: the index
+    tuple (i, j[, k]) -> the product as a sparse vector, with no stored zeros.
 
-
-class BilinearStructure:
-    """Structure constants of a bilinear product: (i, j) -> vector [e_i, e_j]."""
+    Storage, row I/O and value semantics, written once for both arities; the
+    subclasses hold the per-tuple kernels that the loop nests call.  Each
+    subclass sets arity and kind ("bracket" or "triple"), and its own slots
+    are caches that start as None.
+    """
 
     __slots__ = ("dim", "_c", "_hash")
+    arity: int
+    kind: str
 
     def __init__(self, dim: int, entries=None):
         if dim < 1:
             raise DimensionMismatchError("dimension must be positive")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_c", _clean_entries(dim, entries or {}, 2))
+        object.__setattr__(self, "_c", _clean_entries(dim, entries or {}, self.arity))
         object.__setattr__(self, "_hash", None)
+        for name in self.__slots__:
+            object.__setattr__(self, name, None)
 
     def __setattr__(self, name, value):
-        raise AttributeError("BilinearStructure is immutable")
+        raise AttributeError(f"{TENSOR_CLASSES[self.arity].__name__} is immutable")
 
     @classmethod
-    def from_rows(cls, dim: int, quads) -> "BilinearStructure":
-        """Build from sparse rows [i, j, k, scalar]; duplicate (i,j,k) is an error."""
+    def from_rows(cls, dim: int, rows):
+        """Build from sparse rows [*index tuple, component, scalar], e.g.
+        [i, j, k, scalar] for a bracket; a duplicate (*index tuple, component)
+        is an error."""
         entries: dict = {}
         seen = set()
-        for i, j, k, s in quads:
-            if (i, j, k) in seen:
-                raise WorkbenchError(f"duplicate bracket entry ({i}, {j}, {k})")
-            seen.add((i, j, k))
-            entries.setdefault((i, j), {})[k] = as_scalar(s)
+        for row in rows:
+            row = tuple(row)
+            if len(row) != cls.arity + 2:
+                raise DimensionMismatchError(f"{cls.kind} row {row} needs {cls.arity + 2} fields")
+            index = row[:-1]
+            if index in seen:
+                raise WorkbenchError(f"duplicate {cls.kind} entry {index}")
+            seen.add(index)
+            entries.setdefault(index[:-1], {})[index[-1]] = as_scalar(row[-1])
         return cls(dim, entries)
 
     def integer_form(self) -> tuple:
-        """(B, d): d the least positive integer with B = d * self integer; (self, 1) if d = 1."""
-        entries, d = _integer_entries(self._c)
-        return (self if d == 1 else BilinearStructure(self.dim, entries)), d
+        """(T, d): d the least positive integer with T = d * self integer; (self, 1) if d = 1.
+        T is of the plain class for the arity, since only a proof makes a proven structure."""
+        d = common_denominator(s for vec in self._c.values() for s in vec.values())
+        if d == 1:
+            return self, 1
+        entries = {key: {k: s.numerator * (d // s.denominator) for k, s in v.items()} for key, v in self._c.items()}
+        return TENSOR_CLASSES[self.arity](self.dim, entries), d
+
+    def support(self):
+        return self._c.keys()
+
+    def sorted_rows(self):
+        """Canonical sparse listing [(*index tuple, component, scalar)] sorted by index."""
+        out = []
+        for key in sorted(self._c):
+            vec = self._c[key]
+            for k in sorted(vec):
+                out.append(key + (k, vec[k]))
+        return out
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, _SparseTensor)
+            and self.arity == other.arity
+            and self.dim == other.dim
+            and self._c == other._c
+        )
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            rows = tuple((key, tuple(sorted(vec.items()))) for key, vec in sorted(self._c.items()))
+            h = hash((self.dim, rows))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __repr__(self) -> str:
+        return f"{TENSOR_CLASSES[self.arity].__name__}(dim={self.dim}, entries={len(self._c)})"
+
+
+class BilinearStructure(_SparseTensor):
+    """Structure constants of a bilinear product: (i, j) -> vector [e_i, e_j]."""
+
+    __slots__ = ()
+    arity, kind = 2, "bracket"
 
     def value(self, i: int, j: int) -> dict:
         """[e_i, e_j] as a sparse vector.  Treat as read-only."""
@@ -406,79 +460,19 @@ class BilinearStructure:
                 vec_iadd(acc, vec, wb)
         return acc
 
-    def support(self):
-        return self._c.keys()
 
-    def sorted_rows(self):
-        """Canonical sparse listing [(i, j, k, scalar)] sorted by index."""
-        out = []
-        for (i, j) in sorted(self._c):
-            vec = self._c[(i, j)]
-            for k in sorted(vec):
-                out.append((i, j, k, vec[k]))
-        return out
-
-    def _key(self):
-        return tuple((ij, tuple(sorted(vec.items()))) for ij, vec in sorted(self._c.items()))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BilinearStructure)
-            and self.dim == other.dim
-            and self._c == other._c
-        )
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.dim, self._key()))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __repr__(self) -> str:
-        return f"BilinearStructure(dim={self.dim}, entries={len(self._c)})"
-
-
-class TrilinearStructure:
+class TrilinearStructure(_SparseTensor):
     """Structure constants of a trilinear product: (i, j, k) -> <e_i, e_j, e_k>."""
 
-    __slots__ = ("dim", "_t", "_hash", "_by_first", "_by_middle", "_by_last")
-
-    def __init__(self, dim: int, entries=None):
-        if dim < 1:
-            raise DimensionMismatchError("dimension must be positive")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_t", _clean_entries(dim, entries or {}, 3))
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_by_first", None)
-        object.__setattr__(self, "_by_middle", None)
-        object.__setattr__(self, "_by_last", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TrilinearStructure is immutable")
-
-    @classmethod
-    def from_rows(cls, dim: int, rows) -> "TrilinearStructure":
-        entries: dict = {}
-        seen = set()
-        for i, j, k, l, s in rows:
-            if (i, j, k, l) in seen:
-                raise WorkbenchError(f"duplicate triple entry ({i}, {j}, {k}, {l})")
-            seen.add((i, j, k, l))
-            entries.setdefault((i, j, k), {})[l] = as_scalar(s)
-        return cls(dim, entries)
-
-    def integer_form(self) -> tuple:
-        """(T, d): d the least positive integer with T = d * self integer; (self, 1) if d = 1."""
-        entries, d = _integer_entries(self._t)
-        return (self if d == 1 else TrilinearStructure(self.dim, entries)), d
+    __slots__ = ("_by_first", "_by_middle", "_by_last")
+    arity, kind = 3, "triple"
 
     def value(self, i: int, j: int, k: int) -> dict:
-        return self._t.get((i, j, k), _EMPTY)
+        return self._c.get((i, j, k), _EMPTY)
 
     def apply(self, x: dict, y: dict, z: dict) -> dict:
         acc: dict = {}
-        for (i, j, k), vec in self._t.items():
+        for (i, j, k), vec in self._c.items():
             xi = x.get(i)
             if not xi:
                 continue
@@ -493,7 +487,7 @@ class TrilinearStructure:
     def apply_first(self, w: dict, j: int, k: int) -> dict:
         acc: dict = {}
         for a, wa in w.items():
-            vec = self._t.get((a, j, k))
+            vec = self._c.get((a, j, k))
             if vec:
                 vec_iadd(acc, vec, wa)
         return acc
@@ -501,7 +495,7 @@ class TrilinearStructure:
     def apply_middle(self, i: int, w: dict, k: int) -> dict:
         acc: dict = {}
         for b, wb in w.items():
-            vec = self._t.get((i, b, k))
+            vec = self._c.get((i, b, k))
             if vec:
                 vec_iadd(acc, vec, wb)
         return acc
@@ -509,7 +503,7 @@ class TrilinearStructure:
     def apply_last(self, i: int, j: int, w: dict) -> dict:
         acc: dict = {}
         for c, wc in w.items():
-            vec = self._t.get((i, j, c))
+            vec = self._c.get((i, j, c))
             if vec:
                 vec_iadd(acc, vec, wc)
         return acc
@@ -519,7 +513,7 @@ class TrilinearStructure:
         if cache is None:
             cache = {}
             pos = {"first": 0, "middle": 1, "last": 2}[slot]
-            for key, vec in self._t.items():
+            for key, vec in self._c.items():
                 cache.setdefault(key[pos], []).append((key, vec))
             object.__setattr__(self, "_by_" + slot, cache)
         return cache
@@ -555,54 +549,25 @@ class TrilinearStructure:
                     vec_iadd(acc, vec, vb * wc)
         return acc
 
-    def support(self):
-        return self._t.keys()
 
-    def sorted_rows(self):
-        out = []
-        for (i, j, k) in sorted(self._t):
-            vec = self._t[(i, j, k)]
-            for l in sorted(vec):
-                out.append((i, j, k, l, vec[l]))
-        return out
+# The plain structure class of each arity.
+TENSOR_CLASSES = {2: BilinearStructure, 3: TrilinearStructure}
 
-    def _key(self):
-        return tuple((ijk, tuple(sorted(vec.items()))) for ijk, vec in sorted(self._t.items()))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TrilinearStructure)
-            and self.dim == other.dim
-            and self._t == other._t
-        )
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.dim, self._key()))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __repr__(self) -> str:
-        return f"TrilinearStructure(dim={self.dim}, entries={len(self._t)})"
+def _apply_tensor(t: _SparseTensor, vectors) -> dict:
+    vectors = [v if isinstance(v, dict) else vec_from_dense(v) for v in vectors]
+    if any(i >= t.dim for v in vectors for i in v):
+        raise DimensionMismatchError("vector index out of range")
+    return t.apply(*vectors)
 
 
 def apply_bilinear(b: BilinearStructure, x, y) -> dict:
     """Evaluate the bilinear product on sparse coordinate vectors."""
-    x = x if isinstance(x, dict) else vec_from_dense(x)
-    y = y if isinstance(y, dict) else vec_from_dense(y)
-    if any(i >= b.dim for i in x) or any(j >= b.dim for j in y):
-        raise DimensionMismatchError("vector index out of range")
-    return b.apply(x, y)
+    return _apply_tensor(b, (x, y))
 
 
 def apply_trilinear(t: TrilinearStructure, x, y, z) -> dict:
-    x = x if isinstance(x, dict) else vec_from_dense(x)
-    y = y if isinstance(y, dict) else vec_from_dense(y)
-    z = z if isinstance(z, dict) else vec_from_dense(z)
-    if any(i >= t.dim for i in (*x, *y, *z)):
-        raise DimensionMismatchError("vector index out of range")
-    return t.apply(x, y, z)
+    return _apply_tensor(t, (x, y, z))
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +622,7 @@ class CheckReport(FrozenRecord):
         }
 
 
-def aggregate_report(name: str, subchecks, notes=(), informational=False) -> CheckReport:
+def aggregate_report(name: str, subchecks, informational=False) -> CheckReport:
     """Combine sub-checks; informational subs never affect the verdict."""
     subchecks = tuple(subchecks)
     asserted = [s for s in subchecks if not s.informational]
@@ -673,7 +638,6 @@ def aggregate_report(name: str, subchecks, notes=(), informational=False) -> Che
         witness=witness,
         tuples_evaluated=sum(s.tuples_evaluated for s in subchecks),
         informational=informational,
-        notes=tuple(notes),
         subchecks=subchecks,
     )
 
@@ -695,7 +659,7 @@ def scan_tuples(name, dim, arity, nonzero, notes=(), informational=False) -> Che
     return CheckReport(name, witness is None, witness, count, informational=informational, notes=tuple(notes))
 
 
-def tensors_equal_report(name, a, b, notes=(), informational=False) -> CheckReport:
+def tensors_equal_report(name, a, b, informational=False) -> CheckReport:
     """Exact tensor equality with the lex-smallest differing key as witness."""
     if a.dim != b.dim:
         raise DimensionMismatchError("tensor dims differ")
@@ -711,9 +675,8 @@ def tensors_equal_report(name, a, b, notes=(), informational=False) -> CheckRepo
                 Witness(key, vec_dense(diff, a.dim)),
                 count,
                 informational=informational,
-                notes=tuple(notes),
             )
-    return CheckReport(name, True, None, count, informational=informational, notes=tuple(notes))
+    return CheckReport(name, True, None, count, informational=informational)
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +726,7 @@ def check_lie(b: BilinearStructure) -> CheckReport:
 def _proven(cls, structure, report):
     """structure's entries, shared, in an instance of cls, whose one slot holds report."""
     proven = object.__new__(cls)
-    for name in cls.__bases__[0].__slots__:
+    for name in (*_SparseTensor.__slots__, *TENSOR_CLASSES[cls.arity].__slots__):
         object.__setattr__(proven, name, getattr(structure, name))
     object.__setattr__(proven, cls.__slots__[0], report)
     return proven

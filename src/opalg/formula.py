@@ -371,7 +371,7 @@ def scan(formula: Formula, structures: dict, name=None, notes=(), informational=
 def tabulate(formula: Formula, structures: dict):
     """Structure tensor whose (i, j[, k]) entry is the formula at those basis vectors."""
     nonzero, dim = formula.bind(structures)
-    return (core.BilinearStructure if formula.arity == 2 else core.TrilinearStructure)(dim, dict(nonzero))
+    return core.TENSOR_CLASSES[formula.arity](dim, dict(nonzero))
 
 
 def states(*formulas):

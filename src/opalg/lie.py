@@ -182,13 +182,9 @@ def probe_r0(g: LieBiOperator) -> tuple:
 
 def convert_params(R1: Operator, R2: Operator) -> tuple:
     """(R1, R2) -> (R, xi) with R = R1 and xi = R2 - R1."""
-    if R1.dim != R2.dim:
-        raise DimensionMismatchError("operator dims differ")
     return R1, R2 - R1
 
 
 def convert_params_inverse(R: Operator, xi: Operator) -> tuple:
     """(R, xi) -> (R1, R2) with R1 = R and R2 = R + xi."""
-    if R.dim != xi.dim:
-        raise DimensionMismatchError("operator dims differ")
     return R, R + xi

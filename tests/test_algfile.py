@@ -62,6 +62,11 @@ def test_unreduced_scalar_rejected():
         ('{"dimension": 2, "operators": {"R": [["1", "0"], ["0", 1]]}}', "scalar"),
         ('{"dimension": 2, "basis_names": ["x"]}', "basis_names"),
         ('{"dimension": 2, "bracket": [[0, true, 0, "1"]]}', "out of range"),
+        ('{"dimension": 2, "bracket": {}}', "bracket must be a list"),
+        ('{"dimension": 2, "triple": "rows"}', "triple must be a list"),
+        ('{"dimension": 2, "triple": [[0, 0, 0, "1"]]}', r"triple\[0\]: expected \[i, j, k, l, scalar\]"),
+        ('{"dimension": 2, "triple": [[0, 0, 2, 0, "1"]]}', r"triple\[0\]: index 2 out of range"),
+        ('{"dimension": 2, "triple": [[0, 0, 0, false, "1"]]}', r"triple\[0\]: index False out of range"),
     ],
 )
 def test_parse_errors(text, fragment):

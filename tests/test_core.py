@@ -6,6 +6,7 @@ from opalg import (
     DimensionMismatchError,
     Operator,
     TrilinearStructure,
+    WorkbenchError,
     apply_bilinear,
     apply_trilinear,
     check_antisymmetry,
@@ -17,6 +18,7 @@ from opalg import (
     so_n,
 )
 from opalg.catalog import example1_candidates
+from opalg.core import prove_jts, prove_lie
 from opalg.oracles import mat_mul
 from opalg.scalars import scalar
 
@@ -76,6 +78,73 @@ def test_op_polynomial_right_multiplication_instance():
 
 
 # ---------------------------------------------------------------------------
+# structure tensors: one implementation for brackets and triples
+
+# each arity's plain class, its kind, and how a proof is made of one
+ARITIES = {
+    2: (BilinearStructure, "bracket", prove_lie),
+    3: (TrilinearStructure, "triple", lambda t: prove_jts(t, "jacobson")),
+}
+
+
+def _halved(arity: int, proven: bool):
+    """so(3)'s bracket or gl(2)'s triple times 1/2, which is still Lie or a
+    Jordan triple; with proven=True, as the LieBracket or JordanTriple."""
+    plain = so_n(3).bracket if arity == 2 else gl_assoc(2).triple
+    half = type(plain).from_rows(plain.dim, [(*row[:-1], row[-1] * scalar(1, 2)) for row in plain.sorted_rows()])
+    return ARITIES[arity][2](half)[1] if proven else half
+
+
+@pytest.mark.parametrize("proven", [False, True], ids=["plain", "proven"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_bracket_never_equals_a_triple(dim, proven):
+    empty = [BilinearStructure(dim), TrilinearStructure(dim)]
+    if proven:
+        empty = [ARITIES[t.arity][2](t)[1] for t in empty]
+    bracket, triple = empty
+    assert bracket != triple and triple != bracket
+    assert bracket == BilinearStructure(dim) and triple == TrilinearStructure(dim)
+
+
+@pytest.mark.parametrize("proven", [False, True], ids=["plain", "proven"])
+@pytest.mark.parametrize("arity", ARITIES)
+def test_integer_form_is_plain_and_scaled(arity, proven):
+    cls = ARITIES[arity][0]
+    t = _halved(arity, proven)
+    assert (type(t) is cls) != proven
+    form, d = t.integer_form()
+    assert type(form) is cls and d == 2 and form != t
+    assert form.sorted_rows() == [(*row[:-1], d * row[-1]) for row in t.sorted_rows()]
+    assert form.integer_form() == (form, 1) and form.integer_form()[0] is form
+
+
+@pytest.mark.parametrize("arity", ARITIES)
+def test_from_rows_refuses_duplicates_and_wrong_widths(arity):
+    cls, kind, _ = ARITIES[arity]
+    row = (0,) * (arity + 1) + (1,)
+    with pytest.raises(WorkbenchError, match=rf"duplicate {kind} entry \({', '.join(['0'] * (arity + 1))}\)"):
+        cls.from_rows(2, [row, row])
+    with pytest.raises(DimensionMismatchError, match=f"{kind} row"):
+        cls.from_rows(2, [row[1:]])
+
+
+@pytest.mark.parametrize("proven", [False, True], ids=["plain", "proven"])
+@pytest.mark.parametrize("arity", ARITIES)
+def test_rows_repr_and_immutability(arity, proven):
+    cls = ARITIES[arity][0]
+    t = _halved(arity, proven)
+    rows = t.sorted_rows()
+    assert rows == sorted(rows) and len(rows) == sum(len(t.value(*key)) for key in t.support())
+    backwards = cls.from_rows(t.dim, reversed(rows))
+    assert backwards == t and backwards.sorted_rows() == rows
+    assert repr(t) == f"{cls.__name__}(dim={t.dim}, entries={len(t.support())})"
+    for name in ("dim", "_c", "_hash", "kind"):
+        with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
+            setattr(t, name, None)
+    assert t == _halved(arity, False) and hash(t) == hash(_halved(arity, False))
+
+
+# ---------------------------------------------------------------------------
 # bilinear / trilinear evaluation
 
 
@@ -99,6 +168,8 @@ def test_apply_bilinear_dimension_mismatch():
     so3 = so_n(3)
     with pytest.raises(DimensionMismatchError):
         apply_bilinear(so3.bracket, {5: 1}, {0: 1})
+    with pytest.raises(DimensionMismatchError):
+        apply_trilinear(gl_assoc(2).triple, {0: 1}, {0: 1}, {4: 1})
 
 
 def test_apply_trilinear_idempotent():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from opalg import (
+    DimensionMismatchError,
     LieBiOperator,
     LieWithOperator,
     Operator,
@@ -271,6 +272,12 @@ def test_convert_params_equal_operators_give_zero_xi():
     R = Operator([[1, 2], [3, 4]])
     _, xi = convert_params(R, R)
     assert xi == Operator.zero(2)
+
+
+@pytest.mark.parametrize("convert", [convert_params, convert_params_inverse])
+def test_convert_params_dimension_mismatch(convert):
+    with pytest.raises(DimensionMismatchError, match="operator dims differ"):
+        convert(Operator.identity(2), Operator.identity(3))
 
 
 def test_convert_params_multiplication_pair():
