@@ -10,7 +10,6 @@ bracket whenever the identity holds.
 from opalg import (
     LieWithOperator,
     Operator,
-    bracket_r,
     check_antisymmetry,
     check_jacobi,
     check_myb,
@@ -49,7 +48,8 @@ e2 = example2_gl(2)
 g = LieWithOperator(e2.bracket, e2.operators["R1"])
 show(check_myb(g), "mYB for X -> XQ")
 
-derived = bracket_r(g)
+# the record tabulates its derived bracket on first read and keeps it
+derived = g.bracket_R
 print("   derived bracket on (E12, E21):", derived.value(1, 2), " i.e. 2E11 - E22")
 show(check_antisymmetry(derived), "derived bracket antisymmetry")
 show(check_jacobi(derived), "derived bracket Jacobi")

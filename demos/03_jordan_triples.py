@@ -36,7 +36,8 @@ print("  alternate identity:", alt.passed, "- first failing tuple", alt.witness.
 print()
 print("== triple mYB system with R = right multiplication by Q = diag(1,2) ==")
 s = TripleWithOperator(t, e3.operators["R1"])
-# the reduced form presupposes triple mYB, so triple_r returns that report too
+# the reduced form presupposes triple mYB, so triple_r returns that report
+# too; the record keeps the pair, and later reads of it scan nothing
 myb, derived = triple_r(s)
 print("  triple mYB identity:", myb.passed)
 print("  full and reduced derived triples agree:", derived == derived_triple(s.triple, s.R, MODE_FULL))
@@ -58,8 +59,8 @@ print("  rho-transport against the derived triple:", rho_report.sub("rho-derived
 
 print()
 print("== the derived structures form a design again ==")
-from opalg import DesignCandidate, LieWithOperator, bracket_r
+from opalg import DesignCandidate, LieWithOperator
 
 g = LieWithOperator(e3.bracket, e3.operators["R1"])
-design = check_design(DesignCandidate(bracket_r(g), derived))
+design = check_design(DesignCandidate(g.bracket_R, derived))
 print("  design on (derived bracket, derived triple):", design.passed)

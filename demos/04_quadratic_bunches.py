@@ -12,7 +12,6 @@ the family coefficients.
 from opalg import (
     LieBiOperator,
     RRhoAlgebra,
-    bracket_rho,
     build_bunch,
     check_jacobi,
     check_rrho,
@@ -30,13 +29,15 @@ for sub in report.subchecks:
     tag = " (informational)" if sub.informational else ""
     print(f"  [{'PASS' if sub.passed else 'FAIL'}] {sub.name}{tag}")
 
-quadratic = bracket_rho(a)
+# check_rrho tabulated the quadratic bracket; the record kept it
+quadratic = a.bracket_rho
 print("  quadratic bracket [e1,e2]_rho =", quadratic.value(0, 1))
 print("  quadratic bracket obeys Jacobi:", check_jacobi(quadratic).passed)
 
 print()
 print("== the induced quadratic family ==")
-# extraction checks the gamma-bunch conditions first and returns that report
+# build_bunch reads both brackets from the record; extraction checks the
+# gamma-bunch conditions first and returns that report
 gamma, back = extract_rrho(build_bunch(a))
 print("  all homomorphism degrees and Jacobiator degrees pass:", gamma.passed)
 print("  degree dictionary: deg1 = derived-bracket definition, deg2 = quadratic-")

@@ -31,7 +31,6 @@ from .core import (
 from .lie import (
     LieBiOperator,
     LieWithOperator,
-    bracket_r,
     check_bi_myb,
     check_even_tempered,
     check_even_tempered_xi,
@@ -62,7 +61,6 @@ from .jordan import (
 from .bunch import (
     QuadraticBunch,
     RRhoAlgebra,
-    bracket_rho,
     build_bunch,
     check_gamma_bunch,
     check_rrho,

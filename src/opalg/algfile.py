@@ -77,18 +77,17 @@ def _parse_tensor(cls, rows, dim):
     if not isinstance(rows, list):
         raise ParseError(f"{cls.kind} must be a list")
     shape = f"[{', '.join('ijkl'[: cls.arity + 1])}, scalar]"
-    parsed = []
-    seen = set()
+    entries: dict = {}
     for pos, row in enumerate(rows):
         where = f"{cls.kind}[{pos}]"
         if not isinstance(row, list) or len(row) != cls.arity + 2:
             raise ParseError(f"{where}: expected {shape}")
         index = tuple([_parse_index(v, dim, where) for v in row[:-1]])
-        if index in seen:
+        vec = entries.setdefault(index[:-1], {})
+        if index[-1] in vec:
             raise ParseError(f"{where}: duplicate entry {index}")
-        seen.add(index)
-        parsed.append((*index, _parse_scalar(row[-1], where)))
-    return cls.from_rows(dim, parsed)
+        vec[index[-1]] = _parse_scalar(row[-1], where)
+    return cls(dim, entries)
 
 
 def parse_algebra_file(text: str) -> AlgebraFile:

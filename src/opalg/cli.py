@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .algfile import AlgebraFile, render_algebra_file
-from .bunch import RRhoAlgebra, bracket_rho
+from .bunch import RRhoAlgebra
 from .catalog import build_entry, catalog_names
 from .core import WorkbenchError, forced
 from .findings import render_findings
@@ -97,8 +97,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _write(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise WorkbenchError(f"cannot write output {out!r}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -132,7 +135,7 @@ def _cmd_derive(args) -> int:
             af.require_operator(args.operator),
             af.require_operator(args.operator2),
         )
-        out = AlgebraFile(af.dimension, af.basis_names, bracket_rho(a))
+        out = AlgebraFile(af.dimension, af.basis_names, a.bracket_rho)
     else:
         triple = af.require_triple()
         op = af.require_operator(args.operator)

@@ -76,9 +76,15 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """A record whose fields cannot be assigned after __init__."""
+    """A record whose fields cannot be assigned after __init__.
 
-    __slots__ = ()
+    What a subclass derives from its fields is a functools.cached_property:
+    computed on first read and then kept in the record's __dict__, which
+    equality, hashing, repr and replace ignore, so a replaced record computes
+    it again.
+    """
+
+    __slots__ = ("__dict__",)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{self.__class__.__name__} is immutable")
@@ -363,16 +369,14 @@ class _SparseTensor:
         [i, j, k, scalar] for a bracket; a duplicate (*index tuple, component)
         is an error."""
         entries: dict = {}
-        seen = set()
         for row in rows:
             row = tuple(row)
             if len(row) != cls.arity + 2:
                 raise DimensionMismatchError(f"{cls.kind} row {row} needs {cls.arity + 2} fields")
-            index = row[:-1]
-            if index in seen:
-                raise WorkbenchError(f"duplicate {cls.kind} entry {index}")
-            seen.add(index)
-            entries.setdefault(index[:-1], {})[index[-1]] = as_scalar(row[-1])
+            vec = entries.setdefault(row[:-2], {})
+            if row[-2] in vec:
+                raise WorkbenchError(f"duplicate {cls.kind} entry {row[:-1]}")
+            vec[row[-2]] = as_scalar(row[-1])
         return cls(dim, entries)
 
     def integer_form(self) -> tuple:

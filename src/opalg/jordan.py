@@ -9,6 +9,8 @@ the triple mYB identity holds, in the three-term reduced form
 
 from __future__ import annotations
 
+import functools
+
 from .core import (
     COMMUTE,
     BilinearStructure,
@@ -59,6 +61,13 @@ class TripleWithOperator(FrozenRecord):
     @property
     def notes(self) -> tuple:
         return (BASE_UNVERIFIED_NOTE,) if self.unchecked else ()
+
+    @functools.cached_property
+    def triple_r(self) -> tuple:
+        """(check_triple_myb(self), the reduced derived triple, or None if the
+        report fails), computed on first read."""
+        report = check_triple_myb(self)
+        return report, derived_triple(self.triple, self.R, MODE_REDUCED) if report.passed else None
 
 
 class DesignCandidate(FrozenRecord):
@@ -146,15 +155,14 @@ def derived_triple(triple: TrilinearStructure, R: Operator, mode: str = MODE_RED
 
 
 def triple_r(s: TripleWithOperator) -> tuple:
-    """(check_triple_myb(s), the reduced derived triple, or None if the report fails)."""
-    report = check_triple_myb(s)
-    return report, derived_triple(s.triple, s.R, MODE_REDUCED) if report.passed else None
+    """(check_triple_myb(s), the reduced derived triple, or None if the report fails), as s keeps it."""
+    return s.triple_r
 
 
 @states(TRIPLE_R_HOMOMORPHISM)
 def check_triple_r_homomorphism(s: TripleWithOperator) -> tuple:
     """(check_triple_myb(s), whether R maps the derived triple onto R-images, or None)."""
-    base, derived = triple_r(s)
+    base, derived = s.triple_r
     if derived is None:
         return base, None
     return base, scan(TRIPLE_R_HOMOMORPHISM, {"triple": s.triple, "triple_R": derived, "R": s.R}, notes=s.notes)

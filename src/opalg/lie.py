@@ -8,6 +8,8 @@ failing candidates can always be checked and reported.
 
 from __future__ import annotations
 
+import functools
+
 from .core import (
     COMMUTE,
     BilinearStructure,
@@ -55,6 +57,11 @@ class LieWithOperator(FrozenRecord):
         _require_dim(bracket, R)
         self._assign(bracket, R)
 
+    @functools.cached_property
+    def bracket_R(self) -> BilinearStructure:
+        """The derived bracket [X,Y]_R, tabulated on first read."""
+        return derived_bracket(self.bracket, self.R)
+
 
 class LieBiOperator(FrozenRecord):
     """A Lie bracket with two operators; their conditions are checked, not assumed.
@@ -68,6 +75,16 @@ class LieBiOperator(FrozenRecord):
         bracket = require_lie(bracket)
         _require_dim(bracket, R1, R2)
         self._assign(bracket, R1, R2)
+
+    @functools.cached_property
+    def bracket_R1(self) -> BilinearStructure:
+        """The derived bracket of R1, tabulated on first read."""
+        return derived_bracket(self.bracket, self.R1)
+
+    @functools.cached_property
+    def bracket_R2(self) -> BilinearStructure:
+        """The derived bracket of R2, tabulated on first read."""
+        return derived_bracket(self.bracket, self.R2)
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +109,6 @@ def derived_bracket(bracket: BilinearStructure, R: Operator) -> BilinearStructur
     return tabulate(DERIVED_BRACKET, {"bracket": bracket, "R": R})
 
 
-def bracket_r(g: LieWithOperator) -> BilinearStructure:
-    return derived_bracket(g.bracket, g.R)
-
-
 def check_polynomial_closure(g: LieWithOperator, coeffs) -> tuple:
     """(check_myb(g), the mYB check for (g, f(R)), or None if the report fails)."""
     base = check_myb(g)
@@ -116,11 +129,7 @@ def check_bi_myb(g: LieBiOperator) -> CheckReport:
         scan(COMMUTE, {"R1": g.R1, "R2": g.R2}),
         check_myb_raw(g.bracket, g.R1, "myb-r1"),
         check_myb_raw(g.bracket, g.R2, "myb-r2"),
-        tensors_equal_report(
-            "derived-brackets-coincide",
-            derived_bracket(g.bracket, g.R1),
-            derived_bracket(g.bracket, g.R2),
-        ),
+        tensors_equal_report("derived-brackets-coincide", g.bracket_R1, g.bracket_R2),
     ]
     return aggregate_report("bi-myb", subs)
 
@@ -141,15 +150,15 @@ def check_xi_characterization(g: LieWithOperator, xi: Operator) -> CheckReport:
     """Derivation xi commuting with R with [xiX,xiY] = [SX,Y]+[X,SY]-S[X,Y], S = R xi.
 
     Also verifies that (bracket, R, R+xi) is bi-mYB and that xi is a
-    derivation of the derived bracket.
+    derivation of the derived bracket, which that pair tabulates once.
     """
-    bracket, R = g.bracket, g.R
-    structures = {"bracket": bracket, "R": R, "xi": xi, "bracket_R": derived_bracket(bracket, R)}
+    pair = LieBiOperator(g.bracket, g.R, g.R + xi)
+    structures = {"bracket": g.bracket, "R": g.R, "xi": xi, "bracket_R": pair.bracket_R1}
     subs = [
         scan(XI_DERIVATION, structures),
-        scan(COMMUTE, {"R1": R, "R2": xi}, name="xi-commutes-with-r"),
+        scan(COMMUTE, {"R1": g.R, "R2": xi}, name="xi-commutes-with-r"),
         scan(XI_PAIR, structures),
-        check_bi_myb(LieBiOperator(bracket, R, R + xi)),
+        check_bi_myb(pair),
         scan(XI_DERIVATION_DERIVED, structures),
     ]
     return aggregate_report("xi-characterization", subs)
@@ -171,11 +180,7 @@ def probe_r0(g: LieBiOperator) -> tuple:
     if not bi_myb.passed:
         return bi_myb, None
     r0 = (g.R1 + g.R2).scale(scalar(1, 2))
-    coincide = tensors_equal_report(
-        "midpoint-bracket-coincidence",
-        derived_bracket(g.bracket, r0),
-        derived_bracket(g.bracket, g.R1),
-    )
+    coincide = tensors_equal_report("midpoint-bracket-coincidence", derived_bracket(g.bracket, r0), g.bracket_R1)
     myb = check_myb_raw(g.bracket, r0, "midpoint-myb")
     return bi_myb, aggregate_report("midpoint-probe", (coincide, myb.replace(informational=True)))
 

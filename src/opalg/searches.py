@@ -13,7 +13,7 @@ import random
 
 from .algfile import AlgebraFile, algebra_file_to_dict, entry_to_algebra_file
 from .bunch import RRhoAlgebra, check_rrho
-from .catalog import example4_so, gl_assoc, mult_operators, so_n
+from .catalog import _entry_dim, example4_so, gl_assoc, mult_operators, so_n
 from .core import Operator, WorkbenchError, guard_scan
 from .jordan import MODE_FULL, MODE_REDUCED, check_triple_bi_myb, check_triple_myb_raw, derived_triple, tensors_equal_report
 from .lie import LieBiOperator, check_bi_myb, check_even_tempered, check_myb_raw
@@ -219,8 +219,8 @@ SEARCH_TARGETS = {
     "example4-non-factorizable": _search_example4_factorization,
 }
 
-# The family of the algebra each target builds from --dim n: gl(n) has
-# dimension n^2, so(n) n(n-1)/2.  so3-non-myb always works on so(3).
+# The catalog family of the algebra each target builds from --dim n, whose
+# dimension catalog._entry_dim states.  so3-non-myb always works on so(3).
 _DIM_FAMILIES = {
     "triple-r-mode-disagreement": "gl",
     "r0-not-myb": "gl",
@@ -256,7 +256,7 @@ def run_search(target: str, seed: int, trials: int, dim: int | None = None, entr
     if target not in SEARCH_TARGETS:
         raise UnknownTargetError(f"unknown search target {target!r}; known: {sorted(SEARCH_TARGETS)}")
     if dim and target in _DIM_FAMILIES:
-        guard_scan(dim * dim if _DIM_FAMILIES[target] == "gl" else dim * (dim - 1) // 2, 3)
+        guard_scan(_entry_dim(_DIM_FAMILIES[target], dim), 3)
     rng = random.Random(seed)
     findings: list = []
     SEARCH_TARGETS[target](rng, trials, dim, entry_bound, findings)

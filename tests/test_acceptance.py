@@ -15,8 +15,6 @@ from opalg import (
     Operator,
     RRhoAlgebra,
     TripleWithOperator,
-    bracket_r,
-    bracket_rho,
     build_bunch,
     check_antisymmetry,
     check_bi_myb,
@@ -120,7 +118,7 @@ def test_criterion_2_derived_brackets_and_polynomial_transport():
     for n in (2, 3):
         for entry in multiplication_entries(n):
             g1 = LieWithOperator(entry.bracket, entry.operators["R1"])
-            assert check_jacobi(bracket_r(g1)).passed
+            assert check_jacobi(g1.bracket_R).passed
             g2 = LieWithOperator(entry.bracket, entry.operators["R2"])
             for coeffs in polynomials:
                 assert all(r.passed for r in check_polynomial_closure(g1, coeffs))
@@ -179,7 +177,7 @@ def test_criterion_4_derived_structures_remain_designs():
         t = triple_entry.triple
         g = LieWithOperator(entry.bracket, entry.operators["R1"])
         s = TripleWithOperator(t, entry.operators["R1"])
-        derived_bracket_tensor = bracket_r(g)
+        derived_bracket_tensor = g.bracket_R
         myb, derived_triple_tensor = triple_r(s)
         assert myb.passed
         assert check_jts_identity(derived_triple_tensor, "jacobson").passed
@@ -205,7 +203,7 @@ def test_criterion_5_rrho_identities_and_bunch_correspondence():
             a = RRhoAlgebra(entry.bracket, entry.operators["R"], entry.operators["rho"])
             report = check_rrho(a)
             assert report.passed
-            quadratic = bracket_rho(a)
+            quadratic = a.bracket_rho
             assert check_antisymmetry(quadratic).passed
             assert check_jacobi(quadratic).passed
             gamma, back = extract_rrho(build_bunch(a))

@@ -55,9 +55,9 @@ def test_unreduced_scalar_rejected():
         ('{"dimension": 0}', "dimension"),
         ('{"dimension": 2, "extra": 1}', "unknown top-level"),
         ('{"dimension": 2, "bracket": [[0, 1, 2, "1"]]}', "out of range"),
-        ('{"dimension": 2, "bracket": [[0, 1, 0, "1"], [0, 1, 0, "2"]]}', "duplicate"),
+        ('{"dimension": 2, "bracket": [[0, 1, 0, "1"], [0, 1, 0, "2"]]}', r"^bracket\[1\]: duplicate entry \(0, 1, 0\)$"),
         ('{"dimension": 2, "bracket": [[0, 1, "1"]]}', "expected"),
-        ('{"dimension": 2, "triple": [[0, 0, 0, 0, "1"], [0, 0, 0, 0, "1"]]}', "duplicate"),
+        ('{"dimension": 2, "triple": [[0, 0, 0, 0, "1"], [0, 0, 0, 0, "1"]]}', r"^triple\[1\]: duplicate entry \(0, 0, 0, 0\)$"),
         ('{"dimension": 2, "operators": {"R": [["1", "0"]]}}', "matrix"),
         ('{"dimension": 2, "operators": {"R": [["1", "0"], ["0", 1]]}}', "scalar"),
         ('{"dimension": 2, "basis_names": ["x"]}', "basis_names"),

@@ -10,8 +10,8 @@ from opalg import (
     PreconditionError,
     QuadraticBunch,
     RRhoAlgebra,
-    bracket_rho,
     build_bunch,
+    build_entry,
     check_antisymmetry,
     check_gamma_bunch,
     check_jacobi,
@@ -74,18 +74,18 @@ def example4_algebra(n=3, Q=None) -> RRhoAlgebra:
 def test_bracket_rho_zero_operators():
     so3 = so_n(3)
     a = RRhoAlgebra(so3.bracket, Operator.zero(3), Operator.zero(3))
-    assert bracket_rho(a).sorted_rows() == []
+    assert a.bracket_rho.sorted_rows() == []
 
 
 def test_bracket_rho_identity_operators_reproduce_bracket():
     so3 = so_n(3)
     a = RRhoAlgebra(so3.bracket, Operator.identity(3), Operator.identity(3))
-    assert bracket_rho(a) == so3.bracket
+    assert a.bracket_rho == so3.bracket
 
 
 def test_bracket_rho_matches_conjugation_oracle():
     a = example4_algebra()
-    assert bracket_rho(a) == conjugation_quadratic_coefficient(a)
+    assert a.bracket_rho == conjugation_quadratic_coefficient(a)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +222,26 @@ def test_gamma_bunch_end_to_end_from_multiplication_pair():
     assert check_gamma_bunch(build_bunch(_pair_algebra(g))).passed
 
 
+def test_gamma_bunch_reads_the_antisymmetry_of_b0_from_its_proof(monkeypatch):
+    e4 = build_entry("example4-so4?q=seed:11")
+    q = build_bunch(RRhoAlgebra(e4.bracket, e4.operators["R"], e4.operators["rho"]))
+    scanned = []
+    bind = Formula.bind
+
+    def counted(self, structures):
+        if self.name == "antisymmetry":
+            scanned.append(structures["bracket"])
+        return bind(self, structures)
+
+    monkeypatch.setattr(Formula, "bind", counted)
+    report = check_gamma_bunch(q)
+    # b1 and b2 are scanned; b0's line is the proof's, equal to a scan of it
+    assert scanned == [q.b1, q.b2]
+    deg0 = report.sub("antisymmetry-deg0")
+    assert deg0 == check_antisymmetry(e4.bracket).replace(name="antisymmetry-deg0")
+    assert deg0.passed and deg0.tuples_evaluated == 36
+
+
 @pytest.mark.parametrize("coefficient, degree", [("b1", 1), ("b2", 2)], ids=["b1", "b2"])
 def test_gamma_bunch_detects_perturbed_quadratic_coefficient(coefficient, degree):
     # with r0 = 1, the deg1 residual is b1 - [.,.]_R(r1) and then the deg2
@@ -304,7 +324,7 @@ def test_quadratic_bracket_is_lie_for_passing_instances():
         instances.append(example4_algebra(3, random_symmetric_matrix(rng, 3)))
     for a in instances:
         assert check_rrho(a).passed
-        b2 = bracket_rho(a)
+        b2 = a.bracket_rho
         assert check_antisymmetry(b2).passed
         assert check_jacobi(b2).passed
 

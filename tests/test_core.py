@@ -1,17 +1,27 @@
+import collections
+import functools
+
 import pytest
 
 from opalg import (
     BilinearStructure,
     DimensionGuardError,
     DimensionMismatchError,
+    LieBiOperator,
+    LieWithOperator,
     Operator,
+    RRhoAlgebra,
     TrilinearStructure,
+    TripleWithOperator,
     WorkbenchError,
     apply_bilinear,
     apply_trilinear,
     check_antisymmetry,
     check_jacobi,
     check_jts_identity,
+    example2_gl,
+    example3_gl,
+    example4_so,
     forced,
     gl_assoc,
     op_polynomial,
@@ -19,6 +29,7 @@ from opalg import (
 )
 from opalg.catalog import example1_candidates
 from opalg.core import prove_jts, prove_lie
+from opalg.formula import Formula
 from opalg.oracles import mat_mul
 from opalg.scalars import scalar
 
@@ -226,11 +237,9 @@ def test_jacobi_passes_on_gl2():
 
 
 def test_jacobi_passes_on_derived_bracket():
-    from opalg import LieWithOperator, bracket_r
-
     gl2 = gl_assoc(2)
     right = gl2.operator_from_matrix_map(lambda x: mat_mul(x, ((1, 0), (0, 2))))
-    derived = bracket_r(LieWithOperator(gl2.bracket, right))
+    derived = LieWithOperator(gl2.bracket, right).bracket_R
     assert check_jacobi(derived).passed
 
 
@@ -355,3 +364,67 @@ def test_records_keep_value_semantics():
     assert (af.dimension, af.bracket, af.triple) == (4, gl2.bracket, gl2.triple)
     assert af == AlgebraFile(4, bracket=gl2.bracket, triple=gl2.triple, operators={"R": Operator.identity(4)})
     assert AlgebraFile(1).operators == {} and AlgebraFile(1).operators is not AlgebraFile(1).operators
+
+
+# how each record with derived values is made, the field replace changes,
+# and the formulas its derived values bind when first read
+DERIVED = {
+    "LieWithOperator": (
+        lambda e2, e3, e4: LieWithOperator(e2.bracket, e2.operators["R1"]), "R", {"derived-bracket": 1},
+    ),
+    "LieBiOperator": (
+        lambda e2, e3, e4: LieBiOperator(e2.bracket, e2.operators["R1"], e2.operators["R2"]), "R1",
+        {"derived-bracket": 2},
+    ),
+    "RRhoAlgebra": (
+        lambda e2, e3, e4: RRhoAlgebra(e4.bracket, e4.operators["R"], e4.operators["rho"]), "R",
+        {"derived-bracket": 1, "quadratic-bracket": 1},
+    ),
+    "TripleWithOperator": (
+        lambda e2, e3, e4: TripleWithOperator(e3.triple, e3.operators["R1"]), "R",
+        {"triple-myb": 1, "derived-triple-reduced": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", DERIVED)
+def test_a_record_keeps_its_derived_values_apart_from_its_fields(monkeypatch, kind):
+    make, field, tabulations = DERIVED[kind]
+    entries = example2_gl(2), example3_gl(2), example4_so(3)
+    record, fresh = make(*entries), make(*entries)
+    names = [name for name, value in vars(type(record)).items() if isinstance(value, functools.cached_property)]
+    again = record.replace(**{field: getattr(record, field)})
+    binds = collections.Counter()
+    bind = Formula.bind
+
+    def counted(self, structures):
+        binds[self.name] += 1
+        return bind(self, structures)
+
+    monkeypatch.setattr(Formula, "bind", counted)
+    values = [getattr(record, name) for name in names]
+    assert binds == tabulations
+    # read again, each is the value kept, and nothing is bound
+    assert all(getattr(record, name) is value for name, value in zip(names, values))
+    assert binds == tabulations
+    # what the record keeps is not one of its fields
+    assert record == fresh and hash(record) == hash(fresh) and repr(record) == repr(fresh)
+    assert record._values() == fresh._values()
+    # a replaced record has computed nothing yet, so it tabulates again
+    assert again == record and [getattr(again, name) for name in names] == values
+    assert binds == {name: 2 * count for name, count in tabulations.items()}
+
+
+def test_derived_tensors_are_read_from_their_records_only():
+    import pathlib
+    import re
+
+    import opalg
+    from opalg import bunch, lie
+
+    deleted = {opalg: ("bracket_r", "bracket_rho"), lie: ("bracket_r",), bunch: ("bracket_rho", "_structures")}
+    assert [(m.__name__, n) for m, names in deleted.items() for n in names if hasattr(m, n)] == []
+    root = pathlib.Path(opalg.__file__).resolve().parent.parent.parent
+    files = [*(root / "src" / "opalg").glob("*.py"), *(root / "demos").glob("*.py"), root / "README.md"]
+    calls = re.compile(r"(?<!def )\b(bracket_r|bracket_rho|_structures)\(")
+    assert len(files) > 3 and [f.name for f in files if calls.search(f.read_text(encoding="utf-8"))] == []

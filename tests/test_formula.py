@@ -52,7 +52,7 @@ def test_terms_under_one_operator_word_are_summed_exactly(c1, c2):
         (oa.derived_bracket, DERIVED_BRACKET),
         (oa.check_triple_myb_raw, TRIPLE_MYB),
         (oa.derived_triple, DERIVED_TRIPLES[oa.MODE_REDUCED]),
-        (oa.bracket_rho, QUADRATIC_BRACKET),
+        (oa.RRhoAlgebra.bracket_rho.func, QUADRATIC_BRACKET),
     ],
 )
 def test_public_docstrings_state_their_formula(fn, formula):

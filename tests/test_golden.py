@@ -22,6 +22,7 @@ import sys
 import pytest
 
 from opalg.cli import main
+from opalg.formula import Formula
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_sha256.json")
 
@@ -177,7 +178,7 @@ def _random_operator_reports(entry, seed) -> str:
     ]
     tensors = [
         oa.derived_bracket(b, R1),
-        oa.bracket_rho(oa.RRhoAlgebra(b, R1, R2)),
+        oa.RRhoAlgebra(b, R1, R2).bracket_rho,
         oa.derived_triple(t, R1, oa.MODE_FULL),
         oa.derived_triple(t, R1, oa.MODE_REDUCED),
     ]
@@ -212,16 +213,46 @@ def run_case(argv, out_path) -> str:
     return hashlib.sha256(f"exit {code}\n".encode() + body).hexdigest()
 
 
-def compute_digests() -> dict:
+def compute_digests(each=None) -> dict:
+    """The digest of every case; each(case), if given, is called before the case runs."""
     import tempfile
 
+    digests = {}
     with tempfile.TemporaryDirectory() as tmp:
-        return {case: run_case(CASES[case], os.path.join(tmp, "report")) for case in sorted(CASES)}
+        for case in sorted(CASES):
+            if each:
+                each(case)
+            digests[case] = run_case(CASES[case], os.path.join(tmp, "report"))
+    return digests
 
 
 @pytest.fixture(scope="module")
-def digests():
-    return compute_digests()
+def golden_run() -> tuple:
+    """The digests, and for each case the formulas it bound again on
+    structures equal to those of an earlier bind, recorded by wrapping
+    Formula.bind in the same pass."""
+    repeated = {}
+    bind = Formula.bind
+
+    def each(case):
+        bound, repeated[case] = set(), []
+
+        def recorded(self, structures):
+            key = (self.name, *((name, structures[name]) for name in self._compiled[0]))
+            if key in bound:
+                repeated[case].append(self.name)
+            bound.add(key)
+            return bind(self, structures)
+
+        patch.setattr(Formula, "bind", recorded)
+
+    with pytest.MonkeyPatch.context() as patch:
+        return compute_digests(each), repeated
+
+
+@pytest.fixture(scope="module")
+def digests(golden_run):
+    return golden_run[0]
 
 
 def _load_golden() -> dict:
@@ -236,6 +267,15 @@ def test_report_bytes_match_golden(case, digests):
 
 def test_golden_file_lists_exactly_the_cases():
     assert sorted(_load_golden()) == sorted(CASES)
+
+
+def test_no_check_binds_a_formula_twice_on_equal_structures(golden_run):
+    # a derived tensor is a value of the record that defines it, and a
+    # proven structure carries its proof, so no request tabulates or scans
+    # the same thing twice
+    checks = [case for case in CASES if case.startswith("check ")]
+    assert len(checks) == 166
+    assert {case: golden_run[1][case] for case in checks if golden_run[1][case]} == {}
 
 
 if __name__ == "__main__":

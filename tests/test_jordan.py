@@ -9,7 +9,6 @@ from opalg import (
     Operator,
     TripleWithOperator,
     TrilinearStructure,
-    bracket_r,
     check_design,
     check_equivariance,
     check_jts_identity,
@@ -222,7 +221,7 @@ def test_derived_structures_stay_equivariant():
     g = LieWithOperator(e3.bracket, e3.operators["R1"])
     s = TripleWithOperator(e3.triple, e3.operators["R1"])
     assert check_equivariance(e3.bracket, e3.triple).passed
-    assert check_equivariance(bracket_r(g), _reduced(s)).passed
+    assert check_equivariance(g.bracket_R, _reduced(s)).passed
 
 
 def test_derived_structures_form_a_design():
@@ -231,7 +230,7 @@ def test_derived_structures_form_a_design():
     g = LieWithOperator(e3.bracket, e3.operators["R1"])
     s = TripleWithOperator(e3.triple, e3.operators["R1"])
     base = check_design(DesignCandidate(e3.bracket, e3.triple))
-    derived = check_design(DesignCandidate(bracket_r(g), _reduced(s)))
+    derived = check_design(DesignCandidate(g.bracket_R, _reduced(s)))
     assert base.passed and derived.passed
 
 

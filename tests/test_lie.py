@@ -7,7 +7,6 @@ from opalg import (
     LieBiOperator,
     LieWithOperator,
     Operator,
-    bracket_r,
     check_bi_myb,
     check_even_tempered,
     check_even_tempered_xi,
@@ -83,19 +82,19 @@ def test_constructor_rejects_non_lie_bracket():
 def test_bracket_r_identity_operator_reproduces_bracket():
     gl2 = gl_assoc(2)
     g = LieWithOperator(gl2.bracket, Operator.identity(4))
-    assert bracket_r(g) == gl2.bracket
+    assert g.bracket_R == gl2.bracket
 
 
 def test_bracket_r_zero_operator_gives_zero():
     gl2 = gl_assoc(2)
     g = LieWithOperator(gl2.bracket, Operator.zero(4))
-    assert bracket_r(g).sorted_rows() == []
+    assert g.bracket_R.sorted_rows() == []
 
 
 def test_bracket_r_matches_matrix_oracle_entrywise():
     # [E12, E21]_R = E12 Q E21 - E21 Q E12 = 2 E11 - E22 for Q = diag(1,2)
     e2 = example2_gl(2)
-    derived = bracket_r(LieWithOperator(e2.bracket, e2.operators["R1"]))
+    derived = LieWithOperator(e2.bracket, e2.operators["R1"]).bracket_R
     assert derived.value(1, 2) == {0: 2, 3: -1}
     assert derived == qy_bracket_oracle(e2, e2.q)
 

@@ -170,8 +170,8 @@ def test_records_built_on_a_records_bracket_scan_nothing(monkeypatch):
     e4 = example4_so(3)
     a = RRhoAlgebra(e4.bracket, e4.operators["R"], e4.operators["rho"])
     bunch = build_bunch(a)
-    # extraction scans gamma-bunch, whose antisymmetry lines bind again; the
-    # (R, rho) pair it returns keeps the bunch's proven b0
+    # extraction scans gamma-bunch, whose antisymmetry lines of b1 and b2
+    # bind; the (R, rho) pair it returns keeps the bunch's proven b0
     gamma, back = extract_rrho(bunch)
     assert gamma.passed and back == a and back.bracket is bunch.b0
     _proof_binds(monkeypatch, refuse=True)

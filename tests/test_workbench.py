@@ -137,20 +137,20 @@ def test_lie_suites_prove_the_bracket_once(monkeypatch, suite):
         report = run_suite(f"catalog:{entry}", suite, {"force": True})
         bracket = catalog.build_entry(entry).bracket
         # the gate proves the bracket, and every record the body builds on it
-        # takes that proof; gamma-bunch reports the antisymmetry of its b0 again
-        again = sum(c.name == "gamma-bunch" for c in report.checks)
-        assert proofs.pop(("antisymmetry", bracket)) == 1 + again, entry
+        # takes that proof; gamma-bunch reports its b0's antisymmetry from it
+        assert proofs.pop(("antisymmetry", bracket)) == 1, entry
         assert proofs.pop(("jacobi", bracket)) == 1, entry
         assert set(proofs.values()) <= {1}, entry
 
 
-def test_rrho_bunch_suite_tabulates_each_bracket_twice(monkeypatch):
+def test_rrho_bunch_suite_tabulates_each_bracket_once(monkeypatch):
     binds = _count_binds(monkeypatch)
     assert run_suite("catalog:example4-so4?q=seed:11", "rrho+bunch").passed
-    # once each in check_rrho and build_bunch; extraction compares nothing,
-    # since its passing gamma-bunch report pins b1 and b2
-    assert binds.count("derived-bracket") == 2
-    assert binds.count("quadratic-bracket") == 2
+    # the (R, rho) record tabulates each once, and check_rrho and build_bunch
+    # both read them there; extraction compares nothing, since its passing
+    # gamma-bunch report pins b1 and b2
+    assert binds.count("derived-bracket") == 1
+    assert binds.count("quadratic-bracket") == 1
 
 
 def test_run_suite_force_holds_for_its_own_call_only(tmp_path):
@@ -346,6 +346,18 @@ def test_cli_usage_errors_exit_two(tmp_path, capsys):
     assert code == 2 and "nested too deeply" in err
     code, _, err = run_cli(capsys, "search", "derived-bracket-jacobi", "--seed", "1", "--trials", "1")
     assert code == 2 and "theorem" in err
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize(
+    "argv", [("check", "catalog:so3", "--suite", "lie-base"), ("findings",)], ids=["check", "findings"]
+)
+def test_cli_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, where):
+    out = tmp_path / "nowhere" / "r.txt" if where == "missing-directory" else tmp_path
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: cannot write output {str(out)!r}: ") and err.count("\n") == 1
+    assert not (tmp_path / "nowhere").exists()
 
 
 def test_cli_crash_exits_three_not_one(capsys, monkeypatch):
