@@ -17,7 +17,6 @@ from opalg import (
     check_triple_r_homomorphism,
     derived_triple,
     example3_gl,
-    triple_r,
 )
 from opalg.core import prove_jts
 from opalg.jordan import MODE_FULL
@@ -36,13 +35,17 @@ print("  alternate identity:", alt.passed, "- first failing tuple", alt.witness.
 print()
 print("== triple mYB system with R = right multiplication by Q = diag(1,2) ==")
 s = TripleWithOperator(t, e3.operators["R1"])
-# the reduced form presupposes triple mYB, so triple_r returns that report
+# the reduced form presupposes triple mYB, so s.triple_r holds that report
 # too; the record keeps the pair, and later reads of it scan nothing
-myb, derived = triple_r(s)
+myb, derived = s.triple_r
 print("  triple mYB identity:", myb.passed)
 print("  full and reduced derived triples agree:", derived == derived_triple(s.triple, s.R, MODE_FULL))
 print("  derived <E11,E11,E11> =", derived.value(0, 0, 0), " (XQYQZ + ZQYQX at E11 is 2*E11)")
 print("  R transports the derived triple onto R-images:", check_triple_r_homomorphism(s)[1].passed)
+# R = left + right multiplication fails triple mYB, so it has no reduced form:
+# `opalg derive --mode reduced` refuses it and the rho suite skips its transport
+myb_sum, none = TripleWithOperator(t, e3.operators["R"]).triple_r
+print("  R = left + right: triple mYB fails at", myb_sum.witness.indices, "- reduced form:", none)
 
 print()
 print("== two-operator triple system (right, left) ==")

@@ -56,7 +56,6 @@ from .jordan import (
     check_triple_myb_raw,
     check_triple_r_homomorphism,
     derived_triple,
-    triple_r,
 )
 from .bunch import (
     QuadraticBunch,

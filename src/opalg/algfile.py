@@ -14,7 +14,6 @@ parse(render(f)) round-trips byte-for-byte.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 from .core import BilinearStructure, Operator, Record, TrilinearStructure, WorkbenchError
@@ -164,6 +163,8 @@ def render_algebra_file(af: AlgebraFile) -> str:
 
 
 def algebra_file_digest(af: AlgebraFile) -> str:
+    import hashlib  # only check reports carry a digest; other commands skip the import
+
     return hashlib.sha256(render_algebra_file(af).encode()).hexdigest()
 
 

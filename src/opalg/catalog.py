@@ -28,6 +28,7 @@ from .core import (
     TrilinearStructure,
     WorkbenchError,
     guard_scan,
+    vec_iadd,
 )
 from .oracles import (
     mat,
@@ -160,17 +161,6 @@ def _sparse(M) -> dict:
     return {(r, c): x for r, row in enumerate(M) for c, x in enumerate(row) if x}
 
 
-def _sparse_iadd(acc: dict, m: dict, coeff=1) -> dict:
-    """acc += coeff * m in place, for coeff != 0, never leaving stored zeros."""
-    for key, x in m.items():
-        v = acc.get(key, 0) + coeff * x
-        if v:
-            acc[key] = v
-        else:
-            del acc[key]
-    return acc
-
-
 def _sparse_mul(a: dict, b: dict) -> dict:
     """a b, summing only the partial products a[r,t] b[t,c] of stored entries."""
     rows_of_b: dict = {}
@@ -210,7 +200,7 @@ class _SparseBasis:
                 coords[i] = x
         recon: dict = {}
         for i, c in coords.items():
-            _sparse_iadd(recon, self.mats[i], c)
+            vec_iadd(recon, self.mats[i], c)
         if recon != M:
             raise CatalogError("matrix does not lie in the basis span")
         return coords
@@ -220,7 +210,7 @@ class _SparseBasis:
         entries = {}
         for i, x in enumerate(self.mats):
             for j, y in enumerate(self.mats):
-                xy = _sparse_iadd(_sparse_mul(x, y), _sparse_mul(y, x), -1)
+                xy = vec_iadd(_sparse_mul(x, y), _sparse_mul(y, x), -1)
                 if xy:
                     entries[(i, j)] = self.expand(xy)
         return BilinearStructure(len(self.mats), entries)
@@ -234,7 +224,7 @@ class _SparseBasis:
                 if not xy and not yx:
                     continue
                 for k, z in enumerate(self.mats):
-                    xyz = _sparse_iadd(_sparse_mul(xy, z), _sparse_mul(z, yx))
+                    xyz = vec_iadd(_sparse_mul(xy, z), _sparse_mul(z, yx))
                     if xyz:
                         entries[(i, j, k)] = self.expand(xyz)
         return TrilinearStructure(len(self.mats), entries)
@@ -319,7 +309,7 @@ def mult_operators(entry: CatalogEntry, Q) -> dict:
     xq = [_sparse_mul(x, q) for x in sparse.mats]
     rho = sparse.operator([_sparse_mul(m, q) for m in qx], d * d)
     if entry.family == "so":
-        return {"R": sparse.operator([_sparse_iadd(dict(a), b) for a, b in zip(qx, xq)], d), "rho": rho}
+        return {"R": sparse.operator([vec_iadd(dict(a), b) for a, b in zip(qx, xq)], d), "rho": rho}
     right, left = sparse.operator(xq, d), sparse.operator(qx, d)
     return {"R1": right, "R2": left, "xi": left - right, "R": left + right, "rho": rho}
 

@@ -16,7 +16,7 @@ from .bunch import RRhoAlgebra
 from .catalog import build_entry, catalog_names
 from .core import WorkbenchError, forced
 from .findings import render_findings
-from .jordan import MODE_FULL, MODE_REDUCED, check_triple_myb_raw, derived_triple
+from .jordan import MODE_FULL, MODE_REDUCED, TripleWithOperator, derived_triple
 from .lie import convert_params, convert_params_inverse, derived_bracket
 from .searches import run_search
 from .suites import SUITES, load_input, run_suite
@@ -58,10 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     derive.add_argument("--mode", choices=(MODE_FULL, MODE_REDUCED), default=MODE_REDUCED)
     derive.add_argument("--operator", default="R")
     derive.add_argument("--operator2", default="rho")
-    derive.add_argument(
-        "--force", action="store_true",
-        help="override the dimension guard and the reduced mode's triple mYB precondition",
-    )
+    derive.add_argument("--force", action="store_true", help="override the dimension guard")
     derive.add_argument("--out", help="output file (stdout when omitted)")
 
     catalog = sub.add_parser("catalog", help="list or export catalog entries")
@@ -139,16 +136,16 @@ def _cmd_derive(args) -> int:
     else:
         triple = af.require_triple()
         op = af.require_operator(args.operator)
-        if args.mode == MODE_REDUCED and not args.force:
-            myb = check_triple_myb_raw(triple, op)
-            if not myb.passed:
+        if args.mode == MODE_FULL:
+            derived = derived_triple(triple, op, MODE_FULL)
+        else:
+            myb, derived = TripleWithOperator(triple, op, unchecked=True).triple_r
+            if derived is None:
                 raise WorkbenchError(
                     "reduced mode requires the triple mYB identity (fails at "
-                    f"{myb.witness.indices}); rerun with --force or --mode full"
+                    f"{myb.witness.indices}); rerun with --mode full"
                 )
-        out = AlgebraFile(
-            af.dimension, af.basis_names, triple=derived_triple(triple, op, args.mode)
-        )
+        out = AlgebraFile(af.dimension, af.basis_names, triple=derived)
     _write(render_algebra_file(out), args.out)
     return 0
 

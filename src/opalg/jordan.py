@@ -147,16 +147,13 @@ def derived_triple(triple: TrilinearStructure, R: Operator, mode: str = MODE_RED
     """Raw derived-triple tensor in the requested form.
 
     The two forms agree exactly when the triple mYB identity holds; this
-    function enforces nothing (see triple_r for the checked reduced form).
+    function enforces nothing.  TripleWithOperator.triple_r is the checked
+    reduced form; the triple-r-mode-disagreement search, which studies the
+    reduced form where the precondition fails, is its one plain reader.
     """
     if mode not in DERIVED_TRIPLES:
         raise ValueError(f"unknown derived-triple mode: {mode!r}")
     return tabulate(DERIVED_TRIPLES[mode], {"triple": triple, "R": R})
-
-
-def triple_r(s: TripleWithOperator) -> tuple:
-    """(check_triple_myb(s), the reduced derived triple, or None if the report fails), as s keeps it."""
-    return s.triple_r
 
 
 @states(TRIPLE_R_HOMOMORPHISM)

@@ -44,7 +44,6 @@ from opalg import (
     op_polynomial,
     probe_r0,
     so_n,
-    triple_r,
 )
 from opalg.core import prove_jts
 from opalg.findings import open_question_findings, render_findings
@@ -144,8 +143,8 @@ def test_criterion_3_triple_systems_with_sign_adjudication():
                 jacobson, proven = prove_jts(t, "jacobson")
             assert jacobson.passed
             systems = {name: TripleWithOperator(proven, ops[name]) for name in ("R1", "R2")}
-            myb1, d1 = triple_r(systems["R1"])
-            myb2, d2 = triple_r(systems["R2"])
+            myb1, d1 = systems["R1"].triple_r
+            myb2, d2 = systems["R2"].triple_r
             assert myb1.passed and myb2.passed
             assert d1 == d2
             assert derived_triple(t, ops["R1"], MODE_FULL) == d1
@@ -178,7 +177,7 @@ def test_criterion_4_derived_structures_remain_designs():
         g = LieWithOperator(entry.bracket, entry.operators["R1"])
         s = TripleWithOperator(t, entry.operators["R1"])
         derived_bracket_tensor = g.bracket_R
-        myb, derived_triple_tensor = triple_r(s)
+        myb, derived_triple_tensor = s.triple_r
         assert myb.passed
         assert check_jts_identity(derived_triple_tensor, "jacobson").passed
         assert check_equivariance(derived_bracket_tensor, derived_triple_tensor).passed

@@ -14,10 +14,13 @@ change of report bytes:
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
+import tempfile
 
 import pytest
 
@@ -203,26 +206,31 @@ for _name in LIBRARY_CASES:
         CASES[f"library {_name} example3-gl2{_q}"] = ["library", _name, _q]
 
 
-def run_case(argv, out_path) -> str:
+def run_case(argv) -> str:
+    """The digest of the exit code, the report written to a fresh file (empty
+    when the command writes none) and, when there is any, the stderr text."""
     if argv[0] == "library":
         code, body = 0, _library_report(argv[1], argv[2]).encode()
     else:
-        code = main([*argv, "--out", str(out_path)])
-        with open(out_path, "rb") as fh:
-            body = fh.read()
+        with tempfile.TemporaryDirectory() as tmp:
+            out_path = os.path.join(tmp, "report")
+            with contextlib.redirect_stderr(io.StringIO()) as stderr:
+                code = main([*argv, "--out", out_path])
+            body = b""
+            if os.path.exists(out_path):
+                with open(out_path, "rb") as fh:
+                    body = fh.read()
+        body += stderr.getvalue().encode()
     return hashlib.sha256(f"exit {code}\n".encode() + body).hexdigest()
 
 
 def compute_digests(each=None) -> dict:
     """The digest of every case; each(case), if given, is called before the case runs."""
-    import tempfile
-
     digests = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for case in sorted(CASES):
-            if each:
-                each(case)
-            digests[case] = run_case(CASES[case], os.path.join(tmp, "report"))
+    for case in sorted(CASES):
+        if each:
+            each(case)
+        digests[case] = run_case(CASES[case])
     return digests
 
 
@@ -267,6 +275,15 @@ def test_report_bytes_match_golden(case, digests):
 
 def test_golden_file_lists_exactly_the_cases():
     assert sorted(_load_golden()) == sorted(CASES)
+
+
+def test_a_case_that_writes_nothing_hashes_no_earlier_report():
+    refused = ["derive", "catalog:example3-gl2", "--what", "derived-triple", "--operator", "R", "--mode", "reduced"]
+    after = set()
+    for earlier in ("so3", "gl2"):
+        run_case(["catalog", "export", earlier])
+        after.add(run_case(refused))
+    assert len(after) == 1
 
 
 def test_no_check_binds_a_formula_twice_on_equal_structures(golden_run):

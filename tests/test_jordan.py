@@ -23,7 +23,6 @@ from opalg import (
     forced,
     gl_assoc,
     so_n,
-    triple_r,
 )
 from opalg.formula import Formula
 from opalg.jordan import BASE_UNVERIFIED_NOTE, MODE_FULL, MODE_REDUCED
@@ -138,8 +137,8 @@ def test_triple_myb_transpose_fails():
 
 
 def _reduced(s):
-    """triple_r(s)'s derived triple, once its triple mYB report has passed."""
-    myb, derived = triple_r(s)
+    """s.triple_r's derived triple, once its triple mYB report has passed."""
+    myb, derived = s.triple_r
     assert myb.passed
     return derived
 
@@ -168,7 +167,7 @@ def test_triple_r_reduced_mode_precondition():
     gl2 = gl_assoc(2)
     transpose = gl2.operator_from_matrix_map(mat_transpose)
     s = TripleWithOperator(gl2.triple, transpose)
-    myb, derived = triple_r(s)
+    myb, derived = s.triple_r
     assert derived is None and not myb.passed
     assert myb.name == "triple-myb" and myb.witness.indices == (0, 1, 3)
     # the transport check presupposes the same report and returns it unchanged

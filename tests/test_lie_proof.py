@@ -229,8 +229,6 @@ def test_no_public_function_takes_a_report_as_lie_proof():
     assert list(inspect.signature(probe_r0).parameters) == ["g"]
     assert list(inspect.signature(extract_rrho).parameters) == ["q"]
     assert list(inspect.signature(prove_jts).parameters) == ["triple", "variant"]
-    # the full derived triple has no precondition, so triple_r has no mode
-    assert list(inspect.signature(jordan.triple_r).parameters) == ["s"]
     for module in (core, lie, bunch, jordan, suites, searches):
         for name, obj in vars(module).items():
             if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:

@@ -181,6 +181,18 @@ def test_xi_suite():
 def test_rho_suite_with_derived_comparison():
     report = run_suite("catalog:example3-gl2", "rho", {"operator2": "R1"})
     assert report.passed
+    myb = report.checks[0]
+    assert myb.name == "triple-myb" and myb.passed and myb.notes == ("base-JTS-unverified",)
+    assert [c.name for c in report.checks[1].subchecks] == ["rho-exchange", "rho-derived-transport"]
+
+
+def test_rho_suite_transports_no_reduced_triple_where_triple_myb_fails():
+    # (t, R) fails triple mYB, so its reduced tabulation is no derived triple
+    report = run_suite("catalog:example3-gl2", "rho", {"operator2": "R"})
+    assert not report.passed and report.exit_code() == 1
+    myb, rho = report.checks
+    assert myb.name == "triple-myb" and not myb.passed and myb.witness.indices == (0, 1, 3)
+    assert rho.passed and [c.name for c in rho.subchecks] == ["rho-exchange"]
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +433,49 @@ def test_cli_derive_emits_parseable_structure(capsys):
     assert af.bracket == derived_bracket(e2.bracket, e2.operators["R1"])
 
 
+REDUCED_R = ("derive", "catalog:example3-gl2", "--what", "derived-triple", "--operator", "R", "--mode", "reduced")
+REDUCED_R_REFUSAL = (
+    "error: reduced mode requires the triple mYB identity (fails at (0, 1, 3)); rerun with --mode full\n"
+)
+
+
+def test_cli_derive_refuses_a_reduced_triple_without_triple_myb(capsys):
+    code, out, err = run_cli(capsys, *REDUCED_R)
+    assert (code, out, err) == (2, "", REDUCED_R_REFUSAL)
+
+
+def test_cli_derive_force_lifts_only_the_dimension_guard(capsys):
+    code, out, err = run_cli(capsys, *REDUCED_R, "--force")
+    assert (code, out, err) == (2, "", REDUCED_R_REFUSAL)
+    code, out, _ = run_cli(capsys, *REDUCED_R[:-1], "full", "--force")
+    assert code == 0
+    from opalg import MODE_FULL, derived_triple, example3_gl
+
+    e3 = example3_gl(2)
+    assert parse_algebra_file(out).triple == derived_triple(e3.triple, e3.operators["R"], MODE_FULL)
+
+
+def test_only_triple_r_and_one_search_tabulate_the_reduced_triple():
+    import ast
+    import pathlib
+    import re
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    sources = [*sorted((root / "src" / "opalg").glob("*.py")), *sorted((root / "demos").glob("*.py"))]
+    for path in [*sources, root / "README.md"]:
+        # the property is read as s.triple_r; nothing calls a triple_r function
+        assert not re.search(r"(?<!def )\btriple_r\(", path.read_text(encoding="utf-8")), path
+    readers = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "derived_triple":
+                mode = node.args[2] if len(node.args) > 2 else None
+                mode = next((k.value for k in node.keywords if k.arg == "mode"), mode)
+                if getattr(mode, "id", None) != "MODE_FULL":
+                    readers.add(path.name)
+    assert readers == {"jordan.py", "searches.py"}
+
+
 def test_cli_dimension_guard_and_force(capsys):
     # gl(3) has dimension 9: the alternate-variant dim^5 scan trips the guard
     code, _, err = run_cli(capsys, "check", "catalog:gl3", "--suite", "jordan-base")
@@ -615,6 +670,16 @@ def test_importing_the_cli_loads_no_dataclass_machinery():
     proc = _python("import opalg.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_search_requests_never_import_hashlib():
+    # only check reports carry an input digest
+    proc = _python(
+        "import opalg.cli\nfrom opalg.searches import run_search\n"
+        "run_search('so3-non-myb', seed=1, trials=2)\nprint('hashlib' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_cli_findings_deterministic(capsys):
