@@ -17,16 +17,17 @@ from opalg import (
     check_triple_r_homomorphism,
     derived_triple,
     example3_gl,
+    prove_jts,
 )
-from opalg.core import prove_jts
 from opalg.jordan import MODE_FULL
 
 e3 = example3_gl(2)
 t = e3.triple
 
 print("== base triple <X,Y,Z> = XYZ + ZYX on gl(2) ==")
-# prove_jts returns the report and the triple carrying it, so the records
-# built on the proven triple below scan the identity no more
+# prove_jts returns the report and the triple carrying it.  A record with an
+# operator proves nothing itself: built on this proven triple, its reports
+# carry no note; built on a plain one, they would note base-JTS-unverified
 jacobson, t = prove_jts(t, "jacobson")
 print("  jacobson identity:", jacobson.passed)
 alt = check_jts_identity(t, "alternate")

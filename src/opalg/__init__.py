@@ -27,6 +27,7 @@ from .core import (
     check_lie,
     forced,
     op_polynomial,
+    prove_jts,
 )
 from .lie import (
     LieBiOperator,
@@ -53,7 +54,6 @@ from .jordan import (
     check_rho_identity,
     check_triple_bi_myb,
     check_triple_myb,
-    check_triple_myb_raw,
     check_triple_r_homomorphism,
     derived_triple,
 )

@@ -10,10 +10,10 @@ every small entry with them, and the findings document uses them.
 
 Entries are built, not checked: their brackets and triples are checked where
 something reads them (Lie-ness by the constructors that need a Lie bracket,
-a triple identity by the triple suites and TripleWithOperator), exactly as
-for an algebra read from a file.  The tests check every entry's base
-structures.  Operator properties are advertised as expectations and always
-re-checked by callers, never assumed.
+a triple identity by the triple suites and prove_jts), exactly as for an
+algebra read from a file.  The tests check every entry's base structures.
+An entry records no property of its operators: callers check each one they
+rely on.
 """
 
 from __future__ import annotations
@@ -66,8 +66,6 @@ class CatalogEntry(FrozenRecord):
         "bracket",
         "triple",
         "operators",
-        "note",
-        "expectations",
         "extra_triples",
         "q",
         "form",
@@ -84,8 +82,6 @@ class CatalogEntry(FrozenRecord):
         bracket: BilinearStructure,
         triple: TrilinearStructure | None = None,
         operators: dict | None = None,
-        note: str = "",
-        expectations: tuple = (),
         extra_triples: dict | None = None,
         q: tuple | None = None,
         form: tuple | None = None,
@@ -100,8 +96,6 @@ class CatalogEntry(FrozenRecord):
             bracket,
             triple,
             {} if operators is None else operators,
-            note,
-            expectations,
             {} if extra_triples is None else extra_triples,
             q,
             form,
@@ -263,7 +257,6 @@ def so_n(n: int) -> CatalogEntry:
         basis=basis,
         lead_positions=positions,
         bracket=_SparseBasis(basis, positions).commutator_tensor(),
-        note=f"skew-symmetric {n}x{n} matrices with the commutator bracket",
     )
 
 
@@ -283,7 +276,6 @@ def gl_assoc(n: int) -> CatalogEntry:
         lead_positions=positions,
         bracket=sparse.commutator_tensor(),
         triple=sparse.jordan_triple_tensor(),
-        note=f"full {n}x{n} matrix algebra: commutator bracket, triple XYZ+ZYX",
     )
 
 
@@ -376,12 +368,6 @@ def example1_candidates(x0=None, form=None) -> CatalogEntry:
         extra_triples={"two-term": two_term},
         operators={"Ra": Operator(ra_rows), "Rb": Operator(rb_rows)},
         form=form,
-        note=(
-            "so(3) with a symmetric form: candidate operator readings Ra (form "
-            "projection onto X0) and Rb (bracket with X0); triples two-term "
-            "F(X,Y)Z+F(Y,Z)X and standard three-term F(X,Y)Z+F(Y,Z)X-F(X,Z)Y"
-        ),
-        expectations=("three-term triple is a JTS (jacobson)",),
     )
 
 
@@ -411,42 +397,19 @@ def example2_gl(n: int, Q=None) -> CatalogEntry:
     """Matrix algebra with the right/left multiplication operator pair."""
     base = gl_assoc(n)
     Q = mat(Q) if Q is not None else _default_q(n)
-    entry = base.replace(
-        name=f"example2-gl{n}",
-        operators=mult_operators(base, Q),
-        q=Q,
-        note="matrix-algebra commutator with right/left multiplication operators",
-        expectations=("bi-myb", "even-tempered", "derived brackets equal XQY-YQX"),
-    )
-    return entry
+    return base.replace(name=f"example2-gl{n}", operators=mult_operators(base, Q), q=Q)
 
 
 def example3_gl(n: int, Q=None) -> CatalogEntry:
-    entry = example2_gl(n, Q)
-    return entry.replace(
-        name=f"example3-gl{n}",
-        note="matrix-algebra triple XYZ+ZYX with right/left multiplication operators",
-        expectations=(
-            "triple-bi-myb core",
-            "normal",
-            "even-tempered",
-            "rho-identity with rho X = QXQ",
-        ),
-    )
+    """example2_gl(n, Q) read for its triple XYZ + ZYX with the same operators."""
+    return example2_gl(n, Q).replace(name=f"example3-gl{n}")
 
 
 def example4_so(n: int, Q=None) -> CatalogEntry:
     """Skew matrices with R X = QX + XQ and rho X = QXQ for symmetric Q."""
     base = so_n(n)
     Q = mat(Q) if Q is not None else _default_q(n)
-    entry = base.replace(
-        name=f"example4-so{n}",
-        operators=mult_operators(base, Q),
-        q=Q,
-        note="skew matrices with the symmetric-Q operator pair (QX+XQ, QXQ)",
-        expectations=("rrho identities",),
-    )
-    return entry
+    return base.replace(name=f"example4-so{n}", operators=mult_operators(base, Q), q=Q)
 
 
 _NAME_RE = re.compile(r"(?P<kind>so|gl|example1-so|example2-gl|example3-gl|example4-so)(?P<n>\d+)\Z")

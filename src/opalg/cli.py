@@ -139,7 +139,7 @@ def _cmd_derive(args) -> int:
         if args.mode == MODE_FULL:
             derived = derived_triple(triple, op, MODE_FULL)
         else:
-            myb, derived = TripleWithOperator(triple, op, unchecked=True).triple_r
+            myb, derived = TripleWithOperator(triple, op).triple_r
             if derived is None:
                 raise WorkbenchError(
                     "reduced mode requires the triple mYB identity (fails at "

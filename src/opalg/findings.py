@@ -14,7 +14,7 @@ import json
 
 from . import __version__
 from .catalog import example1_candidates, example3_gl
-from .core import VARIANT_ALTERNATE, VARIANT_JACOBSON, check_jts_identity
+from .core import VARIANT_ALTERNATE, VARIANT_JACOBSON, check_jts_identity, require_lie
 from .jordan import (
     DesignCandidate,
     TripleWithOperator,
@@ -73,11 +73,9 @@ def _triple_candidates_item() -> dict:
         "three-term F(X,Y)Z + F(Y,Z)X - F(X,Z)Y": entry.triple,
     }
     out = {}
-    bracket = entry.bracket  # proved Lie by the first candidate built on it
+    bracket = require_lie(entry.bracket)
     for label, triple in triples.items():
-        candidate = DesignCandidate(bracket, triple)
-        bracket = candidate.bracket
-        design = check_design(candidate)
+        design = check_design(DesignCandidate(bracket, triple))
         out[label] = {
             "jts-jacobson": _verdict(design.sub("jts-jacobson")),
             "jts-alternate": _verdict(check_jts_identity(triple, VARIANT_ALTERNATE)),
@@ -102,7 +100,7 @@ def _derived_triple_sign_item() -> dict:
     Q = entry.q
     # R1 satisfies triple mYB, which the reduced form presupposes, so triple_r
     # holds the tensor; the jts-variant item checks this triple's JTS identity
-    _, derived = TripleWithOperator(entry.triple, entry.operators["R1"], unchecked=True).triple_r
+    _, derived = TripleWithOperator(entry.triple, entry.operators["R1"]).triple_r
 
     def monomial(x, y, z):
         return mat_mul(mat_mul(mat_mul(mat_mul(x, Q), y), Q), z)

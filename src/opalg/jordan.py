@@ -17,6 +17,7 @@ from .core import (
     CheckReport,
     DimensionMismatchError,
     FrozenRecord,
+    JordanTriple,
     Operator,
     TrilinearStructure,
     VARIANT_JACOBSON,
@@ -31,36 +32,24 @@ BASE_UNVERIFIED_NOTE = "base-JTS-unverified"
 
 
 class TripleWithOperator(FrozenRecord):
-    """A triple system with one operator; the triple is kept as prove_jts returns it.
+    """A triple system with one operator; the record proves nothing.
 
-    A failing triple requires unchecked=True; the record keeps the flag and the
-    plain triple, and downstream reports carry a base-JTS-unverified note.
-    Above dimension 8 the dim^5 proof is refused unless run inside opalg.forced().
+    The triple mYB identity and the derived triple need no JTS identity, so a
+    JTS proof is a label on the triple: a record on a JordanTriple (made only
+    by prove_jts) has no notes, and one on a plain triple notes
+    base-JTS-unverified in the reports it produces.
     """
 
-    __slots__ = ("triple", "R", "jts_variant", "unchecked")
+    __slots__ = ("triple", "R")
 
-    def __init__(
-        self,
-        triple: TrilinearStructure,
-        R: Operator,
-        jts_variant: str = VARIANT_JACOBSON,
-        unchecked: bool = False,
-    ):
+    def __init__(self, triple: TrilinearStructure, R: Operator):
         if R.dim != triple.dim:
             raise DimensionMismatchError("operator dimension differs from triple dimension")
-        if not unchecked:
-            report, triple = prove_jts(triple, jts_variant)
-            if triple is None:
-                raise ValueError(
-                    f"triple fails the {jts_variant} identity at "
-                    f"{report.witness.indices}; pass unchecked=True to proceed"
-                )
-        self._assign(triple, R, jts_variant, unchecked)
+        self._assign(triple, R)
 
     @property
     def notes(self) -> tuple:
-        return (BASE_UNVERIFIED_NOTE,) if self.unchecked else ()
+        return () if isinstance(self.triple, JordanTriple) else (BASE_UNVERIFIED_NOTE,)
 
     @functools.cached_property
     def triple_r(self) -> tuple:
@@ -132,14 +121,8 @@ DERIVED_TRIPLES = {
 TRIPLE_R_HOMOMORPHISM = Formula("triple-r-homomorphism", "X Y Z", "R<X,Y,Z>_R = <RX,RY,RZ>")
 
 @states(TRIPLE_MYB)
-def check_triple_myb_raw(
-    triple: TrilinearStructure, R: Operator, name: str = "triple-myb", notes=()
-) -> CheckReport:
-    return scan(TRIPLE_MYB, {"triple": triple, "R": R}, name=name, notes=notes)
-
-
 def check_triple_myb(s: TripleWithOperator) -> CheckReport:
-    return check_triple_myb_raw(s.triple, s.R, notes=s.notes)
+    return scan(TRIPLE_MYB, {"triple": s.triple, "R": s.R}, notes=s.notes)
 
 
 @states(*DERIVED_TRIPLES.values())
@@ -233,8 +216,8 @@ def check_triple_bi_myb(triple: TrilinearStructure, R1: Operator, R2: Operator) 
 
     subs = [
         scan(COMMUTE, pair),
-        check_triple_myb_raw(triple, R1, "triple-myb-r1"),
-        check_triple_myb_raw(triple, R2, "triple-myb-r2"),
+        scan(TRIPLE_MYB, {"triple": triple, "R": R1}, name="triple-myb-r1"),
+        scan(TRIPLE_MYB, {"triple": triple, "R": R2}, name="triple-myb-r2"),
         tensors_equal_report(
             "derived-triples-coincide",
             derived_full_1,

@@ -14,8 +14,8 @@ import random
 from .algfile import AlgebraFile, algebra_file_to_dict, entry_to_algebra_file
 from .bunch import RRhoAlgebra, check_rrho
 from .catalog import _entry_dim, example4_so, gl_assoc, mult_operators, so_n
-from .core import Operator, WorkbenchError, guard_scan
-from .jordan import MODE_FULL, MODE_REDUCED, check_triple_bi_myb, check_triple_myb_raw, derived_triple, tensors_equal_report
+from .core import Operator, WorkbenchError, guard_scan, require_lie, tensors_equal_report
+from .jordan import MODE_FULL, MODE_REDUCED, TripleWithOperator, check_triple_bi_myb, check_triple_myb, derived_triple
 from .lie import LieBiOperator, check_bi_myb, check_even_tempered, check_myb_raw
 from .sampling import random_matrix, random_operator, random_scalar, random_symmetric_matrix
 from .scalars import scalar
@@ -65,7 +65,7 @@ def _search_triple_r_modes(rng, trials, dim, entry_bound, findings):
         reduced = derived_triple(entry.triple, op, MODE_REDUCED)
         eq = tensors_equal_report("modes-agree", full, reduced)
         if not eq.passed:
-            myb = check_triple_myb_raw(entry.triple, op)
+            myb = check_triple_myb(TripleWithOperator(entry.triple, op))
             findings.append(
                 {
                     "kind": "derived-triple-mode-disagreement",
@@ -96,19 +96,14 @@ def _search_r0_not_myb(rng, trials, dim, entry_bound, findings):
             )
 
 
-def _search_non_even_tempered(rng, trials, dim, entry_bound, findings):
-    """mYB instances (R1 = R2 = right multiplication) failing even-temperedness."""
-    n = dim or 2
-    entry = gl_assoc(n)
-    bracket = entry.bracket  # proved Lie by the first pair built on it
-    for trial in range(trials):
-        R = mult_operators(entry, random_matrix(rng, n, entry_bound, entry_bound))["R1"]
-        myb = check_myb_raw(entry.bracket, R)
-        if not myb.passed:
+def _non_even_tempered(entry, operators, findings):
+    """mYB operators R on entry, one drawn per trial, whose pair R1 = R2 = R
+    is not even-tempered."""
+    bracket = require_lie(entry.bracket)
+    for trial, R in enumerate(operators):
+        if not check_myb_raw(bracket, R).passed:
             continue
-        g = LieBiOperator(bracket, R, R)
-        bracket = g.bracket
-        et = check_even_tempered(g)
+        et = check_even_tempered(LieBiOperator(bracket, R, R))
         if not et.passed:
             findings.append(
                 {
@@ -118,29 +113,23 @@ def _search_non_even_tempered(rng, trials, dim, entry_bound, findings):
                     "algebra": _instance(entry, R=R),
                 }
             )
+
+
+def _search_non_even_tempered(rng, trials, dim, entry_bound, findings):
+    """Right multiplications on gl(n) that are mYB but not even-tempered."""
+    n = dim or 2
+    entry = gl_assoc(n)
+    draws = (mult_operators(entry, random_matrix(rng, n, entry_bound, entry_bound))["R1"] for _ in range(trials))
+    _non_even_tempered(entry, draws, findings)
 
 
 def _search_non_even_tempered_diagonal(rng, trials, dim, entry_bound, findings):
-    """Diagonal mYB operators on so(n) failing even-temperedness (R1 = R2 = R)."""
-    n = dim or 3
-    entry = so_n(n)
-    bracket = entry.bracket  # proved Lie by the first pair built on it
-    for trial in range(trials):
-        R = Operator.diagonal([random_scalar(rng, entry_bound, entry_bound) for _ in range(entry.dim)])
-        if not check_myb_raw(entry.bracket, R).passed:
-            continue
-        g = LieBiOperator(bracket, R, R)
-        bracket = g.bracket
-        et = check_even_tempered(g)
-        if not et.passed:
-            findings.append(
-                {
-                    "kind": "myb-but-not-even-tempered",
-                    "trial": trial,
-                    "witness": et.witness.to_dict(),
-                    "algebra": _instance(entry, R=R),
-                }
-            )
+    """Diagonal operators on so(n) that are mYB but not even-tempered."""
+    entry = so_n(dim or 3)
+    draws = (
+        Operator.diagonal([random_scalar(rng, entry_bound, entry_bound) for _ in range(entry.dim)]) for _ in range(trials)
+    )
+    _non_even_tempered(entry, draws, findings)
 
 
 def _search_non_normal_triple(rng, trials, dim, entry_bound, findings):
@@ -220,7 +209,8 @@ SEARCH_TARGETS = {
 }
 
 # The catalog family of the algebra each target builds from --dim n, whose
-# dimension catalog._entry_dim states.  so3-non-myb always works on so(3).
+# dimension catalog._entry_dim states.  A target not listed takes no --dim:
+# so3-non-myb always works on so(3).
 _DIM_FAMILIES = {
     "triple-r-mode-disagreement": "gl",
     "r0-not-myb": "gl",
@@ -255,7 +245,9 @@ def run_search(target: str, seed: int, trials: int, dim: int | None = None, entr
         )
     if target not in SEARCH_TARGETS:
         raise UnknownTargetError(f"unknown search target {target!r}; known: {sorted(SEARCH_TARGETS)}")
-    if dim and target in _DIM_FAMILIES:
+    if dim is not None and target not in _DIM_FAMILIES:
+        raise WorkbenchError(f"search target {target!r} takes no --dim")
+    if dim is not None:
         guard_scan(_entry_dim(_DIM_FAMILIES[target], dim), 3)
     rng = random.Random(seed)
     findings: list = []

@@ -27,7 +27,7 @@ from .jordan import (
     check_equivariance,
     check_rho_identity,
     check_triple_bi_myb,
-    check_triple_myb_raw,
+    check_triple_myb,
 )
 from .lie import (
     LieBiOperator,
@@ -217,7 +217,8 @@ def _suite_jordan_base(af, opts):
 
 
 def _suite_triple_myb(af, opts):
-    return [check_triple_myb_raw(af.require_triple(), af.require_operator(opts.get("operator", "R")))], []
+    s = TripleWithOperator(af.require_triple(), af.require_operator(opts.get("operator", "R")))
+    return [check_triple_myb(s)], []
 
 
 def _suite_triple_bi_myb(af, opts):
@@ -238,12 +239,12 @@ def _suite_equivariance(af, opts):
 def _suite_rho(af, opts):
     """rho-exchange; with operator2 R, first the triple mYB identity of (triple,
     R), then the transport of the reduced derived triple only where it holds.
-    The suite proves no JTS identity, so the record is unchecked."""
+    The suite proves no JTS identity, so the triple-mYB line notes it."""
     triple = af.require_triple()
     rho = af.require_operator(opts.get("operator", "rho"))
     if "operator2" not in opts:
         return [check_rho_identity(triple, rho)], []
-    myb, derived = TripleWithOperator(triple, af.require_operator(opts["operator2"]), unchecked=True).triple_r
+    myb, derived = TripleWithOperator(triple, af.require_operator(opts["operator2"])).triple_r
     return [myb, check_rho_identity(triple, rho, derived)], []
 
 

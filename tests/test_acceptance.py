@@ -175,7 +175,7 @@ def test_criterion_4_derived_structures_remain_designs():
         triple_entry = example3_gl(2, entry.q)
         t = triple_entry.triple
         g = LieWithOperator(entry.bracket, entry.operators["R1"])
-        s = TripleWithOperator(t, entry.operators["R1"])
+        s = TripleWithOperator(prove_jts(t, "jacobson")[1], entry.operators["R1"])
         derived_bracket_tensor = g.bracket_R
         myb, derived_triple_tensor = s.triple_r
         assert myb.passed

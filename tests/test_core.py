@@ -348,7 +348,7 @@ def test_records_keep_value_semantics():
         w,
         report,
         LieBiOperator(gl2.bracket, Operator.identity(4), Operator.identity(4)),
-        TripleWithOperator(gl2.triple, Operator.identity(4), unchecked=True),
+        TripleWithOperator(gl2.triple, Operator.identity(4)),
         gl2,
     ]
     for record in frozen:

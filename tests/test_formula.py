@@ -50,7 +50,7 @@ def test_terms_under_one_operator_word_are_summed_exactly(c1, c2):
         (oa.check_jacobi, JACOBI),
         (oa.check_myb_raw, MYB),
         (oa.derived_bracket, DERIVED_BRACKET),
-        (oa.check_triple_myb_raw, TRIPLE_MYB),
+        (oa.check_triple_myb, TRIPLE_MYB),
         (oa.derived_triple, DERIVED_TRIPLES[oa.MODE_REDUCED]),
         (oa.RRhoAlgebra.bracket_rho.func, QUADRATIC_BRACKET),
     ],
@@ -309,7 +309,7 @@ def test_scans_run_on_integers_and_divide_back_exactly(monkeypatch):
         lambda: oa.check_myb_raw(bracket, R),
         lambda: oa.check_rrho(a),
         lambda: oa.check_gamma_bunch(bunch),
-        lambda: oa.check_triple_myb_raw(triple, R),
+        lambda: oa.check_triple_myb(oa.TripleWithOperator(triple, R)),
     ]
     expected = [check() for check in checks]
     witnesses = [w for r in expected for w in [r.witness, *(s.witness for s in r.subchecks)] if w]

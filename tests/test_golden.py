@@ -129,9 +129,10 @@ def _library_report(name, q):
     if name == "polynomial-closure":
         _, report = oa.check_polynomial_closure(oa.LieWithOperator(entry.bracket, ops["R1"]), (1, 2, -3))
     elif name == "triple-r-homomorphism":
-        _, report = oa.check_triple_r_homomorphism(oa.TripleWithOperator(entry.triple, ops["R1"]))
+        proven = oa.prove_jts(entry.triple, oa.VARIANT_JACOBSON)[1]
+        _, report = oa.check_triple_r_homomorphism(oa.TripleWithOperator(proven, ops["R1"]))
     elif name == "triple-r-homomorphism-unchecked":
-        _, report = oa.check_triple_r_homomorphism(oa.TripleWithOperator(entry.triple, ops["R2"], unchecked=True))
+        _, report = oa.check_triple_r_homomorphism(oa.TripleWithOperator(entry.triple, ops["R2"]))
     elif name == "gamma-bunch-of-a-non-pair":
         report = oa.check_gamma_bunch(oa.build_bunch(oa.RRhoAlgebra(entry.bracket, ops["R"], ops["R1"])))
     else:
@@ -173,7 +174,7 @@ def _random_operator_reports(entry, seed) -> str:
         oa.check_even_tempered(oa.LieBiOperator(b, R1, R2)),
         oa.check_xi_characterization(g, R2),
         oa.check_even_tempered_xi(g, R2),
-        oa.check_triple_myb(oa.TripleWithOperator(t, R1)),
+        oa.check_triple_myb(oa.TripleWithOperator(oa.prove_jts(t, oa.VARIANT_JACOBSON)[1], R1)),
         oa.check_triple_bi_myb(t, R1, R2),
         oa.check_rho_identity(t, R1, oa.derived_triple(t, R2, oa.MODE_FULL)),
         oa.check_rrho(oa.RRhoAlgebra(b, R1, R2)),

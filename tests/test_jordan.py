@@ -5,6 +5,8 @@ import pytest
 from opalg import (
     BilinearStructure,
     DesignCandidate,
+    DimensionGuardError,
+    DimensionMismatchError,
     LieWithOperator,
     Operator,
     TripleWithOperator,
@@ -15,13 +17,12 @@ from opalg import (
     check_rho_identity,
     check_triple_bi_myb,
     check_triple_myb,
-    check_triple_myb_raw,
     check_triple_r_homomorphism,
     derived_triple,
     example1_candidates,
     example3_gl,
-    forced,
     gl_assoc,
+    prove_jts,
     so_n,
 )
 from opalg.formula import Formula
@@ -131,7 +132,7 @@ def test_triple_myb_scalar_operator():
 def test_triple_myb_transpose_fails():
     gl2 = gl_assoc(2)
     transpose = gl2.operator_from_matrix_map(mat_transpose)
-    report = check_triple_myb_raw(gl2.triple, transpose)
+    report = check_triple_myb(TripleWithOperator(gl2.triple, transpose))
     assert not report.passed
     assert report.witness.indices == (0, 1, 3)
 
@@ -188,7 +189,7 @@ def test_full_and_reduced_differ_for_non_myb_operator():
     gl2 = gl_assoc(2)
     rng = random.Random(11)
     R = random_operator(rng, 4)
-    assert not check_triple_myb_raw(gl2.triple, R).passed
+    assert not check_triple_myb(TripleWithOperator(gl2.triple, R)).passed
     assert derived_triple(gl2.triple, R, MODE_FULL) != derived_triple(gl2.triple, R, MODE_REDUCED)
 
 
@@ -239,9 +240,7 @@ def test_outer_symmetry_is_preserved_by_derivation():
         t = e3.triple
         for (i, j, k) in t.support():
             assert t.value(i, j, k) == t.value(k, j, i)
-        with forced():
-            s = TripleWithOperator(t, e3.operators["R1"])
-        derived = _reduced(s)
+        derived = _reduced(TripleWithOperator(t, e3.operators["R1"]))
         for (i, j, k) in derived.support():
             assert derived.value(i, j, k) == derived.value(k, j, i)
 
@@ -328,38 +327,63 @@ def test_rho_identity_transport_against_derived_triple():
 # construction contracts
 
 
-def test_triple_with_operator_rejects_failing_base():
+def _binds(monkeypatch) -> list:
+    """Record the name of every formula bound from here on."""
+    binds = []
+    bind = Formula.bind
+
+    def counted(self, structures):
+        binds.append(self.name)
+        return bind(self, structures)
+
+    monkeypatch.setattr(Formula, "bind", counted)
+    return binds
+
+
+def test_a_record_on_a_plain_triple_proves_nothing_and_notes_it(monkeypatch):
     gl2 = gl_assoc(2)
-    with pytest.raises(ValueError):
-        TripleWithOperator(gl2.triple, Operator.identity(4), "alternate")
-
-
-def test_unchecked_construction_marks_reports():
-    gl2 = gl_assoc(2)
-    s = TripleWithOperator(gl2.triple, Operator.identity(4), "alternate", unchecked=True)
-    assert s.unchecked
-    report = check_triple_myb(s)
-    assert BASE_UNVERIFIED_NOTE in report.notes
-
-
-def test_replacing_a_field_of_an_unchecked_record_scans_nothing(monkeypatch):
-    gl2 = gl_assoc(2)
-    s = TripleWithOperator(gl2.triple, Operator.identity(4), "alternate", unchecked=True)
-
-    def refuse(self, structures):
-        raise AssertionError(f"an unchecked record bound {self.name}")
-
-    monkeypatch.setattr(Formula, "bind", refuse)
+    binds = _binds(monkeypatch)
+    # gl(2)'s triple fails the alternate identity; the record neither knows nor asks
+    s = TripleWithOperator(gl2.triple, Operator.identity(4))
     t = s.replace(R=Operator.zero(4))
-    assert t.unchecked and t.notes == (BASE_UNVERIFIED_NOTE,)
-    assert t.R == Operator.zero(4) and t.triple is s.triple
+    assert binds == [] and s.triple is t.triple is gl2.triple
+    assert s.notes == t.notes == (BASE_UNVERIFIED_NOTE,)
+    myb, transport = check_triple_r_homomorphism(s)
+    assert myb.notes == transport.notes == check_triple_myb(t).notes == (BASE_UNVERIFIED_NOTE,)
+    assert not [name for name in binds if name.startswith("jts-")]
+    with pytest.raises(DimensionMismatchError):
+        TripleWithOperator(gl2.triple, Operator.identity(3))
+
+
+@pytest.mark.parametrize("variant", ["jacobson", "alternate"])
+def test_a_record_on_a_proven_triple_carries_no_note(monkeypatch, variant):
+    report, proven = prove_jts(TrilinearStructure(2, {(0, 0, 0): {1: 1}}), variant)
+    assert report.passed
+    binds = _binds(monkeypatch)
+    s = TripleWithOperator(proven, Operator.identity(2))
+    t = s.replace(R=Operator.zero(2))
+    assert t.triple is proven and s.notes == t.notes == ()
+    assert check_triple_myb(s).notes == check_triple_myb(t).notes == ()
+    assert binds == ["triple-myb", "triple-myb"]
+
+
+def test_records_on_the_plain_and_the_proven_triple_are_equal_but_note_differently():
+    gl2 = gl_assoc(2)
+    R = gl2.operator_from_matrix_map(mat_transpose)
+    plain = TripleWithOperator(gl2.triple, R)
+    proven = TripleWithOperator(prove_jts(gl2.triple, "jacobson")[1], R)
+    # equality is by value, and the proven triple equals the plain one
+    assert plain == proven and hash(plain) == hash(proven)
+    assert plain.notes == (BASE_UNVERIFIED_NOTE,) and proven.notes == ()
+    assert check_triple_myb(plain) == check_triple_myb(proven).replace(notes=(BASE_UNVERIFIED_NOTE,))
 
 
 def test_guarded_dimension_requires_force():
-    from opalg import DimensionGuardError
-
     gl3 = gl_assoc(3)
-    # gl(3) has dimension 9, above the dim^5 limit, for either variant
+    # gl(3) has dimension 9, above the dim^5 limit: the record and its dim^3
+    # triple mYB scan need no force, a proof of either variant does
+    s = TripleWithOperator(gl3.triple, Operator.identity(9))
+    assert check_triple_myb(s).passed
     for variant in ("jacobson", "alternate"):
         with pytest.raises(DimensionGuardError):
-            TripleWithOperator(gl3.triple, Operator.identity(9), variant)
+            prove_jts(gl3.triple, variant)

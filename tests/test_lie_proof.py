@@ -35,6 +35,7 @@ from opalg import (
 from opalg.algfile import algebra_file_digest, entry_to_algebra_file, render_algebra_file
 from opalg.core import JordanTriple, LieBracket, prove_jts, prove_lie, require_lie
 from opalg.formula import Formula
+from opalg.jordan import BASE_UNVERIFIED_NOTE
 from opalg.suites import run_suite
 
 NOT_ANTISYMMETRIC = BilinearStructure(2, {(0, 0): {1: 1}})
@@ -69,12 +70,8 @@ def _prove_jacobson(triple) -> tuple:
     return prove_jts(triple, "jacobson")
 
 
-def _jacobson_record(triple) -> TripleWithOperator:
+def _record(triple) -> TripleWithOperator:
     return TripleWithOperator(triple, Operator.identity(triple.dim))
-
-
-def _alternate_record(triple) -> TripleWithOperator:
-    return TripleWithOperator(triple, Operator.identity(triple.dim), "alternate")
 
 
 # the plain structure, how it is proved, the proof's class and slot, the
@@ -85,7 +82,7 @@ PROOFS = {
     ),
     "JordanTriple": (
         gl_assoc(2).triple, _prove_jacobson, JordanTriple, "jts", ("jts-jacobson", []),
-        lambda t: _jacobson_record(t).triple,
+        lambda t: _record(t).triple,
     ),
 }
 
@@ -110,27 +107,28 @@ def test_a_proven_structure_is_the_plain_one_with_its_proof(monkeypatch, kind):
 
 
 # the failing structure, how it is proved, the first failing sub-check (the
-# report itself for an identity variant), and how a record refuses it
+# report itself for an identity variant), and the message a record on a
+# bracket refuses it with; a record on a triple proves and refuses nothing
 FAILURES = {
-    "antisymmetry": (NOT_ANTISYMMETRIC, prove_lie, "antisymmetry", require_lie, "antisymmetry fails"),
-    "jacobi": (NOT_JACOBI, prove_lie, "jacobi", require_lie, "jacobi fails"),
-    "jts-jacobson": (NOT_JTS, _prove_jacobson, "jts-jacobson", _jacobson_record, "fails the jacobson identity"),
-    "jts-alternate": (
-        gl_assoc(2).triple, lambda t: prove_jts(t, "alternate"), "jts-alternate", _alternate_record,
-        "fails the alternate identity",
-    ),
+    "antisymmetry": (NOT_ANTISYMMETRIC, prove_lie, "antisymmetry", "antisymmetry fails"),
+    "jacobi": (NOT_JACOBI, prove_lie, "jacobi", "jacobi fails"),
+    "jts-jacobson": (NOT_JTS, _prove_jacobson, "jts-jacobson", None),
+    "jts-alternate": (gl_assoc(2).triple, lambda t: prove_jts(t, "alternate"), "jts-alternate", None),
 }
 
 
 @pytest.mark.parametrize("kind", FAILURES)
 def test_a_failing_structure_gets_a_report_and_no_proof(kind):
-    bad, prove, failing, keep, message = FAILURES[kind]
+    bad, prove, failing, message = FAILURES[kind]
     report, proven = prove(bad)
     assert not report.passed and proven is None
     first = next((s for s in report.subchecks if not s.passed), report)
     assert first.name == failing and report.witness == first.witness is not None
-    with pytest.raises(ValueError, match=message):
-        keep(bad)
+    if message is None:
+        assert _record(bad).notes == (BASE_UNVERIFIED_NOTE,)
+    else:
+        with pytest.raises(ValueError, match=message):
+            require_lie(bad)
 
 
 def test_an_alternate_proof_is_not_a_jacobson_proof(monkeypatch):
@@ -187,7 +185,7 @@ def test_records_built_on_a_records_bracket_scan_nothing(monkeypatch):
 def test_records_built_on_a_records_triple_scan_nothing(monkeypatch):
     e3 = example3_gl(2)
     R1, R2 = e3.operators["R1"], e3.operators["R2"]
-    s = TripleWithOperator(e3.triple, R1)
+    s = TripleWithOperator(_prove_jacobson(e3.triple)[1], R1)
     assert isinstance(s.triple, JordanTriple) and s.triple.jts.name == "jts-jacobson"
     _proof_binds(monkeypatch, JTS_FORMULAS, refuse=True)
     assert TripleWithOperator(s.triple, R2).triple is s.triple
@@ -198,17 +196,18 @@ def test_records_built_on_a_records_triple_scan_nothing(monkeypatch):
     assert design.passed and design.sub("jts-jacobson") is s.triple.jts
 
 
-def test_replacing_the_variant_proves_the_triple_again(monkeypatch):
-    s = TripleWithOperator(SQUARE_ZERO, Operator.identity(2))
+def test_a_record_keeps_the_proof_its_triple_carries(monkeypatch):
+    # a record proves nothing: another variant's proof is a step of its own,
+    # and the record keeps the triple it is handed, proof and all
+    s = _record(_prove_jacobson(SQUARE_ZERO)[1])
     binds = _proof_binds(monkeypatch, JTS_FORMULAS)
-    alternate = s.replace(jts_variant="alternate")
+    alternate = s.replace(triple=prove_jts(s.triple, "alternate")[1])
     assert binds == ["jts-alternate"]
-    assert alternate.triple == s.triple and alternate.triple is not s.triple
-    assert alternate.triple.jts.name == "jts-alternate"
-    assert alternate.replace(jts_variant="jacobson").triple.jts.name == "jts-jacobson"
-    assert binds == ["jts-alternate", "jts-jacobson"]
-    with pytest.raises(ValueError, match="fails the alternate identity"):
-        _jacobson_record(gl_assoc(2).triple).replace(jts_variant="alternate")
+    assert alternate == s and alternate.triple is not s.triple
+    assert alternate.triple.jts.name == "jts-alternate" and s.triple.jts.name == "jts-jacobson"
+    assert alternate.notes == s.notes == ()
+    assert s.replace(triple=SQUARE_ZERO).notes == (BASE_UNVERIFIED_NOTE,)
+    assert binds == ["jts-alternate"]
 
 
 def test_replacing_the_bracket_proves_the_new_one(monkeypatch):

@@ -666,6 +666,17 @@ def test_cli_search_dim_below_one_is_a_usage_error(capsys, dim):
         run_search("r0-not-myb", seed=1, trials=1, dim=int(dim))
 
 
+def test_cli_search_dim_on_a_fixed_algebra_is_a_usage_error(capsys, monkeypatch):
+    # so3-non-myb always works on so(3); a --dim it would ignore is refused
+    # before the search runs, rather than echoed in the report
+    reached = []
+    monkeypatch.setitem(searches.SEARCH_TARGETS, "so3-non-myb", lambda *args: reached.append(args))
+    code, out, err = run_cli(capsys, "search", "so3-non-myb", "--seed", "1", "--trials", "2", "--dim", "5")
+    assert code == 2 and out == "" and err == "error: search target 'so3-non-myb' takes no --dim\n"
+    assert not reached
+    assert set(searches.SEARCH_TARGETS) - set(searches._DIM_FAMILIES) == {"so3-non-myb"}
+
+
 def test_importing_the_cli_loads_no_dataclass_machinery():
     proc = _python("import opalg.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
