@@ -25,6 +25,7 @@ from opalg import (
     prove_jts,
     so_n,
 )
+from opalg.core import JordanTriple
 from opalg.formula import Formula
 from opalg.jordan import BASE_UNVERIFIED_NOTE, MODE_FULL, MODE_REDUCED
 from opalg.oracles import mat_add, mat_mul, mat_transpose
@@ -345,14 +346,35 @@ def test_a_record_on_a_plain_triple_proves_nothing_and_notes_it(monkeypatch):
     binds = _binds(monkeypatch)
     # gl(2)'s triple fails the alternate identity; the record neither knows nor asks
     s = TripleWithOperator(gl2.triple, Operator.identity(4))
-    t = s.replace(R=Operator.zero(4))
-    assert binds == [] and s.triple is t.triple is gl2.triple
-    assert s.notes == t.notes == (BASE_UNVERIFIED_NOTE,)
+    assert binds == [] and s.triple is gl2.triple
+    assert s.notes == (BASE_UNVERIFIED_NOTE,)
     myb, transport = check_triple_r_homomorphism(s)
-    assert myb.notes == transport.notes == check_triple_myb(t).notes == (BASE_UNVERIFIED_NOTE,)
+    assert myb.notes == transport.notes == (BASE_UNVERIFIED_NOTE,)
     assert not [name for name in binds if name.startswith("jts-")]
     with pytest.raises(DimensionMismatchError):
         TripleWithOperator(gl2.triple, Operator.identity(3))
+
+
+def test_unchecked_construction_marks_reports():
+    # a triple not made by prove_jts is unchecked: every report on it says so
+    gl2 = gl_assoc(2)
+    s = TripleWithOperator(gl2.triple, Operator.identity(4))
+    assert not isinstance(s.triple, JordanTriple)
+    report = check_triple_myb(s)
+    assert BASE_UNVERIFIED_NOTE in report.notes
+
+
+def test_replacing_a_field_of_an_unchecked_record_scans_nothing(monkeypatch):
+    gl2 = gl_assoc(2)
+    s = TripleWithOperator(gl2.triple, Operator.identity(4))
+
+    def refuse(self, structures):
+        raise AssertionError(f"an unchecked record bound {self.name}")
+
+    monkeypatch.setattr(Formula, "bind", refuse)
+    t = s.replace(R=Operator.zero(4))
+    assert t.notes == (BASE_UNVERIFIED_NOTE,)
+    assert t.R == Operator.zero(4) and t.triple is s.triple
 
 
 @pytest.mark.parametrize("variant", ["jacobson", "alternate"])
