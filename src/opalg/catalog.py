@@ -279,6 +279,21 @@ def gl_assoc(n: int) -> CatalogEntry:
     )
 
 
+def _products(entry: CatalogEntry, Q) -> tuple:
+    """(basis, dQ, d, QX, XQ): the integer matrix dQ, d the lcm of Q's
+    denominators, and its sparse products with each basis element X; Q is
+    checked against the entry first."""
+    Q = mat(Q)
+    if len(Q) != entry.n or any(len(row) != entry.n for row in Q):
+        raise CatalogError(f"Q must be {entry.n}x{entry.n} for {entry.name}")
+    if entry.family == "so" and not mat_is_symmetric(Q):
+        raise CatalogError("Q must be symmetric for skew-symmetric targets")
+    d = common_denominator(x for row in Q for x in row)
+    q = {key: x.numerator * (d // x.denominator) for key, x in _sparse(Q).items()}
+    sparse = _SparseBasis(entry.basis, entry.lead_positions)
+    return sparse, q, d, [_sparse_mul(q, x) for x in sparse.mats], [_sparse_mul(x, q) for x in sparse.mats]
+
+
 def mult_operators(entry: CatalogEntry, Q) -> dict:
     """Multiplication operators attached to a matrix Q.
 
@@ -287,23 +302,19 @@ def mult_operators(entry: CatalogEntry, Q) -> dict:
     so entries: Q must be symmetric (left/right multiplication alone does not
     preserve skew-symmetry); only R and rho are emitted.
     """
-    Q = mat(Q)
-    if len(Q) != entry.n or any(len(row) != entry.n for row in Q):
-        raise CatalogError(f"Q must be {entry.n}x{entry.n} for {entry.name}")
-    if entry.family == "so" and not mat_is_symmetric(Q):
-        raise CatalogError("Q must be symmetric for skew-symmetric targets")
-    # the products run on the integer matrix dQ, d the lcm of Q's denominators,
-    # and each operator is divided back exactly by its power of d
-    d = common_denominator(x for row in Q for x in row)
-    q = {key: x.numerator * (d // x.denominator) for key, x in _sparse(Q).items()}
-    sparse = _SparseBasis(entry.basis, entry.lead_positions)
-    qx = [_sparse_mul(q, x) for x in sparse.mats]
-    xq = [_sparse_mul(x, q) for x in sparse.mats]
+    # the products run on dQ, and each operator is divided back exactly by its power of d
+    sparse, q, d, qx, xq = _products(entry, Q)
     rho = sparse.operator([_sparse_mul(m, q) for m in qx], d * d)
     if entry.family == "so":
         return {"R": sparse.operator([vec_iadd(dict(a), b) for a, b in zip(qx, xq)], d), "rho": rho}
     right, left = sparse.operator(xq, d), sparse.operator(qx, d)
     return {"R1": right, "R2": left, "xi": left - right, "R": left + right, "rho": rho}
+
+
+def _mult_pair(entry: CatalogEntry, Q) -> tuple:
+    """(R1, R2) of mult_operators on a gl entry, without the other three."""
+    sparse, _, d, qx, xq = _products(entry, Q)
+    return sparse.operator(xq, d), sparse.operator(qx, d)
 
 
 def example1_candidates(x0=None, form=None) -> CatalogEntry:

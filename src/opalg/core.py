@@ -100,10 +100,14 @@ class FrozenRecord(Record):
 # scan visits 2-5 * 10^4 basis tuples.  Measured per tuple (Python 3.11,
 # Fraction scalars): about 1 us for Jacobi on gl(n), 30-45 us for a dim^2
 # scan with a dense operator at dim 64-128, 10-130 us for a dim^3 triple scan
-# with an operator at dim 25-49, so a scan at a limit takes at most a few
-# seconds.  Formula.bind consults the guard before every scan and
-# tabulation; build_entry and run_search consult the dim^3 guard before they
-# build an algebra at all.
+# with an operator at dim 25-49.  Arity 4 and 5 are evaluated as joins over
+# the supports (formula.py), whose cost follows the nonzero products, not the
+# tuples: 0.3-0.7 us per tuple for equivariance on gl(4) and gl(3), 0.05-0.2
+# us for jts-jacobson on gl(4) and gl(3) (about 1 us with a loop nest); at
+# dim 3-4, where the products are about as many as the tuples, a scan takes
+# 1-2 ms.  So a scan at a limit takes at most a few seconds.  Formula.bind
+# consults the guard before every scan and tabulation; build_entry and
+# run_search consult the dim^3 guard before they build an algebra at all.
 _SCAN_GUARDS = {2: 128, 3: 36, 4: 12, 5: 8}
 
 # Whether the guards are lifted for the request in progress; set only by forced().

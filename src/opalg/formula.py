@@ -1,4 +1,4 @@
-"""Identities stated once, as formulas, and the one evaluator that checks them.
+"""Identities stated once, as formulas, and the two evaluators that check them.
 
 A formula is written as the source text states it, e.g. the mYB identity
 ``R[RX,Y] + R[X,RY] = [RX,RY] + R^2[X,Y]``; its residual is left minus right
@@ -10,8 +10,12 @@ is an operator word applied to what follows.  ``[a,b]`` is the bracket and
 ``bracket_R``, ``<X,Y,Z>_R`` the one passed as ``triple_R``.  Terms combine
 with ``+``, ``-``, parentheses and rational coefficients (``1/4(...)``).
 
-Each formula compiles once, on first use, into a loop nest over its
-variables in scan order, ``for _x0 in range(dim): ... for _x{a-1} in
+Each formula is parsed once, on first use, and both evaluators read the
+parsed residual.  ``bind`` picks the evaluator from the formula's arity:
+joins from 4 variables up, the loop nest below.
+
+A formula of arity at most 3 compiles once, on first use, into a loop nest
+over its variables in scan order, ``for _x0 in range(dim): ... for _x{a-1} in
 range(dim):``.  It is a generator yielding ``(indices, residual)`` for every
 basis tuple with a nonzero residual, in lexicographic order, and it makes the
 kernel calls a hand-written scan would: ``value`` on basis indices, ``column``
@@ -32,11 +36,36 @@ contractions.  Four rules shape it:
   its own loop and used nowhere else, since hoisted and shared values are
   read again.
 
-The nest runs on Python ints (fraction-free, as in Bareiss elimination).
+A formula of arity 4 or more is evaluated as joins over the structures'
+supports, one value x0 of the first variable at a time.  The value of a
+subterm is a map {the values of its variables: vector}:
+
+- joins: a contraction indexes each computed argument by output component
+  and enumerates only the structure entries whose every slot is a component
+  of its argument.  It is driven from the argument with the fewest components,
+  through the structure's entries indexed by that slot; a basis variable
+  other than the first matches every entry.
+- slices: a subterm that does not read the first variable is joined once per
+  bind, the others once per slice.  Every term of the residual adds its
+  products into one accumulator keyed by the basis tuple; the slice's nonzero
+  entries are yielded in lex order and the accumulator is dropped.  A term
+  missing some variables is widened over them, and a variable repeated in a
+  term keeps the products on which its occurrences agree.
+
+Why arity decides: a term reading four or more variables nests at least two
+contractions, since one takes at most three arguments, so its nonzero
+products are far fewer than the dim^k tuples a nest visits (jacobson on
+gl(4): 61.5 k products in all four terms, 1.05 M tuples).  At arity 3 and
+below a term can be one contraction of dense operator images, which the
+nest's partial application already handles; there joins ran at 0.3-0.9x
+the nest's speed (mYB and the derived bracket on so(5), so(6) and gl(3), the
+triple mYB and the full derived triple on example3-gl3).
+
+Both evaluators run on Python ints (fraction-free, as in Bareiss elimination).
 ``bind`` replaces each structure by its integer form: d times the structure,
 d the lcm of its entries' denominators (the structure itself when d = 1).
-Every identity is multilinear, so each subterm's local holds an integer
-multiple s * (the subterm), its scale s computed before the loops:
+Every identity is multilinear, so each subterm holds an integer multiple
+s * (the subterm), its scale s computed before the first tuple:
 
 - a basis variable has s = 1;
 - an operator word W applied to t has s = d_W * s(t), d_W the product of
@@ -48,9 +77,9 @@ multiple s * (the subterm), its scale s computed before the loops:
 
 A nonzero residual is divided back exactly, {k: scalar(v, s)}, before it is
 yielded.  On integer structures every scale is 1 unless the formula has a
-fractional coefficient, and a multiplier of 1 neither scales nor copies, so
-integer input makes the kernel calls of a rational-arithmetic nest, one
-integer comparison per sum aside.
+fractional coefficient, and in the nest a multiplier of 1 neither scales nor
+copies, so integer input makes the kernel calls of a rational-arithmetic
+nest, one integer comparison per sum aside.
 
 ``scan`` takes the first yield as the witness.  Its ``tuples_evaluated`` is
 the witness's lexicographic rank plus one, or dim^arity on a pass: the tuples
@@ -60,7 +89,9 @@ a tuple-by-tuple scan evaluates.  ``tabulate`` collects every yield.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import re
 
 from . import core  # core states its own identities here, so its names are read at call time
@@ -193,7 +224,7 @@ class _Codegen:
 
     def __init__(self, top: tuple, arity: int):
         self.lines = [[] for _ in range(arity + 1)]
-        self.words, self.structures = {}, set()
+        self.words = {}
         self.uses, self.locals, self.scales = {}, {}, {}
         self.count(top)
         self.result = self.emit(top)[0]
@@ -234,7 +265,6 @@ class _Codegen:
         return self.locals[t]
 
     def operator(self, t) -> None:
-        self.structures.update(t[1])
         word = t[1][0] if len(t[1]) == 1 else self.words.setdefault(t[1], f"_w{len(self.words)}")
         if t[2][0] == "var":
             self.assign(t, t[2][1] + 1, f"{word}.column(_x{t[2][1]})", False)
@@ -248,7 +278,6 @@ class _Codegen:
         """value on basis indices only; on vectors apply, apply_<vector slots> or
         a partial application, and {} if a vector argument is empty."""
         kind, key, args = t[0], t[1], t[2:]
-        self.structures.add(key)
         slots = _SLOTS[kind]
         vectors = {s: self.emit(a) for s, a in zip(slots, args) if a[0] != "var"}
         depths = [vectors[s][1] if s in vectors else a[1] + 1 for s, a in zip(slots, args)]
@@ -302,8 +331,200 @@ def _times(q: int, scale: str) -> str:
     return scale if q == 1 else str(q) if scale == "1" else f"({q} * {scale})"
 
 
+def _structure_names(t) -> set:
+    """The names of the structures and operators a term reads."""
+    if t[0] == "var":
+        return set()
+    if t[0] == "sum":
+        return set().union(*(_structure_names(s) for _, s in t[1]))
+    if t[0] == "op":
+        return set(t[1]) | _structure_names(t[2])
+    return {t[1]}.union(*(_structure_names(a) for a in t[2:]))
+
+
+def _assembler(order: tuple, wide: tuple):
+    """The function from the values of the variables order (argument keys laid
+    end to end) to the key over wide, or None where a repeated variable takes
+    two values."""
+    first, repeats = {}, []
+    for p, v in enumerate(order):
+        if v in first:
+            repeats.append((first[v], p))
+        else:
+            first[v] = p
+    positions = tuple(first[v] for v in wide)
+    pick = operator.itemgetter(*positions) if len(positions) > 1 else lambda values: (values[positions[0]],)
+    if not repeats:
+        return pick
+    return lambda values: pick(values) if all(values[p] == values[q] for p, q in repeats) else None
+
+
+def _product(parts: list) -> list:
+    """The (key, coefficient) pairs of the product of lists of them: keys laid
+    end to end, coefficients multiplied."""
+    if len(parts) == 1:
+        return parts[0]
+    out = [((), 1)]  # also the product of no lists
+    for part in parts:
+        out = [(k + pk, x * px) for k, x in out for pk, px in part]
+    return out
+
+
+class _Node:
+    """One subterm of a formula evaluated as joins.
+
+    what is the variable, the operator word multiplied out or the structure
+    name; a sum's children are (integer multiplier, node) pairs; free holds
+    the subterm's variables in ascending order and scale is its s.  A
+    contraction's join is (the slots whose argument is looked up, the key
+    assembler).
+    """
+
+    __slots__ = ("kind", "what", "children", "free", "scale", "join")
+
+    def __init__(self, kind: str, what, children: tuple, free: tuple, scale: int):
+        self.kind, self.what, self.children, self.free, self.scale = kind, what, children, free, scale
+        self.join = None
+        if kind in _SLOTS:
+            # a basis variable other than the first matches every entry, so only the
+            # other arguments are looked up; a key is read from the entry's indices
+            # and the looked-up arguments' keys, laid end to end
+            looked_up = [s for s, a in enumerate(children) if a.kind != "var" or a.what == 0]
+            order = tuple(-1 - s if s in looked_up else a.what for s, a in enumerate(children))
+            order += sum((children[s].free for s in looked_up), ())
+            self.join = looked_up, _assembler(order, free)
+
+
+class _Joins:
+    """The nonzero residuals of one formula on integer structures, computed as
+    joins over the structures' supports, one value x0 of the first variable at
+    a time.
+
+    A node's value is {key: s * the subterm}, the key the values of its
+    variables.  A node not reading the first variable is computed once, one
+    reading it once per slice.  The residual's terms add their products into
+    one accumulator per slice, which is yielded in lex order and dropped.
+    """
+
+    def __init__(self, top: tuple, arity: int, dim: int, structures: dict, denominators: dict):
+        self.dim, self.structures, self.denominators = dim, structures, denominators
+        self.top, self.arity, self.rows = self.node(top, {}), arity, {}
+        self.static, self.sliced, self.x0 = {}, {}, None
+
+    def node(self, t: tuple, nodes: dict) -> _Node:
+        """t's node, built with its subterms'; equal subterms share one."""
+        if t in nodes:
+            return nodes[t]
+        kind = t[0]
+        if kind == "var":
+            what, children, free, scale = t[1], (), {t[1]}, 1
+        elif kind == "sum":
+            parts = [(c, self.node(u, nodes)) for c, u in t[1]]
+            scale = math.lcm(*(c.denominator * u.scale for c, u in parts))
+            children = tuple((scale * c.numerator // (c.denominator * u.scale), u) for c, u in parts)
+            what, free = None, set().union(*(u.free for _, u in parts))
+        else:
+            children = tuple(self.node(a, nodes) for a in ([t[2]] if kind == "op" else t[2:]))
+            names = t[1] if kind == "op" else [t[1]]
+            what = functools.reduce(operator.matmul, [self.structures[n] for n in names]) if kind == "op" else t[1]
+            scale = math.prod([self.denominators[n] for n in names] + [u.scale for u in children])
+            free = set().union(*(u.free for u in children))
+        nodes[t] = _Node(kind, what, children, tuple(sorted(free)), scale)
+        return nodes[t]
+
+    def residuals(self):
+        """(indices, residual) for every basis tuple with a nonzero residual, in lex order."""
+        scale, wide = self.top.scale, tuple(range(self.arity))
+        for self.x0 in range(self.dim):
+            self.sliced, acc = {}, {}
+            self.add(self.top, acc, 1, wide)
+            for key in sorted(acc):
+                if acc[key]:
+                    yield key, acc[key] if scale == 1 else core.vec_div(acc[key], scale)
+
+    def values_of(self, k: int):
+        return (self.x0,) if k == 0 else range(self.dim)
+
+    def cache(self, node: _Node) -> dict:
+        return self.sliced if node.free[0] == 0 else self.static
+
+    def add(self, node: _Node, acc: dict, m: int, wide: tuple) -> None:
+        """acc[key over wide] += m * (the node's value), its variables among wide."""
+        if node.kind == "sum":
+            for mi, u in node.children:
+                self.add(u, acc, m * mi, wide)
+            return
+        if node.join and node.free == wide:
+            self.contract(node, acc, m)
+            return
+        missing = tuple(v for v in wide if v not in node.free)
+        assemble = _assembler(node.free + missing, wide)
+        extras = list(itertools.product(*map(self.values_of, missing)))
+        iadd = core.vec_iadd
+        for key, vec in self.value(node).items():
+            for extra in extras:
+                iadd(acc.setdefault(assemble(key + extra), {}), vec, m)
+
+    def value(self, node: _Node) -> dict:
+        cache = self.cache(node)
+        if node not in cache:
+            if node.kind == "var":
+                values = {(i,): {i: 1} for i in self.values_of(node.what)}
+            elif node.kind == "op":
+                word = node.what
+                values = {key: w for key, v in self.value(node.children[0]).items() if (w := word.apply(v))}
+            else:
+                values = {}
+                self.add(node, values, 1, node.free)
+            cache[node] = values
+        return cache[node]
+
+    def components(self, node: _Node) -> dict:
+        """{component: [(key, coefficient)]}: the node's value indexed by output component."""
+        cache = self.cache(node)
+        if ("index", node) not in cache:
+            index = {}
+            for key, vec in self.value(node).items():
+                for k, c in vec.items():
+                    index.setdefault(k, []).append((key, c))
+            cache["index", node] = index
+        return cache["index", node]
+
+    def slot_rows(self, name: str, slot: int) -> dict:
+        """{index: [(key, vector)]}: the entries of a structure by their index in one slot."""
+        if (name, slot) not in self.rows:
+            rows, s = {}, self.structures[name]
+            for key in s.support():
+                rows.setdefault(key[slot], []).append((key, s.value(*key)))
+            self.rows[name, slot] = rows
+        return self.rows[name, slot]
+
+    def contract(self, node: _Node, acc: dict, m: int) -> None:
+        """acc[key] += m * (the node's value) for a contraction: a join over the
+        structure entries whose every slot is a component of its argument."""
+        looked_up, assemble = node.join
+        index = [self.components(u) for u in node.children]
+        if not all(index):
+            return
+        # drive the join from the argument with the fewest components, a looked-up one on a tie
+        drive = min(range(len(index)), key=lambda s: (len(index[s]), s not in looked_up))
+        iadd, rows = core.vec_iadd, self.slot_rows(node.what, drive)
+        for c in index[drive]:
+            for ix, vec in rows.get(c, ()):
+                parts = [index[s].get(ix[s]) for s in looked_up]
+                if not all(parts):
+                    continue
+                for k, x in _product(parts):
+                    key = assemble(ix + k)
+                    if key is not None:
+                        target = acc.get(key)
+                        if target is None:
+                            target = acc[key] = {}
+                        iadd(target, vec, m * x)
+
+
 class Formula:
-    """One identity, or one derived structure, compiled on first use.
+    """One identity, or one derived structure, parsed on first use.
 
     name is the report name of a scan; variables are the basis letters in
     scan order, e.g. "X Y Z"; text is the formula itself.
@@ -315,12 +536,18 @@ class Formula:
         self.arity = len(self.variables)
 
     @functools.cached_property
-    def _compiled(self) -> tuple:
-        """(structure names, nest); nest(_iadd, _scale, _gather, _range, **structures,
-        **denominators) is the generator of nonzero residuals, where each structure
-        is an integer form and denominators maps _d_<name> to its d."""
-        gen = _Codegen(_Parser(self.text, self.variables).residual(), self.arity)
-        structures = tuple(sorted(gen.structures))
+    def _parsed(self) -> tuple:
+        """(residual term, the sorted names of the structures it reads), read by both evaluators."""
+        top = _Parser(self.text, self.variables).residual()
+        return top, tuple(sorted(_structure_names(top)))
+
+    @functools.cached_property
+    def _nest(self):
+        """nest(_iadd, _scale, _gather, _range, **structures, **denominators), the
+        generator of nonzero residuals, where each structure is an integer form and
+        denominators maps _d_<name> to its d."""
+        top, structures = self._parsed
+        gen = _Codegen(top, self.arity)
         ident = re.sub(r"\W", "_", self.name)  # so that a profile names the formula
         arguments = ", ".join([*structures, *(f"_d_{name}" for name in structures)])
         source = [
@@ -339,16 +566,18 @@ class Formula:
         source += [f"{indent}if {gen.result}:", f"{indent}    yield ({indices},), {residual}"]
         namespace = {"_lcm": math.lcm, "_div": core.vec_div}
         exec("\n".join(source), namespace)
-        return structures, namespace[f"nonzero_{ident}"]
+        return namespace[f"nonzero_{ident}"]
 
     def bind(self, structures: dict) -> tuple:
-        """(loop nest, dimension) on the structures the formula names, refused
-        above the dimension guard for its arity unless forced.
+        """(generator of nonzero residuals, dimension) on the structures the
+        formula names, refused above the dimension guard for its arity unless
+        forced.
 
-        The nest yields (indices, residual) for every basis tuple with a
-        nonzero residual, in lexicographic order.
+        The generator yields (indices, residual) for every basis tuple with a
+        nonzero residual, in lexicographic order: from joins at arity 4 and
+        above, from the loop nest below.
         """
-        names, nest = self._compiled
+        top, names = self._parsed
         used = {key: structures[key] for key in names}
         dims = {s.dim for s in used.values()}
         if len(dims) != 1:
@@ -357,8 +586,11 @@ class Formula:
         core.guard_scan(dim, self.arity, self.name)
         forms = {key: s.integer_form() for key, s in used.items()}
         integer = {key: form for key, (form, _) in forms.items()}
+        if self.arity >= 4:  # the module docstring says why arity decides
+            denominators = {key: d for key, (_, d) in forms.items()}
+            return _Joins(top, self.arity, dim, integer, denominators).residuals(), dim
         denominators = {f"_d_{key}": d for key, (_, d) in forms.items()}
-        nonzero = nest(core.vec_iadd, core.vec_scale, core.vec_gather, range(dim), **integer, **denominators)
+        nonzero = self._nest(core.vec_iadd, core.vec_scale, core.vec_gather, range(dim), **integer, **denominators)
         return nonzero, dim
 
 

@@ -13,7 +13,7 @@ import random
 
 from .algfile import AlgebraFile, algebra_file_to_dict, entry_to_algebra_file
 from .bunch import RRhoAlgebra, check_rrho
-from .catalog import _entry_dim, example4_so, gl_assoc, mult_operators, so_n
+from .catalog import _entry_dim, _mult_pair, example4_so, gl_assoc, so_n
 from .core import Operator, WorkbenchError, guard_scan, require_lie, tensors_equal_report
 from .jordan import MODE_FULL, MODE_REDUCED, TripleWithOperator, check_triple_bi_myb, check_triple_myb, derived_triple
 from .lie import LieBiOperator, check_bi_myb, check_even_tempered, check_myb_raw
@@ -82,8 +82,8 @@ def _search_r0_not_myb(rng, trials, dim, entry_bound, findings):
     n = dim or 2
     entry = gl_assoc(n)
     for trial in range(trials):
-        ops = mult_operators(entry, random_matrix(rng, n, entry_bound, entry_bound))
-        r0 = (ops["R1"] + ops["R2"]).scale(scalar(1, 2))
+        R1, R2 = _mult_pair(entry, random_matrix(rng, n, entry_bound, entry_bound))
+        r0 = (R1 + R2).scale(scalar(1, 2))
         report = check_myb_raw(entry.bracket, r0, "midpoint-myb")
         if not report.passed:
             findings.append(
@@ -119,7 +119,7 @@ def _search_non_even_tempered(rng, trials, dim, entry_bound, findings):
     """Right multiplications on gl(n) that are mYB but not even-tempered."""
     n = dim or 2
     entry = gl_assoc(n)
-    draws = (mult_operators(entry, random_matrix(rng, n, entry_bound, entry_bound))["R1"] for _ in range(trials))
+    draws = (_mult_pair(entry, random_matrix(rng, n, entry_bound, entry_bound))[0] for _ in range(trials))
     _non_even_tempered(entry, draws, findings)
 
 
@@ -137,7 +137,7 @@ def _search_non_normal_triple(rng, trials, dim, entry_bound, findings):
     n = dim or 2
     entry = gl_assoc(n)
     for trial in range(trials):
-        R = mult_operators(entry, random_matrix(rng, n, entry_bound, entry_bound))["R1"]
+        R = _mult_pair(entry, random_matrix(rng, n, entry_bound, entry_bound))[0]
         report = check_triple_bi_myb(entry.triple, R, R)
         if not report.passed:
             continue

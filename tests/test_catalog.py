@@ -16,7 +16,7 @@ from opalg import (
     mult_operators,
     so_n,
 )
-from opalg import DimensionGuardError, catalog, core
+from opalg import DimensionGuardError, catalog, core, searches
 from opalg.catalog import CatalogError, build_entry
 from opalg.oracles import (
     mat_add,
@@ -111,6 +111,20 @@ def test_identity_q_gives_identity_operators():
         assert ops[name] == Operator.identity(4)
     assert ops["R"] == Operator.identity(4).scale(2)
     assert ops["xi"] == Operator.zero(4)
+
+
+@pytest.mark.parametrize("Q", [((1, 2), (0, 3)), (("1/2", "-2/3"), ("5", "3/4")), ((0, 0, 1), (2, "1/3", 0), (1, 1, -1))])
+def test_the_multiplication_pair_is_r1_and_r2_of_the_five_operators(Q):
+    entry = gl_assoc(len(Q))
+    ops = mult_operators(entry, Q)
+    assert catalog._mult_pair(entry, Q) == (ops["R1"], ops["R2"])
+    with pytest.raises(CatalogError):
+        catalog._mult_pair(entry, mat_identity(len(Q) + 1))
+
+
+def test_searches_build_no_operator_they_do_not_read():
+    # the one- and two-operator searches read R1 (and R2) of right/left multiplication only
+    assert not hasattr(searches, "mult_operators")
 
 
 def test_so3_conjugation_operator_entry():

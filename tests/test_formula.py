@@ -1,6 +1,6 @@
-"""The formula evaluator: parse errors, structure checks, documented formulas,
-witness positions in the loop nest, and every stated formula against a
-tree-walking interpreter."""
+"""The formula evaluators: parse errors, structure checks, documented formulas,
+witness positions in the loop nest and the joins, and every stated formula
+against a tree-walking interpreter."""
 
 import itertools
 import random
@@ -10,6 +10,7 @@ import pytest
 
 import opalg as oa
 from opalg import bunch, core, jordan, lie
+from opalg.catalog import build_entry
 from opalg.bunch import QUADRATIC_BRACKET
 from opalg.core import JACOBI, vec_dense, vec_iadd
 from opalg.formula import Formula, _Parser, scan, tabulate
@@ -271,6 +272,69 @@ def test_bind_is_guarded_before_integer_forms(monkeypatch, name):
     with oa.forced():
         _, bound_dim = formula.bind(structures)
     assert bound_dim == dim and cleared
+
+
+# ---------------------------------------------------------------------------
+# joins: the evaluator of every formula of arity 4 and 5
+
+JOINED = sorted(name for name, f in STATED.items() if f.arity >= 4)
+
+
+def test_bind_compiles_a_nest_only_below_arity_4():
+    structures = {"bracket": oa.BilinearStructure(DIM), "triple": oa.TrilinearStructure(DIM), "R": IDENTITY}
+    for arity, (formula, _) in NESTS.items():
+        fresh = Formula(formula.name, " ".join(formula.variables), formula.text)
+        assert list(fresh.bind(structures)[0]) == []
+        assert ("_nest" in vars(fresh)) == (arity <= 3)
+    assert JOINED == ["equivariance", "jts-alternate", "jts-jacobson", "polarized-bracket-condition"]
+
+
+@pytest.mark.parametrize("name", JOINED)
+def test_joins_yield_the_interpreter_stream_in_lex_order(name):
+    formula = STATED[name]
+    for structures in (_generic_structures(), _generic_structures(rational=True)):
+        nonzero, _ = formula.bind(structures)
+        assert list(nonzero) == list(_interpreted(formula, structures).items())
+
+
+@pytest.mark.parametrize(
+    "variables, text",
+    [
+        ("A X Y Z", "<X,Y,Z>"),  # no term reads the first variable
+        ("A X Y Z", "[A,X] - <X,Y,[A,Z]>"),  # a term missing variables is widened over them
+        ("A X Y Z", "<A,A,[X,Y]> + <[Z,A],Z,X>"),  # repeated variables
+        ("A B X Y", "R<RA,B,X> + [R1R2(Y + 1/2[A,B]),X]_R + xi<A,B,<X,Y,A>_R>"),  # operators, scales
+        ("A B X Y Z", "<[A,B],X,R<Y,Z,A>> - 1/3<A,RB,[X,Y]>"),
+    ],
+)
+def test_join_rules_match_an_interpreter(variables, text):
+    formula = Formula("rules", variables, text)
+    for structures in (_generic_structures(), _generic_structures(rational=True)):
+        nonzero, _ = formula.bind(structures)
+        assert list(nonzero) == list(_interpreted(formula, structures).items())
+
+
+def _perturbed(structure):
+    """The structure with the scalar of its middle sparse row moved by 1/2."""
+    rows = structure.sorted_rows()
+    *key, value = rows[len(rows) // 2]
+    rows[len(rows) // 2] = (*key, value + scalar(1, 2))
+    return core.TENSOR_CLASSES[structure.arity].from_rows(structure.dim, rows)
+
+
+@pytest.mark.parametrize("spec", ["example3-gl2", "gl2", "example1-so3", "example1-so3?triple=two-term"])
+def test_joins_find_a_perturbed_entry_where_the_interpreter_does(spec):
+    entry = build_entry(spec)
+    bracket, triple = entry.bracket, entry.triple
+    cases = [(STATED[name], {"bracket": bracket, "triple": _perturbed(triple)}) for name in JOINED]
+    cases += [(f, {"bracket": _perturbed(bracket), "triple": triple}) for f in (jordan.EQUIVARIANCE, jordan.POLARIZED_DESIGN)]
+    for formula, structures in cases:
+        expected = list(_interpreted(formula, structures).items())
+        assert expected, formula.name  # the perturbation shows
+        nonzero, dim = formula.bind(structures)
+        assert list(nonzero) == expected
+        report = scan(formula, structures)
+        assert report.witness == oa.Witness(expected[0][0], vec_dense(expected[0][1], dim))
 
 
 def test_rational_structures_clear_to_distinct_denominators():

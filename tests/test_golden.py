@@ -247,7 +247,7 @@ def golden_run() -> tuple:
         bound, repeated[case] = set(), []
 
         def recorded(self, structures):
-            key = (self.name, *((name, structures[name]) for name in self._compiled[0]))
+            key = (self.name, *((name, structures[name]) for name in self._parsed[1]))
             if key in bound:
                 repeated[case].append(self.name)
             bound.add(key)
@@ -285,6 +285,38 @@ def test_a_case_that_writes_nothing_hashes_no_earlier_report():
         run_case(["catalog", "export", earlier])
         after.add(run_case(refused))
     assert len(after) == 1
+
+
+# Cases rerun after the full pass, in reverse sorted order: every formula of
+# arity 4 and 5 on each catalog triple of dimension at most 4 and on one of
+# dimension 9, both JTS variants, rational and integer Q, and some arity-2/3
+# checks, a search and a library call between them.
+ORDER_SAMPLE = (
+    "check example1-so3 design",
+    "check example1-so3 jordan-base alternate",
+    "check example1-so3?triple=two-term design alternate",
+    "check example1-so3?triple=two-term jordan-base",
+    "check gl2 design",
+    "check gl2 jordan-base alternate",
+    "check gl2 equivariance",
+    "check example2-gl3 equivariance",
+    "check example2-gl2?q=seed:1 jordan-base",
+    "check example3-gl2 design",
+    "check example3-gl2 triple-bi-myb",
+    "check example3-gl2 rrho+bunch",
+    "check example3-gl2?q=seed:1 design",
+    "check example3-gl2?q=seed:1 equivariance",
+    "search r0-not-myb seed 1",
+    "library triple-r-homomorphism example3-gl2?q=seed:1",
+)
+
+
+def test_a_sample_rerun_in_reverse_order_gives_the_same_digests(digests):
+    # a verdict depends only on the input and the flags, not on what an
+    # evaluator kept from the cases that ran before it in this process
+    assert set(ORDER_SAMPLE) <= set(CASES)
+    again = {case: run_case(CASES[case]) for case in sorted(ORDER_SAMPLE, reverse=True)}
+    assert again == {case: digests[case] for case in ORDER_SAMPLE}
 
 
 def test_no_check_binds_a_formula_twice_on_equal_structures(golden_run):
