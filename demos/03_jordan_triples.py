@@ -50,14 +50,17 @@ print("  R = left + right: triple mYB fails at", myb_sum.witness.indices, "- red
 
 print()
 print("== two-operator triple system (right, left) ==")
-report = check_triple_bi_myb(t, e3.operators["R1"], e3.operators["R2"])
+# the pair is two records on one triple: the triple-myb-r1/-r2 lines are
+# their triple_r reports, and s's was read above, so only R2's is scanned here
+report = check_triple_bi_myb(s, TripleWithOperator(t, e3.operators["R2"]))
 for name in ("operators-commute", "derived-triples-coincide", "normal", "even-tempered"):
     print(f"  {name}: {report.sub(name).passed}")
 print("  as-printed first expression (informational):", report.sub("even-tempered-as-printed").passed)
 
 print()
 print("== rho X = QXQ ==")
-rho_report = check_rho_identity(t, e3.operators["rho"], derived=derived)
+# given the record s, the check transports s's reduced derived triple
+rho_report = check_rho_identity(s, e3.operators["rho"])
 print("  <rhoX,Y,rhoZ> = rho<X,rhoY,Z>:", rho_report.sub("rho-exchange").passed)
 print("  rho-transport against the derived triple:", rho_report.sub("rho-derived-transport").passed)
 

@@ -14,7 +14,7 @@ import json
 
 from . import __version__
 from .catalog import example1_candidates, example3_gl
-from .core import VARIANT_ALTERNATE, VARIANT_JACOBSON, check_jts_identity, require_lie
+from .core import VARIANT_ALTERNATE, VARIANT_JACOBSON, check_jts_identity, require_lie, tensors_equal_report
 from .jordan import (
     DesignCandidate,
     TripleWithOperator,
@@ -95,12 +95,11 @@ def _triple_candidates_item() -> dict:
     }
 
 
-def _derived_triple_sign_item() -> dict:
-    entry = example3_gl(2)
+def _derived_triple_sign_item(entry, s1: TripleWithOperator) -> dict:
     Q = entry.q
     # R1 satisfies triple mYB, which the reduced form presupposes, so triple_r
     # holds the tensor; the jts-variant item checks this triple's JTS identity
-    _, derived = TripleWithOperator(entry.triple, entry.operators["R1"]).triple_r
+    _, derived = s1.triple_r
 
     def monomial(x, y, z):
         return mat_mul(mat_mul(mat_mul(mat_mul(x, Q), y), Q), z)
@@ -111,8 +110,6 @@ def _derived_triple_sign_item() -> dict:
     minus = entry.trilinear_tensor_from_matrices(
         lambda x, y, z: mat_sub(monomial(x, y, z), monomial(z, y, x))
     )
-    from .core import tensors_equal_report
-
     # free-word expansion of the reduced derived triple with R = right mult by q
     x, y, z, q = word("x"), word("y"), word("z"), word("q")
     reduced_free = word_add(
@@ -146,8 +143,7 @@ def _derived_triple_sign_item() -> dict:
     }
 
 
-def _jts_variant_item() -> dict:
-    entry = example3_gl(2)
+def _jts_variant_item(entry) -> dict:
     a, b, x, y, z = (word(s) for s in "abxyz")
     jac_res = word_add(
         word_triple(a, b, word_triple(x, y, z)),
@@ -191,9 +187,8 @@ def _jts_variant_item() -> dict:
     }
 
 
-def _even_tempered_expression_item() -> dict:
-    entry = example3_gl(2)
-    report = check_triple_bi_myb(entry.triple, entry.operators["R1"], entry.operators["R2"])
+def _even_tempered_expression_item(entry, s1: TripleWithOperator) -> dict:
+    report = check_triple_bi_myb(s1, TripleWithOperator(entry.triple, entry.operators["R2"]))
     return {
         "question": (
             "the even-tempered chain's first expression is printed with an "
@@ -212,14 +207,18 @@ def _even_tempered_expression_item() -> dict:
 
 
 def open_question_findings() -> dict:
+    # three items read example3_gl(2); the sign and even-tempered items share
+    # its R1 record, so its triple mYB scan and reduced derived triple run once
+    entry = example3_gl(2)
+    s1 = TripleWithOperator(entry.triple, entry.operators["R1"])
     return {
         "tool": f"opalg {__version__}",
         "items": {
             "example1-operator-readings": _operator_readings_item(),
             "example1-triple-candidates": _triple_candidates_item(),
-            "example3-derived-triple-sign": _derived_triple_sign_item(),
-            "jts-identity-variant": _jts_variant_item(),
-            "even-tempered-triple-first-expression": _even_tempered_expression_item(),
+            "example3-derived-triple-sign": _derived_triple_sign_item(entry, s1),
+            "jts-identity-variant": _jts_variant_item(entry),
+            "even-tempered-triple-first-expression": _even_tempered_expression_item(entry, s1),
         },
     }
 

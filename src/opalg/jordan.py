@@ -129,10 +129,12 @@ def check_triple_myb(s: TripleWithOperator) -> CheckReport:
 def derived_triple(triple: TrilinearStructure, R: Operator, mode: str = MODE_REDUCED) -> TrilinearStructure:
     """Raw derived-triple tensor in the requested form.
 
-    The two forms agree exactly when the triple mYB identity holds; this
-    function enforces nothing.  TripleWithOperator.triple_r is the checked
-    reduced form; the triple-r-mode-disagreement search, which studies the
-    reduced form where the precondition fails, is its one plain reader.
+    Full minus reduced is minus the triple-mYB residual, so the two forms
+    agree exactly when the triple mYB identity holds; this function enforces
+    nothing.  TripleWithOperator.triple_r is the checked reduced form, and
+    check_triple_bi_myb reads it as the full form where it exists.  The
+    triple-r-mode-disagreement search, which studies the reduced form where
+    the precondition fails, is the reduced form's one plain reader.
     """
     if mode not in DERIVED_TRIPLES:
         raise ValueError(f"unknown derived-triple mode: {mode!r}")
@@ -171,43 +173,46 @@ EVEN_TEMPERED_AS_PRINTED = Formula(
 )
 
 
+def _full_derived_triple(s: TripleWithOperator) -> TrilinearStructure:
+    """The full derived triple of s: its reduced one where triple mYB holds,
+    since the two differ by minus the triple-mYB residual, else tabulated."""
+    derived = s.triple_r[1]
+    return derived if derived is not None else derived_triple(s.triple, s.R, MODE_FULL)
+
+
 @states(
-    COMMUTE, TRIPLE_MYB, NORMAL_OUTER_PAIR, NORMAL_REDUCED,
+    COMMUTE, NORMAL_OUTER_PAIR, NORMAL_REDUCED,
     EVEN_TEMPERED_TRIPLE, EVEN_TEMPERED_AS_PRINTED, MIDDLE_RHO,
 )
-def check_triple_bi_myb(triple: TrilinearStructure, R1: Operator, R2: Operator) -> CheckReport:
-    """Core two-operator conditions plus normal / even-tempered classification.
+def check_triple_bi_myb(s1: TripleWithOperator, s2: TripleWithOperator) -> CheckReport:
+    """Core two-operator conditions plus normal / even-tempered classification
+    of two records on one triple (ValueError for records on different ones).
 
     Core (asserted): R1 and R2 commute, both are triple-mYB, and the two full
     derived triples coincide.  Classification (informational): the normal
     chain, whose reduced form holds for S = R1 and for S = R2 with rho = R1R2,
     the even-tempered chain, the concise middle-rho form of the normal chain
     (the full derived triple of R1 equals <X,rhoY,Z>), and their consistency.
+    The triple-myb-r1/-r2 lines are the records' triple_r reports, notes
+    included, and one record passed twice is scanned and tabulated once.
     """
-    pair = {"triple": triple, "R1": R1, "R2": R2}
+    if s1.triple != s2.triple:
+        raise ValueError("the two operators' records are on different triples")
+    pair = {"triple": s1.triple, "R1": s1.R, "R2": s2.R}
+    one = s2 is s1
+
+    def chain(formula, name):
+        r1 = scan(formula, {**pair, "S": s1.R}, name=f"{name}-r1")
+        return r1, r1.replace(name=f"{name}-r2") if one else scan(formula, {**pair, "S": s2.R}, name=f"{name}-r2")
+
     normal = aggregate_report(
-        "normal",
-        (
-            scan(NORMAL_OUTER_PAIR, pair),
-            scan(NORMAL_REDUCED, {**pair, "S": R1}, name="normal-reduced-r1"),
-            scan(NORMAL_REDUCED, {**pair, "S": R2}, name="normal-reduced-r2"),
-        ),
-        informational=True,
+        "normal", (scan(NORMAL_OUTER_PAIR, pair), *chain(NORMAL_REDUCED, "normal-reduced")), informational=True
     )
-    even = aggregate_report(
-        "even-tempered",
-        (
-            scan(EVEN_TEMPERED_TRIPLE, {**pair, "S": R1}, name="even-tempered-r1"),
-            scan(EVEN_TEMPERED_TRIPLE, {**pair, "S": R2}, name="even-tempered-r2"),
-        ),
-        informational=True,
-    )
+    even = aggregate_report("even-tempered", chain(EVEN_TEMPERED_TRIPLE, "even-tempered"), informational=True)
     printed = scan(EVEN_TEMPERED_AS_PRINTED, pair, informational=True)
 
-    derived_full_1 = derived_triple(triple, R1, MODE_FULL)
-    middle_rho_form = tensors_equal_report(
-        "middle-rho-form", derived_full_1, tabulate(MIDDLE_RHO, pair), informational=True
-    )
+    full_1 = _full_derived_triple(s1)
+    middle_rho_form = tensors_equal_report("middle-rho-form", full_1, tabulate(MIDDLE_RHO, pair), informational=True)
     consistency = CheckReport(
         name="middle-rho-consistency",
         passed=normal.passed == middle_rho_form.passed,
@@ -216,13 +221,9 @@ def check_triple_bi_myb(triple: TrilinearStructure, R1: Operator, R2: Operator) 
 
     subs = [
         scan(COMMUTE, pair),
-        scan(TRIPLE_MYB, {"triple": triple, "R": R1}, name="triple-myb-r1"),
-        scan(TRIPLE_MYB, {"triple": triple, "R": R2}, name="triple-myb-r2"),
-        tensors_equal_report(
-            "derived-triples-coincide",
-            derived_full_1,
-            derived_triple(triple, R2, MODE_FULL),
-        ),
+        s1.triple_r[0].replace(name="triple-myb-r1"),
+        s2.triple_r[0].replace(name="triple-myb-r2"),
+        tensors_equal_report("derived-triples-coincide", full_1, full_1 if one else _full_derived_triple(s2)),
         normal,
         even,
         printed,
@@ -237,10 +238,11 @@ RHO_DERIVED_TRANSPORT = Formula("rho-derived-transport", "X Y Z", "rho<X,Y,Z>_R 
 
 
 @states(RHO_EXCHANGE, RHO_DERIVED_TRANSPORT)
-def check_rho_identity(
-    triple: TrilinearStructure, rho: Operator, derived: TrilinearStructure | None = None
-) -> CheckReport:
-    """rho-exchange, plus the transport of a supplied derived triple <.,.,.>_R when given."""
+def check_rho_identity(system: TrilinearStructure | TripleWithOperator, rho: Operator) -> CheckReport:
+    """rho-exchange on a triple.  Given a TripleWithOperator, also the transport
+    of its reduced derived triple <.,.,.>_R, where its triple_r report passes;
+    that report is not a line of this one."""
+    triple, derived = (system.triple, system.triple_r[1]) if isinstance(system, TripleWithOperator) else (system, None)
     structures = {"triple": triple, "rho": rho, "triple_R": derived}
     subs = [scan(RHO_EXCHANGE, structures)]
     if derived is not None:

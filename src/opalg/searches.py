@@ -138,7 +138,8 @@ def _search_non_normal_triple(rng, trials, dim, entry_bound, findings):
     entry = gl_assoc(n)
     for trial in range(trials):
         R = _mult_pair(entry, random_matrix(rng, n, entry_bound, entry_bound))[0]
-        report = check_triple_bi_myb(entry.triple, R, R)
+        s = TripleWithOperator(entry.triple, R)
+        report = check_triple_bi_myb(s, s)
         if not report.passed:
             continue
         normal = report.sub("normal")

@@ -222,9 +222,9 @@ def _suite_triple_myb(af, opts):
 
 
 def _suite_triple_bi_myb(af, opts):
-    R1 = af.require_operator(opts.get("operator", "R1"))
-    R2 = af.require_operator(opts.get("operator2", "R2"))
-    return [check_triple_bi_myb(af.require_triple(), R1, R2)], []
+    s1 = TripleWithOperator(af.require_triple(), af.require_operator(opts.get("operator", "R1")))
+    s2 = s1.replace(R=af.require_operator(opts.get("operator2", "R2")))
+    return [check_triple_bi_myb(s1, s2)], []
 
 
 def _suite_design(af, opts):
@@ -244,8 +244,8 @@ def _suite_rho(af, opts):
     rho = af.require_operator(opts.get("operator", "rho"))
     if "operator2" not in opts:
         return [check_rho_identity(triple, rho)], []
-    myb, derived = TripleWithOperator(triple, af.require_operator(opts["operator2"])).triple_r
-    return [myb, check_rho_identity(triple, rho, derived)], []
+    s = TripleWithOperator(triple, af.require_operator(opts["operator2"]))
+    return [s.triple_r[0], check_rho_identity(s, rho)], []
 
 
 def _rrho_algebra(af, opts) -> RRhoAlgebra:

@@ -129,16 +129,22 @@ def test_witness_and_tuple_count_match_a_plain_loop(arity, brackets, triples, R,
 
 
 def test_scans_never_contract_the_full_triple_tensor(monkeypatch):
+    # (R1, R2) pass triple mYB and read their reduced triples; R = left +
+    # right fails it, so its full derived triple is tabulated
     e3 = oa.example3_gl(2)
-    args = (e3.triple, e3.operators["R1"], e3.operators["R2"])
-    expected = oa.check_triple_bi_myb(*args)
+    pairs = [("R1", "R2"), ("R", "R2")]
+
+    def records(pair):
+        return [oa.TripleWithOperator(e3.triple, e3.operators[name]) for name in pair]
+
+    expected = [oa.check_triple_bi_myb(*records(pair)) for pair in pairs]
 
     def refuse(*args):
         raise AssertionError("full-tensor apply called")
 
     monkeypatch.setattr(oa.TrilinearStructure, "apply", refuse)
-    assert expected.passed
-    assert oa.check_triple_bi_myb(*args) == expected
+    assert expected[0].passed and not expected[1].passed
+    assert [oa.check_triple_bi_myb(*records(pair)) for pair in pairs] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 
@@ -175,8 +176,9 @@ def _random_operator_reports(entry, seed) -> str:
         oa.check_xi_characterization(g, R2),
         oa.check_even_tempered_xi(g, R2),
         oa.check_triple_myb(oa.TripleWithOperator(oa.prove_jts(t, oa.VARIANT_JACOBSON)[1], R1)),
-        oa.check_triple_bi_myb(t, R1, R2),
-        oa.check_rho_identity(t, R1, oa.derived_triple(t, R2, oa.MODE_FULL)),
+        oa.check_triple_bi_myb(oa.TripleWithOperator(t, R1), oa.TripleWithOperator(t, R2)),
+        # the entry's R1 passes triple mYB, so the generic R1 as rho transports its reduced triple
+        oa.check_rho_identity(oa.TripleWithOperator(t, entry.operators["R1"]), R1),
         oa.check_rrho(oa.RRhoAlgebra(b, R1, R2)),
         oa.check_gamma_bunch(oa.build_bunch(oa.RRhoAlgebra(b, R1, R2))),
     ]
@@ -287,10 +289,10 @@ def test_a_case_that_writes_nothing_hashes_no_earlier_report():
     assert len(after) == 1
 
 
-# Cases rerun after the full pass, in reverse sorted order: every formula of
-# arity 4 and 5 on each catalog triple of dimension at most 4 and on one of
-# dimension 9, both JTS variants, rational and integer Q, and some arity-2/3
-# checks, a search and a library call between them.
+# Cases rerun after the full pass, in reverse sorted order and in a seeded
+# shuffle: every formula of arity 4 and 5 on each catalog triple of dimension
+# at most 4 and on one of dimension 9, both JTS variants, rational and integer
+# Q, and some arity-2/3 checks, two searches and a library call between them.
 ORDER_SAMPLE = (
     "check example1-so3 design",
     "check example1-so3 jordan-base alternate",
@@ -303,10 +305,12 @@ ORDER_SAMPLE = (
     "check example2-gl2?q=seed:1 jordan-base",
     "check example3-gl2 design",
     "check example3-gl2 triple-bi-myb",
+    "check example3-gl2 rho transport R1",
     "check example3-gl2 rrho+bunch",
     "check example3-gl2?q=seed:1 design",
     "check example3-gl2?q=seed:1 equivariance",
     "search r0-not-myb seed 1",
+    "search non-normal-triple seed 1",
     "library triple-r-homomorphism example3-gl2?q=seed:1",
 )
 
@@ -319,6 +323,14 @@ def test_a_sample_rerun_in_reverse_order_gives_the_same_digests(digests):
     assert again == {case: digests[case] for case in ORDER_SAMPLE}
 
 
+def test_a_sample_rerun_in_a_seeded_shuffle_gives_the_same_digests(digests):
+    order = sorted(ORDER_SAMPLE)
+    random.Random(20261019).shuffle(order)
+    assert order not in (sorted(ORDER_SAMPLE), sorted(ORDER_SAMPLE, reverse=True))
+    again = {case: run_case(CASES[case]) for case in order}
+    assert again == {case: digests[case] for case in ORDER_SAMPLE}
+
+
 def test_no_check_binds_a_formula_twice_on_equal_structures(golden_run):
     # a derived tensor is a value of the record that defines it, and a
     # proven structure carries its proof, so no request tabulates or scans
@@ -326,6 +338,10 @@ def test_no_check_binds_a_formula_twice_on_equal_structures(golden_run):
     checks = [case for case in CASES if case.startswith("check ")]
     assert len(checks) == 166
     assert {case: golden_run[1][case] for case in checks if golden_run[1][case]} == {}
+    # the findings items share their gl(2) record, and the non-normal-triple
+    # search passes one record as both operators of each trial's pair
+    assert golden_run[1]["findings"] == []
+    assert golden_run[1]["search non-normal-triple seed 1"] == golden_run[1]["search non-normal-triple seed 2"] == []
 
 
 if __name__ == "__main__":

@@ -250,9 +250,13 @@ def test_outer_symmetry_is_preserved_by_derivation():
 # two-operator triple systems
 
 
+def _records(triple, *operators):
+    return tuple(TripleWithOperator(triple, R) for R in operators)
+
+
 def test_triple_bi_myb_multiplication_pair():
     e3 = example3_gl(2)
-    report = check_triple_bi_myb(e3.triple, e3.operators["R1"], e3.operators["R2"])
+    report = check_triple_bi_myb(*_records(e3.triple, e3.operators["R1"], e3.operators["R2"]))
     assert report.passed
     assert report.sub("normal").passed
     assert report.sub("even-tempered").passed
@@ -264,8 +268,8 @@ def test_triple_bi_myb_multiplication_pair():
 
 def test_triple_bi_myb_equal_operators_lose_classification_flags():
     e3 = example3_gl(2)
-    R = e3.operators["R1"]
-    report = check_triple_bi_myb(e3.triple, R, R)
+    s = TripleWithOperator(e3.triple, e3.operators["R1"])
+    report = check_triple_bi_myb(s, s)
     assert report.passed  # core holds trivially
     assert not report.sub("normal").passed
     assert not report.sub("even-tempered").passed
@@ -275,8 +279,8 @@ def test_triple_bi_myb_equal_operators_lose_classification_flags():
 
 def test_triple_bi_myb_identity_pair_all_flags():
     e3 = example3_gl(2)
-    ident = Operator.identity(4)
-    report = check_triple_bi_myb(e3.triple, ident, ident)
+    s = TripleWithOperator(e3.triple, Operator.identity(4))
+    report = check_triple_bi_myb(s, s)
     assert report.passed
     assert report.sub("normal").passed
     assert report.sub("even-tempered").passed
@@ -318,10 +322,80 @@ def test_rho_identity_random_operator_fails():
 def test_rho_identity_transport_against_derived_triple():
     e3 = example3_gl(2)
     s = TripleWithOperator(e3.triple, e3.operators["R1"])
-    derived = _reduced(s)
-    report = check_rho_identity(e3.triple, e3.operators["rho"], derived)
+    _reduced(s)
+    report = check_rho_identity(s, e3.operators["rho"])
     assert report.passed
     assert report.sub("rho-derived-transport").passed
+    # the rho lines carry no note, whatever the record's triple
+    assert report.notes == () and all(sub.notes == () for sub in report.subchecks)
+
+
+def test_rho_identity_transports_only_where_triple_r_passes(monkeypatch):
+    e3 = example3_gl(2)
+    rho = e3.operators["rho"]
+    s = TripleWithOperator(e3.triple, e3.operators["R"])  # left + right fails triple mYB
+    assert s.triple_r[1] is None
+    binds = _binds(monkeypatch)
+    report = check_rho_identity(s, rho)
+    assert [sub.name for sub in report.subchecks] == ["rho-exchange"]
+    assert report == check_rho_identity(e3.triple, rho)
+    assert "triple-myb" not in binds and not [name for name in binds if name.startswith("derived-triple")]
+
+
+def test_triple_bi_myb_lines_take_the_records_notes():
+    e3 = example3_gl(2)
+    plain = e3.triple
+    proven = prove_jts(plain, "jacobson")[1]
+    for triple, notes in ((plain, (BASE_UNVERIFIED_NOTE,)), (proven, ())):
+        s1, s2 = _records(triple, e3.operators["R1"], e3.operators["R2"])
+        report = check_triple_bi_myb(s1, s2)
+        assert report.sub("triple-myb-r1").notes == check_triple_myb(s1).notes == notes
+        assert report.sub("triple-myb-r2").notes == check_triple_myb(s2).notes == notes
+        # the classification lines carry none
+        assert report.sub("normal").notes == report.sub("even-tempered").notes == ()
+
+
+def test_triple_bi_myb_refuses_records_on_different_triples():
+    e3 = example3_gl(2)
+    s1 = TripleWithOperator(e3.triple, e3.operators["R1"])
+    other = TripleWithOperator(_reduced(s1), e3.operators["R2"])
+    with pytest.raises(ValueError, match="different triples"):
+        check_triple_bi_myb(s1, other)
+    with pytest.raises(ValueError, match="different triples"):
+        check_triple_bi_myb(other, s1)
+
+
+@pytest.mark.parametrize("name, full", [("R1", 0), ("R", 1)])
+def test_one_record_passed_twice_is_scanned_and_tabulated_once(monkeypatch, name, full):
+    # R1 passes triple mYB, so its reduced triple is the full one; R = left +
+    # right fails it, so the full triple is tabulated, once
+    e3 = example3_gl(2)
+    s = TripleWithOperator(e3.triple, e3.operators[name])
+    binds = _binds(monkeypatch)
+    check_triple_bi_myb(s, s)
+    assert binds.count("triple-myb") == binds.count("normal-reduced") == binds.count("even-tempered-triple") == 1
+    assert binds.count("derived-triple-reduced") == 1 - full
+    assert binds.count("derived-triple-full") == full
+
+
+def test_a_read_triple_r_is_not_scanned_again(monkeypatch):
+    e3 = example3_gl(2)
+    s1, s2 = _records(e3.triple, e3.operators["R1"], e3.operators["R2"])
+    s1.triple_r
+    scanned = []
+    bind = Formula.bind
+
+    def recorded(self, structures):
+        if self.name == "triple-myb":
+            scanned.append(structures["R"])
+        return bind(self, structures)
+
+    monkeypatch.setattr(Formula, "bind", recorded)
+    report = check_triple_bi_myb(s1, s2)
+    assert scanned == [s2.R]
+    assert report.sub("triple-myb-r1") == s1.triple_r[0].replace(name="triple-myb-r1")
+    check_triple_bi_myb(s1, s2)
+    assert scanned == [s2.R]
 
 
 # ---------------------------------------------------------------------------
