@@ -9,6 +9,7 @@ affect the exit status.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .algfile import AlgebraFile, render_algebra_file
@@ -30,15 +31,7 @@ class _Parser(argparse.ArgumentParser):
         raise WorkbenchError(f"{self.prog}: {message}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="opalg",
-        description="Exact verification workbench for Lie algebras and Jordan "
-        "triple systems with operators.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    check = sub.add_parser("check", help="run a named check suite")
+def _check_arguments(check: argparse.ArgumentParser) -> None:
     check.add_argument("input", help="algebra file path or catalog:NAME[?params]")
     check.add_argument("--suite", required=True, choices=sorted(SUITES))
     check.add_argument("--operator", help="primary operator name (suite-dependent default)")
@@ -48,7 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--format", choices=("text", "json"), default="text")
     check.add_argument("--out", help="write the report to a file instead of stdout")
 
-    derive = sub.add_parser("derive", help="compute a derived structure and write it out")
+
+def _derive_arguments(derive: argparse.ArgumentParser) -> None:
     derive.add_argument("input")
     derive.add_argument(
         "--what",
@@ -61,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
     derive.add_argument("--force", action="store_true", help="override the dimension guard")
     derive.add_argument("--out", help="output file (stdout when omitted)")
 
-    catalog = sub.add_parser("catalog", help="list or export catalog entries")
+
+def _catalog_arguments(catalog: argparse.ArgumentParser) -> None:
     catalog_sub = catalog.add_subparsers(dest="catalog_command", required=True)
     catalog_sub.add_parser("list")
     export = catalog_sub.add_parser("export")
@@ -69,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     export.add_argument("--force", action="store_true", help="override the dimension guard")
     export.add_argument("--out")
 
-    search = sub.add_parser("search", help="seeded search for failure witnesses")
+
+def _search_arguments(search: argparse.ArgumentParser) -> None:
     search.add_argument("target")
     search.add_argument("--seed", type=int, required=True)
     search.add_argument("--trials", type=int, required=True)
@@ -79,16 +75,45 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--format", choices=("text", "json"), default="json")
     search.add_argument("--out")
 
-    convert = sub.add_parser("convert", help="convert between (R1,R2) and (R,xi) operator pairs")
+
+def _convert_arguments(convert: argparse.ArgumentParser) -> None:
     convert.add_argument("input")
     convert.add_argument("--to", required=True, choices=("xi", "pair"))
     convert.add_argument("--operator", help="first operator name (default R1, or R for --to pair)")
     convert.add_argument("--operator2", help="second operator name (default R2, or xi)")
     convert.add_argument("--out")
 
-    findings = sub.add_parser("findings", help="emit the open-questions findings document")
+
+def _findings_arguments(findings: argparse.ArgumentParser) -> None:
     findings.add_argument("--out")
 
+
+# name -> (help line, adds the subcommand's arguments), in the order --help lists them
+_SUBCOMMANDS = {
+    "check": ("run a named check suite", _check_arguments),
+    "derive": ("compute a derived structure and write it out", _derive_arguments),
+    "catalog": ("list or export catalog entries", _catalog_arguments),
+    "search": ("seeded search for failure witnesses", _search_arguments),
+    "convert": ("convert between (R1,R2) and (R,xi) operator pairs", _convert_arguments),
+    "findings": ("emit the open-questions findings document", _findings_arguments),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for every subcommand, or for ``command`` alone when it names
+    one.  A subcommand's parser does not depend on its siblings, so either
+    parses that subcommand's argv to the same namespace and the same errors;
+    building one of them instead of all saves most of the set-up."""
+    parser = _Parser(
+        prog="opalg",
+        description="Exact verification workbench for Lie algebras and Jordan "
+        "triple systems with operators.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    names = [command] if command in _SUBCOMMANDS else _SUBCOMMANDS
+    for name in names:
+        help_line, add_arguments = _SUBCOMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
@@ -201,8 +226,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    if gc.get_freeze_count() == 0:
+        # Everything alive now (interpreter, stdlib, opalg's modules and
+        # formulas) lives until exit.  Frozen, the cyclic collector never walks
+        # it again, during the request or at interpreter shutdown; what the
+        # request allocates is collected as before.  Once per process.
+        gc.freeze()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit:  # --help, which prints and exits 0
         return 0
     except WorkbenchError as exc:

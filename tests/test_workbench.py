@@ -10,9 +10,9 @@ import time
 
 import pytest
 
-from opalg import DimensionGuardError, catalog, core, forced, searches
+from opalg import DimensionGuardError, WorkbenchError, catalog, core, forced, searches
 from opalg.algfile import parse_algebra_file
-from opalg.cli import main
+from opalg.cli import _build_parser, main
 from opalg.findings import open_question_findings, render_findings
 from opalg.formula import Formula
 from opalg.searches import TargetIsTheoremError, UnknownTargetError, run_search
@@ -630,6 +630,94 @@ except DimensionGuardError as exc:
     proc = _python(code)
     seconds, message = proc.stdout.split(" ", 1)
     assert float(seconds) < 1 and "guard" in message, proc.stderr
+
+
+def test_cli_freezes_the_collector_once_per_process_and_imports_do_not():
+    code = """
+import gc, json, os
+counts = [gc.get_freeze_count()]
+import opalg
+counts.append(gc.get_freeze_count())
+import opalg.cli
+counts.append(gc.get_freeze_count())
+argv = ["check", "catalog:so3", "--suite", "lie-base", "--out", os.devnull]
+opalg.cli.main(argv)
+counts.append(gc.get_freeze_count())
+fresh = [[k] for k in range(10_000)]
+opalg.cli.main(argv)
+counts.append(gc.get_freeze_count())
+print(json.dumps(counts))
+"""
+    proc = _python(code)
+    before, after_opalg, after_cli, after_main, after_second_main = json.loads(proc.stdout)
+    assert before == after_opalg == after_cli, proc.stderr
+    assert after_main > after_cli
+    assert after_second_main == after_main
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+def test_cli_process_leaves_a_complete_report(tmp_path, to_file):
+    # frozen objects are never finalized: the report must be flushed and its
+    # file closed by the time the process exits
+    out = tmp_path / "report.json"
+    argv = [sys.executable, "-m", "opalg.cli", "check", "catalog:so3", "--suite", "lie-base", "--format", "json"]
+    argv += ["--out", str(out)] if to_file else []
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert (proc.stdout == "") == to_file
+    doc = json.loads(out.read_text(encoding="utf-8") if to_file else proc.stdout)
+    assert doc["suite"] == "lie-base" and doc["passed"] is True
+
+
+def _subparsers(parser, prefix=()) -> dict:
+    """Every subparser under parser, nested ones included, by its command words."""
+    found = {}
+    for action in parser._actions:
+        for name, child in getattr(action, "_name_parser_map", {}).items():
+            found[(*prefix, name)] = child
+            found.update(_subparsers(child, (*prefix, name)))
+    return found
+
+
+def _parse(parser, argv, capsys):
+    try:
+        return "parsed", vars(parser.parse_args(argv))
+    except WorkbenchError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:  # --help
+        return "exit", exc.code, capsys.readouterr().out
+
+
+PARSER_ARGVS = {
+    "check": ["check", "catalog:so3", "--suite", "myb", "--operator", "R", "--format", "json", "--out", "r"],
+    "derive": ["derive", "in.json", "--what", "derived-triple", "--mode", "full", "--force"],
+    "catalog-list": ["catalog", "list"],
+    "catalog-export": ["catalog", "export", "example2-gl2?q=diag:1,2", "--out", "e.json"],
+    "search": ["search", "so3-non-myb", "--seed", "3", "--trials", "4", "--dim", "2", "--entry-bound", "2"],
+    "convert": ["convert", "in.json", "--to", "pair", "--operator2", "xi"],
+    "findings": ["findings", "--out", "f.md"],
+    "no-arguments": [],
+    "help": ["--help"],
+    "h": ["-h"],
+    "subcommand-help": ["check", "--help"],
+    "catalog-alone": ["catalog"],
+    "unknown-command": ["frobnicate", "x"],
+    "missing-required-option": ["check", "catalog:so3"],
+    "unknown-suite": ["check", "catalog:so3", "--suite", "no-such-suite"],
+    "non-integer-seed": ["search", "so3-non-myb", "--seed", "x", "--trials", "1"],
+    "extra-argument": ["findings", "surplus"],
+}
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS.values(), ids=PARSER_ARGVS.keys())
+def test_cli_single_subcommand_parser_matches_the_full_parser(argv, capsys):
+    full, single = _build_parser(), _build_parser(argv[0] if argv else None)
+    full_subparsers, single_subparsers = _subparsers(full), _subparsers(single)
+    assert single_subparsers
+    for words, subparser in single_subparsers.items():
+        assert subparser.format_help() == full_subparsers[words].format_help()
+    assert _parse(single, argv, capsys) == _parse(full, argv, capsys)
 
 
 def test_cli_refuses_catalog_parameters_it_would_ignore(capsys):
