@@ -18,6 +18,7 @@ rely on.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 
@@ -335,37 +336,22 @@ def example1_candidates(x0=None, form=None) -> CatalogEntry:
     if len(x0) != 3:
         raise CatalogError("x0 must be a 3-vector of coordinates")
 
-    def f_pair(i, j):
-        return form[i][j]
+    def form_triple(terms) -> TrilinearStructure:
+        """sum c F(X_a, X_b) X_out over terms (c, a, b, out), with X_0, X_1, X_2 = X, Y, Z."""
+        entries = {}
+        for key in itertools.product(range(3), repeat=3):
+            vec: dict = {}
+            for c, a, b, out in terms:
+                f = form[key[a]][key[b]]
+                if f:  # given a zero, vec_iadd would delete a key it never stored
+                    vec_iadd(vec, {key[out]: f}, c)
+            if vec:
+                entries[key] = vec
+        return TrilinearStructure(3, entries)
 
-    dim = 3
-    two_entries = {}
-    three_entries = {}
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                vec: dict = {}
-                fij = f_pair(i, j)
-                if fij:
-                    vec[k] = vec.get(k, 0) + fij
-                fjk = f_pair(j, k)
-                if fjk:
-                    vec[i] = vec.get(i, 0) + fjk
-                vec = {a: s for a, s in vec.items() if s}
-                if vec:
-                    two_entries[(i, j, k)] = dict(vec)
-                fik = f_pair(i, k)
-                if fik:
-                    vec = dict(vec)
-                    t = vec.get(j, 0) - fik
-                    if t:
-                        vec[j] = t
-                    else:
-                        vec.pop(j, None)
-                if vec:
-                    three_entries[(i, j, k)] = vec
-    two_term = TrilinearStructure(dim, two_entries)
-    three_term = TrilinearStructure(dim, three_entries)
+    two_terms = ((1, 0, 1, 2), (1, 1, 2, 0))  # F(X,Y)Z + F(Y,Z)X
+    two_term = form_triple(two_terms)
+    three_term = form_triple(two_terms + ((-1, 0, 2, 1),))  # - F(X,Z)Y
 
     x0_vec = {i: c for i, c in enumerate(x0) if c}
     fx0 = tuple(sum(x0[r] * form[r][c] for r in range(3)) for c in range(3))

@@ -88,17 +88,6 @@ def _findings_arguments(findings: argparse.ArgumentParser) -> None:
     findings.add_argument("--out")
 
 
-# name -> (help line, adds the subcommand's arguments), in the order --help lists them
-_SUBCOMMANDS = {
-    "check": ("run a named check suite", _check_arguments),
-    "derive": ("compute a derived structure and write it out", _derive_arguments),
-    "catalog": ("list or export catalog entries", _catalog_arguments),
-    "search": ("seeded search for failure witnesses", _search_arguments),
-    "convert": ("convert between (R1,R2) and (R,xi) operator pairs", _convert_arguments),
-    "findings": ("emit the open-questions findings document", _findings_arguments),
-}
-
-
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser for every subcommand, or for ``command`` alone when it names
     one.  A subcommand's parser does not depend on its siblings, so either
@@ -112,7 +101,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     names = [command] if command in _SUBCOMMANDS else _SUBCOMMANDS
     for name in names:
-        help_line, add_arguments = _SUBCOMMANDS[name]
+        help_line, add_arguments, _ = _SUBCOMMANDS[name]
         add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
@@ -215,13 +204,14 @@ def _cmd_findings(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "check": _cmd_check,
-    "derive": _cmd_derive,
-    "catalog": _cmd_catalog,
-    "search": _cmd_search,
-    "convert": _cmd_convert,
-    "findings": _cmd_findings,
+# name -> (help line, adds the subcommand's arguments, runs it), in the order --help lists them
+_SUBCOMMANDS = {
+    "check": ("run a named check suite", _check_arguments, _cmd_check),
+    "derive": ("compute a derived structure and write it out", _derive_arguments, _cmd_derive),
+    "catalog": ("list or export catalog entries", _catalog_arguments, _cmd_catalog),
+    "search": ("seeded search for failure witnesses", _search_arguments, _cmd_search),
+    "convert": ("convert between (R1,R2) and (R,xi) operator pairs", _convert_arguments, _cmd_convert),
+    "findings": ("emit the open-questions findings document", _findings_arguments, _cmd_findings),
 }
 
 
@@ -240,9 +230,10 @@ def main(argv=None) -> int:
     except WorkbenchError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    _, _, run = _SUBCOMMANDS[args.command]
     try:
         with forced(getattr(args, "force", False)):
-            return _COMMANDS[args.command](args)
+            return run(args)
     except (WorkbenchError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

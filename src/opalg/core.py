@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
+import types
 
 from .formula import Formula, scan, states
 from .scalars import Scalar, as_scalar, common_denominator, render_scalar, scalar
@@ -81,7 +83,8 @@ class FrozenRecord(Record):
     What a subclass derives from its fields is a functools.cached_property:
     computed on first read and then kept in the record's __dict__, which
     equality, hashing, repr and replace ignore, so a replaced record computes
-    it again.
+    it again.  Operator is one (its dim and sparse columns are derived), and
+    the structure tensors keep their derived values the same way.
     """
 
     __slots__ = ("__dict__",)
@@ -185,38 +188,40 @@ def vec_from_dense(seq) -> dict:
     return {i: s for i, s in enumerate(map(as_scalar, seq)) if s}
 
 
-_EMPTY: dict = {}
+# The value of every absent key: read-only, so no caller can change what later lookups see.
+_EMPTY = types.MappingProxyType({})
 
 
 # ---------------------------------------------------------------------------
 # operators
 
 
-class Operator:
+class Operator(FrozenRecord):
     """Square matrix of scalars acting on coordinates, y_r = sum_c M[r][c] x_c."""
 
-    __slots__ = ("dim", "rows", "_cols", "_hash")
+    __slots__ = ("rows",)
 
     def __init__(self, rows):
         rows = tuple(tuple(as_scalar(x) for x in row) for row in rows)
-        n = len(rows)
-        if n == 0 or any(len(row) != n for row in rows):
+        if not rows or any(len(row) != len(rows) for row in rows):
             raise DimensionMismatchError("operator matrix must be square and nonempty")
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_cols", None)
-        object.__setattr__(self, "_hash", None)
+        self._assign(rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Operator is immutable")
+    @functools.cached_property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    @functools.cached_property
+    def _columns(self) -> list:
+        return [{r: row[c] for r, row in enumerate(self.rows) if row[c]} for c in range(self.dim)]
 
     @classmethod
     def identity(cls, dim: int) -> "Operator":
-        return cls(tuple(tuple(1 if r == c else 0 for c in range(dim)) for r in range(dim)))
+        return cls.diagonal((1,) * dim)
 
     @classmethod
     def zero(cls, dim: int) -> "Operator":
-        return cls(tuple((0,) * dim for _ in range(dim)))
+        return cls.diagonal((0,) * dim)
 
     @classmethod
     def diagonal(cls, entries) -> "Operator":
@@ -233,14 +238,7 @@ class Operator:
 
     def column(self, c: int) -> dict:
         """Sparse image of the c-th basis vector.  Treat as read-only."""
-        cols = self._cols
-        if cols is None:
-            cols = [
-                {r: self.rows[r][c] for r in range(self.dim) if self.rows[r][c]}
-                for c in range(self.dim)
-            ]
-            object.__setattr__(self, "_cols", cols)
-        return cols[c]
+        return self._columns[c]
 
     def apply(self, v: dict) -> dict:
         acc: dict = {}
@@ -277,14 +275,7 @@ class Operator:
         )
 
     def __sub__(self, other: "Operator") -> "Operator":
-        if self.dim != other.dim:
-            raise DimensionMismatchError("operator dims differ")
-        return Operator(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return self + -other
 
     def __neg__(self) -> "Operator":
         return self.scale(-1)
@@ -295,16 +286,6 @@ class Operator:
 
     def is_identity(self) -> bool:
         return self == Operator.identity(self.dim)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Operator) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(self.rows)
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def __repr__(self) -> str:
         return f"Operator({[[render_scalar(a) for a in row] for row in self.rows]})"
@@ -347,11 +328,12 @@ class _SparseTensor:
 
     Storage, row I/O and value semantics, written once for both arities; the
     subclasses hold the per-tuple kernels that the loop nests call.  Each
-    subclass sets arity and kind ("bracket" or "triple"), and its own slots
-    are caches that start as None.
+    subclass sets arity and kind ("bracket" or "triple").  As in FrozenRecord,
+    what is derived from the entries (the hash, the entries by slot) is a
+    functools.cached_property kept in __dict__.
     """
 
-    __slots__ = ("dim", "_c", "_hash")
+    __slots__ = ("dim", "_c", "__dict__")
     arity: int
     kind: str
 
@@ -360,9 +342,6 @@ class _SparseTensor:
             raise DimensionMismatchError("dimension must be positive")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_c", _clean_entries(dim, entries or {}, self.arity))
-        object.__setattr__(self, "_hash", None)
-        for name in self.__slots__:
-            object.__setattr__(self, name, None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{TENSOR_CLASSES[self.arity].__name__} is immutable")
@@ -395,6 +374,19 @@ class _SparseTensor:
     def support(self):
         return self._c.keys()
 
+    @functools.cached_property
+    def _by_slot(self) -> tuple:
+        by_slot = tuple({} for _ in range(self.arity))
+        for key, vec in self._c.items():
+            for by, index in zip(by_slot, key):
+                by.setdefault(index, []).append((key, vec))
+        return by_slot
+
+    def entries_by(self, slot: int) -> dict:
+        """{index: [(key, vector)]}: the entries by their index in slot (0 for
+        the first), in insertion order.  Treat as read-only."""
+        return self._by_slot[slot]
+
     def sorted_rows(self):
         """Canonical sparse listing [(*index tuple, component, scalar)] sorted by index."""
         out = []
@@ -412,13 +404,12 @@ class _SparseTensor:
             and self._c == other._c
         )
 
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.dim, tuple((key, tuple(sorted(vec.items()))) for key, vec in sorted(self._c.items()))))
+
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            rows = tuple((key, tuple(sorted(vec.items()))) for key, vec in sorted(self._c.items()))
-            h = hash((self.dim, rows))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
 
     def __repr__(self) -> str:
         return f"{TENSOR_CLASSES[self.arity].__name__}(dim={self.dim}, entries={len(self._c)})"
@@ -472,7 +463,7 @@ class BilinearStructure(_SparseTensor):
 class TrilinearStructure(_SparseTensor):
     """Structure constants of a trilinear product: (i, j, k) -> <e_i, e_j, e_k>."""
 
-    __slots__ = ("_by_first", "_by_middle", "_by_last")
+    __slots__ = ()
     arity, kind = 3, "triple"
 
     def value(self, i: int, j: int, k: int) -> dict:
@@ -516,20 +507,10 @@ class TrilinearStructure(_SparseTensor):
                 vec_iadd(acc, vec, wc)
         return acc
 
-    def _index(self, slot: str) -> dict:
-        cache = getattr(self, "_by_" + slot)
-        if cache is None:
-            cache = {}
-            pos = {"first": 0, "middle": 1, "last": 2}[slot]
-            for key, vec in self._c.items():
-                cache.setdefault(key[pos], []).append((key, vec))
-            object.__setattr__(self, "_by_" + slot, cache)
-        return cache
-
     def apply_first_middle(self, u: dict, v: dict, k: int) -> dict:
         """<u, v, e_k> via the slice of keys with last index k."""
         acc: dict = {}
-        for (a, b, _), vec in self._index("last").get(k, ()):
+        for (a, b, _), vec in self.entries_by(2).get(k, ()):
             ua = u.get(a)
             if ua:
                 vb = v.get(b)
@@ -539,7 +520,7 @@ class TrilinearStructure(_SparseTensor):
 
     def apply_first_last(self, u: dict, j: int, w: dict) -> dict:
         acc: dict = {}
-        for (a, _, c), vec in self._index("middle").get(j, ()):
+        for (a, _, c), vec in self.entries_by(1).get(j, ()):
             ua = u.get(a)
             if ua:
                 wc = w.get(c)
@@ -549,7 +530,7 @@ class TrilinearStructure(_SparseTensor):
 
     def apply_middle_last(self, i: int, v: dict, w: dict) -> dict:
         acc: dict = {}
-        for (_, b, c), vec in self._index("first").get(i, ()):
+        for (_, b, c), vec in self.entries_by(0).get(i, ()):
             vb = v.get(b)
             if vb:
                 wc = w.get(c)
@@ -732,9 +713,10 @@ def check_lie(b: BilinearStructure) -> CheckReport:
 
 
 def _proven(cls, structure, report):
-    """structure's entries, shared, in an instance of cls, whose one slot holds report."""
+    """structure's entries and what is derived from them, shared, in an instance
+    of cls, whose one slot holds report."""
     proven = object.__new__(cls)
-    for name in (*_SparseTensor.__slots__, *TENSOR_CLASSES[cls.arity].__slots__):
+    for name in _SparseTensor.__slots__:
         object.__setattr__(proven, name, getattr(structure, name))
     object.__setattr__(proven, cls.__slots__[0], report)
     return proven

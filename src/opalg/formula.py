@@ -43,8 +43,9 @@ subterm is a map {the values of its variables: vector}:
 - joins: a contraction indexes each computed argument by output component
   and enumerates only the structure entries whose every slot is a component
   of its argument.  It is driven from the argument with the fewest components,
-  through the structure's entries indexed by that slot; a basis variable
-  other than the first matches every entry.
+  through the structure's entries indexed by that slot (``entries_by``, an
+  index the structure keeps); a basis variable other than the first matches
+  every entry.
 - slices: a subterm that does not read the first variable is joined once per
   bind, the others once per slice.  Every term of the residual adds its
   products into one accumulator keyed by the basis tuple; the slice's nonzero
@@ -408,7 +409,7 @@ class _Joins:
 
     def __init__(self, top: tuple, arity: int, dim: int, structures: dict, denominators: dict):
         self.dim, self.structures, self.denominators = dim, structures, denominators
-        self.top, self.arity, self.rows = self.node(top, {}), arity, {}
+        self.top, self.arity = self.node(top, {}), arity
         self.static, self.sliced, self.x0 = {}, {}, None
 
     def node(self, t: tuple, nodes: dict) -> _Node:
@@ -490,15 +491,6 @@ class _Joins:
             cache["index", node] = index
         return cache["index", node]
 
-    def slot_rows(self, name: str, slot: int) -> dict:
-        """{index: [(key, vector)]}: the entries of a structure by their index in one slot."""
-        if (name, slot) not in self.rows:
-            rows, s = {}, self.structures[name]
-            for key in s.support():
-                rows.setdefault(key[slot], []).append((key, s.value(*key)))
-            self.rows[name, slot] = rows
-        return self.rows[name, slot]
-
     def contract(self, node: _Node, acc: dict, m: int) -> None:
         """acc[key] += m * (the node's value) for a contraction: a join over the
         structure entries whose every slot is a component of its argument."""
@@ -508,7 +500,7 @@ class _Joins:
             return
         # drive the join from the argument with the fewest components, a looked-up one on a tie
         drive = min(range(len(index)), key=lambda s: (len(index[s]), s not in looked_up))
-        iadd, rows = core.vec_iadd, self.slot_rows(node.what, drive)
+        iadd, rows = core.vec_iadd, self.structures[node.what].entries_by(drive)
         for c in index[drive]:
             for ix, vec in rows.get(c, ()):
                 parts = [index[s].get(ix[s]) for s in looked_up]

@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -21,6 +22,7 @@ from opalg.catalog import CatalogError, build_entry
 from opalg.oracles import (
     mat_add,
     mat_commutator,
+    mat_det3,
     mat_identity,
     mat_inverse,
     mat_mul,
@@ -325,13 +327,30 @@ def _dense_form_structures(entry) -> tuple:
     return triples, operators
 
 
-@pytest.mark.parametrize("spec", SMALL_ENTRIES)
+def _symmetric_form(seed: int):
+    """A seeded symmetric rational 3 x 3 form, nondegenerate."""
+    rng = random.Random(seed)
+    while True:
+        upper = {(i, j): scalar(rng.randint(-3, 3), rng.randint(1, 3)) for i in range(3) for j in range(i, 3)}
+        form = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(3)) for i in range(3))
+        if mat_det3(form):
+            return form
+
+
+# example1 on forms other than the identity, built directly
+FORM_ENTRIES = [
+    pytest.param(((2, 0, 0), (0, -1, 0), (0, 0, scalar(1, 2))), id="example1-so3-form-diagonal"),
+    pytest.param(_symmetric_form(3), id="example1-so3-form-seed3"),
+]
+
+
+@pytest.mark.parametrize("spec", SMALL_ENTRIES + FORM_ENTRIES)
 def test_sparse_route_matches_the_dense_oracle_route(spec):
-    entry = build_entry(spec)
+    entry = build_entry(spec) if isinstance(spec, str) else catalog.example1_candidates(form=spec)
     assert entry.bracket == entry.bilinear_tensor_from_matrices(mat_commutator)
     if entry.form is not None:
         triples, operators = _dense_form_structures(entry)
-        expected = triples["two-term" if "two-term" in spec else "three-term"]
+        expected = triples["two-term" if isinstance(spec, str) and "two-term" in spec else "three-term"]
         assert entry.triple == expected
         assert entry.extra_triples["two-term"] == triples["two-term"]
     else:

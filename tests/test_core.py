@@ -67,6 +67,20 @@ def test_operator_must_be_square():
         Operator([])
 
 
+def test_operator_is_a_frozen_record_of_its_rows():
+    a, b = Operator([[1, scalar(1, 2)], [0, 3]]), Operator([[1, scalar(1, 2)], [0, 3]])
+    assert a == b and a is not b and hash(a) == hash(b) and a.dim == 2
+    assert a != Operator.identity(2) and a != a.rows
+    c = a.replace(rows=[[0, 1], [1, 0]])
+    assert type(c) is Operator and c == Operator([[0, 1], [1, 0]]) and c.dim == 2 and a.rows[0][0] == 1
+    for name in ("rows", "dim", "_columns"):
+        with pytest.raises(AttributeError, match="Operator is immutable"):
+            setattr(a, name, None)
+    assert a.column(1) is a.column(1) and a.column(1) == {0: scalar(1, 2), 1: 3}
+    assert Operator.zero(2) == Operator([[0, 0], [0, 0]]) and Operator.identity(2).is_identity()
+    assert a - b == Operator.zero(2) and a - Operator.identity(2) == Operator([[0, scalar(1, 2)], [0, 2]])
+
+
 def test_op_polynomial_basics():
     R = Operator([[1, 1], [0, 2]])
     assert op_polynomial([0, 1], R) == R
@@ -153,6 +167,27 @@ def test_rows_repr_and_immutability(arity, proven):
         with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
             setattr(t, name, None)
     assert t == _halved(arity, False) and hash(t) == hash(_halved(arity, False))
+
+
+@pytest.mark.parametrize("proven", [False, True], ids=["plain", "proven"])
+@pytest.mark.parametrize("arity", ARITIES)
+def test_entries_by_slot_list_every_entry_once(arity, proven):
+    plain = _halved(arity, False)
+    t = ARITIES[arity][2](plain)[1] if proven else plain
+    assert t == plain and hash(t) == hash(plain)
+    for slot in range(arity):
+        by = t.entries_by(slot)
+        assert by is plain.entries_by(slot)  # a proven tensor shares what its plain tensor derives
+        listed = [(key, vec) for index, entries in by.items() for key, vec in entries if key[slot] == index]
+        assert sorted(key for key, _ in listed) == sorted(t.support()) and len(listed) == len(t.support())
+        assert all(vec is t.value(*key) for key, vec in listed)
+
+
+def test_an_absent_entry_is_a_read_only_empty_vector():
+    for vec in (BilinearStructure(2).value(0, 1), TrilinearStructure(2).value(0, 1, 1)):
+        assert vec == {} and not vec
+        with pytest.raises(TypeError):
+            vec[0] = 1
 
 
 # ---------------------------------------------------------------------------

@@ -343,6 +343,17 @@ def test_joins_find_a_perturbed_entry_where_the_interpreter_does(spec):
         assert report.witness == oa.Witness(expected[0][0], vec_dense(expected[0][1], dim))
 
 
+def test_joins_read_the_index_the_triple_keeps():
+    gl2 = build_entry("gl2")
+    triple = gl2.triple
+    assert triple.integer_form()[0] is triple
+    assert jordan.check_design(jordan.DesignCandidate(gl2.bracket, triple)).passed
+    assert "_by_slot" in vars(triple)  # built by the design's joins, kept by the triple
+    kept = [triple.entries_by(s) for s in range(3)]
+    assert core.check_jts_identity(triple, "jacobson").passed
+    assert all(triple.entries_by(s) is index for s, index in enumerate(kept))
+
+
 def test_rational_structures_clear_to_distinct_denominators():
     denominators = {name: s.integer_form()[1] for name, s in _generic_structures(True).items()}
     assert set(denominators.values()) >= {2, 3, 4, 5, 6}

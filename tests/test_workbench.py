@@ -378,7 +378,8 @@ def test_cli_crash_exits_three_not_one(capsys, monkeypatch):
     def crash(args):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._COMMANDS, "findings", crash)
+    help_line, add_arguments, _ = cli._SUBCOMMANDS["findings"]
+    monkeypatch.setitem(cli._SUBCOMMANDS, "findings", (help_line, add_arguments, crash))
     code, _, err = run_cli(capsys, "findings")
     assert code == 3
     assert err == "internal error: RuntimeError: boom\n"
