@@ -15,6 +15,7 @@ parse(render(f)) round-trips byte-for-byte.
 from __future__ import annotations
 
 import json
+import sys
 
 from .core import BilinearStructure, Operator, Record, TrilinearStructure, WorkbenchError
 from .scalars import ScalarError, parse_scalar, render_scalar
@@ -96,6 +97,8 @@ def parse_algebra_file(text: str) -> AlgebraFile:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
+    except ValueError:  # only the interpreter's limit on the digits of an int
+        raise ParseError(f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits") from None
     if not isinstance(data, dict):
         raise ParseError("top level must be an object")
     unknown = set(data) - _TOP_KEYS

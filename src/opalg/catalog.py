@@ -44,7 +44,7 @@ from .oracles import (
     mat_zero,
 )
 from .sampling import random_matrix, random_symmetric_matrix
-from .scalars import as_scalar, common_denominator, parse_scalar, scalar
+from .scalars import ScalarError, as_scalar, common_denominator, parse_scalar, read_int, scalar
 
 
 class CatalogError(WorkbenchError):
@@ -377,16 +377,20 @@ def _default_q(n: int):
 
 
 def _parse_q(spec: str, n: int, symmetric: bool):
+    """The matrix a q= spec names; a bad scalar or seed in it is a CatalogError."""
     if spec == "id":
         return mat_identity(n)
-    if spec.startswith("diag:"):
-        entries = [parse_scalar(x) for x in spec[len("diag:"):].split(",")]
-        if len(entries) != n:
-            raise CatalogError(f"diag spec needs {n} entries")
-        return mat_diag(entries)
-    if spec.startswith("seed:"):
-        rng = random.Random(int(spec[len("seed:"):]))
-        return random_symmetric_matrix(rng, n) if symmetric else random_matrix(rng, n)
+    try:
+        if spec.startswith("diag:"):
+            entries = [parse_scalar(x) for x in spec[len("diag:"):].split(",")]
+            if len(entries) != n:
+                raise CatalogError(f"diag spec needs {n} entries")
+            return mat_diag(entries)
+        if spec.startswith("seed:"):
+            rng = random.Random(read_int(spec[len("seed:"):], "seed"))
+            return random_symmetric_matrix(rng, n) if symmetric else random_matrix(rng, n)
+    except ScalarError as exc:
+        raise CatalogError(f"q: {exc}") from None
     raise CatalogError(f"unsupported q spec: {spec!r}")
 
 
@@ -450,7 +454,11 @@ def build_entry(spec: str) -> CatalogEntry:
     m = _NAME_RE.match(name)
     if not m:
         raise CatalogError(f"unknown catalog entry: {name!r}")
-    kind, n = m.group("kind"), int(m.group("n"))
+    kind = m.group("kind")
+    try:
+        n = read_int(m.group("n"), f"catalog entry {kind}<n>: n")
+    except ScalarError as exc:
+        raise CatalogError(str(exc)) from None
     guard_scan(_entry_dim(kind, n), 3)
     if "q" in params and kind in ("so", "gl", "example1-so"):
         raise CatalogError(f"catalog entry {name!r} takes no q parameter")

@@ -234,7 +234,7 @@ def main(argv=None) -> int:
     try:
         with forced(getattr(args, "force", False)):
             return run(args)
-    except (WorkbenchError, ValueError) as exc:
+    except WorkbenchError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:  # the boundary: a crash must not look like exit 1

@@ -109,8 +109,8 @@ class FrozenRecord(Record):
 # us for jts-jacobson on gl(4) and gl(3) (about 1 us with a loop nest); at
 # dim 3-4, where the products are about as many as the tuples, a scan takes
 # 1-2 ms.  So a scan at a limit takes at most a few seconds.  Formula.bind
-# consults the guard before every scan and tabulation; build_entry and
-# run_search consult the dim^3 guard before they build an algebra at all.
+# consults the guard before every scan and tabulation; build_entry, which
+# builds every catalog and search algebra, consults the dim^3 guard first.
 _SCAN_GUARDS = {2: 128, 3: 36, 4: 12, 5: 8}
 
 # Whether the guards are lifted for the request in progress; set only by forced().
@@ -762,9 +762,9 @@ def prove_jts(triple: TrilinearStructure, variant: str) -> tuple:
 
 def require_lie(bracket: BilinearStructure) -> LieBracket:
     """Precondition of every structure built on a Lie bracket: the bracket as
-    prove_lie returns it, or ValueError if it is not Lie."""
+    prove_lie returns it, or PreconditionError if it is not Lie."""
     report, proven = prove_lie(bracket)
     if proven is None:
         bad = next(s for s in report.subchecks if not s.passed)
-        raise ValueError(f"bracket is not a Lie bracket: {bad.name} fails at {bad.witness.indices}")
+        raise PreconditionError(f"bracket is not a Lie bracket: {bad.name} fails at {bad.witness.indices}")
     return proven

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from numbers import Rational
 
@@ -57,11 +58,34 @@ def as_scalar(value) -> Scalar:
     raise ScalarError(f"not an exact rational: {value!r}")
 
 
+def _decimal(n: int) -> str:
+    """str(n) for an int of any size.  str() refuses an int of more digits
+    than the interpreter's limit (4300 by default), so such an n is written
+    as its high and low halves in decimal; the limit stays as it is."""
+    try:
+        return str(n)
+    except ValueError:
+        half = n.bit_length() * 3 // 20  # about half its digits: log10(2) > 0.3
+        high, low = divmod(abs(n), 10**half)
+        return ("-" if n < 0 else "") + _decimal(high) + _decimal(low).zfill(half)
+
+
 def render_scalar(value: Scalar) -> str:
-    """Canonical text form: "p" for integers, "p/q" otherwise."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Canonical text form: "p" for integers, "p/q" otherwise, at any size."""
+    text = _decimal(value.numerator)
+    return text if value.denominator == 1 else f"{text}/{_decimal(value.denominator)}"
+
+
+def read_int(text: str, what: str) -> int:
+    """int(text), or a ScalarError naming `what` if text is not an integer or
+    has more digits than the interpreter reads (4300 by default)."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if len(text) > limit:
+            raise ScalarError(f"{what} is {len(text)} characters long, over the limit of {limit} digits") from None
+        raise ScalarError(f"{what} is not an integer: {text!r}") from None
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -74,11 +98,12 @@ def parse_scalar(text: str) -> Scalar:
         raise ScalarError(f"malformed scalar string: {text!r}")
     if "/" in text:
         num, den = text.split("/")
-        if int(den) == 0:
+        num, den = read_int(num, "scalar numerator"), read_int(den, "scalar denominator")
+        if den == 0:
             raise ScalarError(f"zero denominator: {text!r}")
-        value = scalar(int(num), int(den))
+        value = scalar(num, den)
     else:
-        value = int(text)
+        value = read_int(text, "scalar")
     if render_scalar(value) != text:
         raise ScalarError(f"scalar not in canonical reduced form: {text!r}")
     return value

@@ -9,12 +9,13 @@ of the workbench is a usage error.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .algfile import AlgebraFile, algebra_file_to_dict, entry_to_algebra_file
 from .bunch import RRhoAlgebra, check_rrho
-from .catalog import _entry_dim, _mult_pair, example4_so, gl_assoc, so_n
-from .core import Operator, WorkbenchError, guard_scan, require_lie, tensors_equal_report
+from .catalog import _mult_pair, build_entry, example4_so
+from .core import Operator, WorkbenchError, require_lie, tensors_equal_report
 from .jordan import MODE_FULL, MODE_REDUCED, TripleWithOperator, check_triple_bi_myb, check_triple_myb, derived_triple
 from .lie import LieBiOperator, check_bi_myb, check_even_tempered, check_myb_raw
 from .sampling import random_matrix, random_operator, random_scalar, random_symmetric_matrix
@@ -36,13 +37,11 @@ def _instance(entry, **operators) -> dict:
     return algebra_file_to_dict(af)
 
 
-def _search_so3_non_myb(rng, trials, dim, entry_bound, findings):
-    """Operators on so(3) failing the mYB identity; diag(1,0,0) is tried first."""
-    entry = so_n(3)
-    candidates = [("diag(1,0,0)", Operator.diagonal([1, 0, 0]))]
-    for trial in range(max(0, trials - 1)):
-        candidates.append((f"random[{trial}]", random_operator(rng, entry.dim, entry_bound, entry_bound)))
-    for label, op in candidates:
+def _search_so3_non_myb(rng, trials, entry, entry_bound, findings):
+    """Operators on so(3) failing the mYB identity: diag(1,0,0), then one
+    random operator per further trial, each checked as it is drawn."""
+    randoms = ((f"random[{k}]", random_operator(rng, entry.dim, entry_bound, entry_bound)) for k in range(trials - 1))
+    for label, op in itertools.chain([("diag(1,0,0)", Operator.diagonal([1, 0, 0]))], randoms):
         report = check_myb_raw(entry.bracket, op)
         if not report.passed:
             findings.append(
@@ -55,10 +54,8 @@ def _search_so3_non_myb(rng, trials, dim, entry_bound, findings):
             )
 
 
-def _search_triple_r_modes(rng, trials, dim, entry_bound, findings):
+def _search_triple_r_modes(rng, trials, entry, entry_bound, findings):
     """Random operators where the full and reduced derived triples disagree."""
-    n = dim or 2
-    entry = gl_assoc(n)
     for trial in range(trials):
         op = random_operator(rng, entry.dim, entry_bound, entry_bound)
         full = derived_triple(entry.triple, op, MODE_FULL)
@@ -77,12 +74,10 @@ def _search_triple_r_modes(rng, trials, dim, entry_bound, findings):
             )
 
 
-def _search_r0_not_myb(rng, trials, dim, entry_bound, findings):
+def _search_r0_not_myb(rng, trials, entry, entry_bound, findings):
     """Midpoint operators (R1+R2)/2 of bi-mYB pairs that fail the mYB identity."""
-    n = dim or 2
-    entry = gl_assoc(n)
     for trial in range(trials):
-        R1, R2 = _mult_pair(entry, random_matrix(rng, n, entry_bound, entry_bound))
+        R1, R2 = _mult_pair(entry, random_matrix(rng, entry.n, entry_bound, entry_bound))
         r0 = (R1 + R2).scale(scalar(1, 2))
         report = check_myb_raw(entry.bracket, r0, "midpoint-myb")
         if not report.passed:
@@ -115,29 +110,24 @@ def _non_even_tempered(entry, operators, findings):
             )
 
 
-def _search_non_even_tempered(rng, trials, dim, entry_bound, findings):
+def _search_non_even_tempered(rng, trials, entry, entry_bound, findings):
     """Right multiplications on gl(n) that are mYB but not even-tempered."""
-    n = dim or 2
-    entry = gl_assoc(n)
-    draws = (_mult_pair(entry, random_matrix(rng, n, entry_bound, entry_bound))[0] for _ in range(trials))
+    draws = (_mult_pair(entry, random_matrix(rng, entry.n, entry_bound, entry_bound))[0] for _ in range(trials))
     _non_even_tempered(entry, draws, findings)
 
 
-def _search_non_even_tempered_diagonal(rng, trials, dim, entry_bound, findings):
+def _search_non_even_tempered_diagonal(rng, trials, entry, entry_bound, findings):
     """Diagonal operators on so(n) that are mYB but not even-tempered."""
-    entry = so_n(dim or 3)
     draws = (
         Operator.diagonal([random_scalar(rng, entry_bound, entry_bound) for _ in range(entry.dim)]) for _ in range(trials)
     )
     _non_even_tempered(entry, draws, findings)
 
 
-def _search_non_normal_triple(rng, trials, dim, entry_bound, findings):
+def _search_non_normal_triple(rng, trials, entry, entry_bound, findings):
     """Triple systems with R1 = R2 = R whose classification flags fail."""
-    n = dim or 2
-    entry = gl_assoc(n)
     for trial in range(trials):
-        R = _mult_pair(entry, random_matrix(rng, n, entry_bound, entry_bound))[0]
+        R = _mult_pair(entry, random_matrix(rng, entry.n, entry_bound, entry_bound))[0]
         s = TripleWithOperator(entry.triple, R)
         report = check_triple_bi_myb(s, s)
         if not report.passed:
@@ -158,7 +148,7 @@ def _search_non_normal_triple(rng, trials, dim, entry_bound, findings):
             )
 
 
-def _search_example4_factorization(rng, trials, dim, entry_bound, findings):
+def _search_example4_factorization(rng, trials, entry, entry_bound, findings):
     """Look for (R1, R2) with R1+R2 = R, R1R2 = rho on the symmetric-Q pair.
 
     Candidates R1 are sampled; R2 is forced to R - R1.  Any candidate that
@@ -166,9 +156,8 @@ def _search_example4_factorization(rng, trials, dim, entry_bound, findings):
     disprove the non-factorizability claim for that instance; outcomes are
     recorded either way.
     """
-    n = dim or 3
-    Q = random_symmetric_matrix(rng, n, entry_bound, entry_bound)
-    entry = example4_so(n, Q)
+    Q = random_symmetric_matrix(rng, entry.n, entry_bound, entry_bound)
+    entry = example4_so(entry.n, Q)
     R, rho = entry.operators["R"], entry.operators["rho"]
     a = RRhoAlgebra(entry.bracket, R, rho)
     rrho = check_rrho(a)
@@ -199,26 +188,17 @@ def _search_example4_factorization(rng, trials, dim, entry_bound, findings):
     )
 
 
+# name -> (search(rng, trials, entry, entry_bound, findings), the catalog family
+# whose size --dim sets, or None for a target that takes no --dim, and the
+# catalog entry searched without --dim)
 SEARCH_TARGETS = {
-    "so3-non-myb": _search_so3_non_myb,
-    "triple-r-mode-disagreement": _search_triple_r_modes,
-    "r0-not-myb": _search_r0_not_myb,
-    "non-even-tempered": _search_non_even_tempered,
-    "non-even-tempered-diagonal-R": _search_non_even_tempered_diagonal,
-    "non-normal-triple": _search_non_normal_triple,
-    "example4-non-factorizable": _search_example4_factorization,
-}
-
-# The catalog family of the algebra each target builds from --dim n, whose
-# dimension catalog._entry_dim states.  A target not listed takes no --dim:
-# so3-non-myb always works on so(3).
-_DIM_FAMILIES = {
-    "triple-r-mode-disagreement": "gl",
-    "r0-not-myb": "gl",
-    "non-even-tempered": "gl",
-    "non-even-tempered-diagonal-R": "so",
-    "non-normal-triple": "gl",
-    "example4-non-factorizable": "so",
+    "so3-non-myb": (_search_so3_non_myb, None, "so3"),
+    "triple-r-mode-disagreement": (_search_triple_r_modes, "gl", "gl2"),
+    "r0-not-myb": (_search_r0_not_myb, "gl", "gl2"),
+    "non-even-tempered": (_search_non_even_tempered, "gl", "gl2"),
+    "non-even-tempered-diagonal-R": (_search_non_even_tempered_diagonal, "so", "so3"),
+    "non-normal-triple": (_search_non_normal_triple, "gl", "gl2"),
+    "example4-non-factorizable": (_search_example4_factorization, "so", "so3"),
 }
 
 # Statements that always hold (verified as invariants); searching for
@@ -232,8 +212,9 @@ THEOREM_TARGETS = {
 
 
 def run_search(target: str, seed: int, trials: int, dim: int | None = None, entry_bound: int = 3) -> RunReport:
-    """Run a search; a --dim whose algebra exceeds the dim^3 guard is refused
-    before anything is built, unless forced (opalg.forced())."""
+    """Run a search on the catalog algebra its row names, sized by dim; an
+    algebra above the dim^3 guard is refused by build_entry before anything is
+    built, unless forced (opalg.forced())."""
     if trials < 1:
         raise WorkbenchError("trials must be >= 1")
     if entry_bound < 1:
@@ -246,13 +227,12 @@ def run_search(target: str, seed: int, trials: int, dim: int | None = None, entr
         )
     if target not in SEARCH_TARGETS:
         raise UnknownTargetError(f"unknown search target {target!r}; known: {sorted(SEARCH_TARGETS)}")
-    if dim is not None and target not in _DIM_FAMILIES:
+    search, family, default = SEARCH_TARGETS[target]
+    if dim is not None and family is None:
         raise WorkbenchError(f"search target {target!r} takes no --dim")
-    if dim is not None:
-        guard_scan(_entry_dim(_DIM_FAMILIES[target], dim), 3)
-    rng = random.Random(seed)
+    entry = build_entry(default if dim is None else f"{family}{dim}")
     findings: list = []
-    SEARCH_TARGETS[target](rng, trials, dim, entry_bound, findings)
+    search(random.Random(seed), trials, entry, entry_bound, findings)
     if not any(f.get("kind") != "factorization-search-summary" for f in findings):
         findings.append({"kind": "no-witness", "detail": f"none found in {trials} trials"})
     report = RunReport(

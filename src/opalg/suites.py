@@ -133,7 +133,7 @@ def load_input(spec: str) -> tuple:
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read input {spec!r}: {exc}") from None
     return parse_algebra_file(text), spec
 

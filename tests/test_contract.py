@@ -6,14 +6,19 @@ in-process under a wall-clock bound.  Exit 2 (usage, parse or guard error)
 must print exactly one stderr line; exit 3 (a crash) or a case that outlives
 its bound fails the test.  `--force` is never passed, so the dimension guards
 are what keeps every case small.  A second test draws argv that does not
-parse at all, which must also end in exit 2 with one `error:` line.
+parse at all, which must also end in exit 2 with one `error:` line.  Last,
+named cases pin each exit code to its cause: a computed scalar too long for
+`str()` still ends in its verdict, an input too long for `int()` is exit 2
+with a message naming it, and an internal `ValueError` is exit 3.
 """
 
 import contextlib
 import io
 import json
 import signal
+import sys
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -213,15 +218,20 @@ def unparsed_argv(draw) -> list:
     return draw(st.sampled_from(([], ["--force"], ["catalog"], ["catalog", "--out", "x"])))
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(argv=unparsed_argv())
-def test_argv_that_does_not_parse_is_one_line_exit_2(argv):
+def _run(argv) -> tuple:
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
-    assert code == 2 and stdout.getvalue() == ""
-    lines = stderr.getvalue().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: opalg"), stderr.getvalue()
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(argv=unparsed_argv())
+def test_argv_that_does_not_parse_is_one_line_exit_2(argv):
+    code, out, err = _run(argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: opalg"), err
 
 
 def test_help_exits_zero():
@@ -229,3 +239,70 @@ def test_help_exits_zero():
         with contextlib.redirect_stdout(io.StringIO()) as stdout:
             assert main(argv) == 0
         assert stdout.getvalue().startswith("usage: opalg")
+
+
+def _gl2_with_R(corner: str) -> dict:
+    """The exported gl2 with an operator R that is 0 but for its (0, 0) entry."""
+    data = json.loads(render_algebra_file(entry_to_algebra_file(build_entry("gl2"))))
+    data["operators"] = {"R": [[corner if r == c == 0 else "0" for c in range(4)] for r in range(4)]}
+    return data
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_witness_too_long_for_str_keeps_its_verdict(tmp_path, fmt):
+    # every input scalar is under the digit limit; the mYB residual is not
+    path = tmp_path / "gl2.json"
+    path.write_text(json.dumps(_gl2_with_R("7" * 2200)))
+    code, out, err = _run(["check", str(path), "--suite", "myb", "--format", fmt])
+    assert (code, err) == (1, "")
+    limit = sys.get_int_max_str_digits()
+    if fmt == "json":
+        myb = json.loads(out)["checks"][-1]
+        assert myb["name"] == "myb" and not myb["passed"] and myb["witness"]["indices"] == [1, 2]
+        assert max(len(x) for x in myb["witness"]["residual"]) > limit
+    else:
+        assert "FAIL myb (tuples=7) witness=(1, 2) residual=['-6049382716" in out
+        assert max(map(len, out.split("'"))) > limit
+
+
+def _input_cases(tmp_path) -> list:
+    """(argv, the start of the one error line) for inputs too long for int(),
+    malformed q specs, a file that is not UTF-8, and a bracket that a
+    Lie-only command refuses."""
+    digits = sys.get_int_max_str_digits() + 1
+    scalar_file, integer_file = tmp_path / "scalar.json", tmp_path / "integer.json"
+    scalar_file.write_text(json.dumps(_gl2_with_R("7" * digits)))
+    integer_file.write_text('{"dimension": ' + "1" * 5000 + "}")
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"dimension": 1, "basis_names": ["é"]}'.encode("latin-1"))
+    not_lie = tmp_path / "not-lie.json"
+    not_lie.write_text(json.dumps({"dimension": 2, "bracket": [[0, 0, 1, "1"]], "operators": {"R": [["1", "0"]] * 2}}))
+    check = ["--suite", "lie-base"]
+    return [
+        (["check", str(scalar_file), *check], f"operators['R'][0][0]: scalar is {digits} characters long"),
+        (["check", str(integer_file), *check], "invalid JSON: an integer has more than"),
+        (["check", "catalog:example2-gl2?q=seed:x", *check], "q: seed is not an integer: 'x'"),
+        (["check", "catalog:example4-so3?q=diag:1,1/0,2", *check], "q: zero denominator: '1/0'"),
+        (["catalog", "export", "gl" + "1" * 5000], "catalog entry gl<n>: n is 5000 characters long"),
+        (["check", str(latin1), *check], f"cannot read input {str(latin1)!r}: 'utf-8' codec can't decode"),
+        (["derive", str(not_lie), "--what", "quadratic-bracket", "--operator2", "R"], "bracket is not a Lie bracket"),
+    ]
+
+
+def test_a_refused_input_is_one_error_line_naming_it(tmp_path):
+    for argv, named in _input_cases(tmp_path):
+        code, out, err = _run(argv)
+        assert (code, out) == (2, ""), err
+        assert err.startswith(f"error: {named}") and err.count("\n") == 1, err
+        assert "sys.set_int_max_str_digits" not in err and "int()" not in err
+
+
+def test_an_internal_value_error_is_exit_3(monkeypatch):
+    from opalg import cli
+
+    def crash(*args):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "run_suite", crash)
+    code, out, err = _run(["check", "catalog:so3", "--suite", "lie-base"])
+    assert (code, out, err) == (3, "", "internal error: ValueError: internal\n")

@@ -3,6 +3,7 @@ witness positions in the loop nest and the joins, and every stated formula
 against a tree-walking interpreter."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from opalg import bunch, core, jordan, lie
 from opalg.catalog import build_entry
 from opalg.bunch import QUADRATIC_BRACKET
 from opalg.core import JACOBI, vec_dense, vec_iadd
-from opalg.formula import Formula, _Parser, scan, tabulate
+from opalg.formula import Formula, _Joins, _Parser, scan, tabulate
 from opalg.jordan import DERIVED_TRIPLES, TRIPLE_MYB
 from opalg.lie import DERIVED_BRACKET, MYB
 from opalg.scalars import render_scalar, scalar
@@ -397,3 +398,149 @@ def test_scans_run_on_integers_and_divide_back_exactly(monkeypatch):
     assert any(isinstance(x, Fraction) for w in witnesses for x in w.residual)
     _refuse_fraction_arithmetic(monkeypatch)
     assert [check() for check in checks] == expected
+
+
+# ---------------------------------------------------------------------------
+# random formulas: the parser and both evaluators against the generated tree
+#
+# A tree is generated first, over the parser's grammar: ("var", name),
+# ("op", ((operator, power), ...), t), ("br", key suffix, a, b),
+# ("tr", key suffix, a, b, c) and ("sum", ((coefficient, t), ...)).  It is
+# rendered to text for Formula, and the tree itself, not the parse, is
+# interpreted at every basis tuple with dense contractions, so the parser is
+# checked too.  Each formula runs on the loop nest and on the joins, whatever
+# its arity.
+
+RANDOM_SEED = 2026
+RANDOM_COUNT = 120  # formulas, each run on integer structures at dim 2 and rational ones at dim 3
+OPERATOR_NAMES = ("R", "R1", "R2", "xi", "rho")
+COEFFICIENTS = (1, 1, 1, -1, -1, 2, -3, scalar(1, 2), scalar(-2, 3), scalar(5, 4))
+
+
+def _random_term(rng, names: tuple, depth: int) -> tuple:
+    roll = rng.random() if depth else 0
+    if roll < 0.3:
+        return ("var", rng.choice(names))
+    if roll < 0.55:
+        word = tuple((rng.choice(OPERATOR_NAMES), rng.choice((1, 1, 2, 3))) for _ in range(rng.choice((1, 1, 2))))
+        return ("op", word, _random_term(rng, names, depth - 1))
+    if roll < 0.75:
+        return ("br", rng.choice(("", "_R", "_rho")), *(_random_argument(rng, names, depth) for _ in "ab"))
+    if roll < 0.9:
+        return ("tr", rng.choice(("", "_R")), *(_random_argument(rng, names, depth) for _ in "abc"))
+    return _random_sum(rng, names, depth - 1)
+
+
+def _random_argument(rng, names: tuple, depth: int) -> tuple:
+    return _random_sum(rng, names, depth - 1) if rng.random() < 0.15 else _random_term(rng, names, depth - 1)
+
+
+def _random_sum(rng, names: tuple, depth: int) -> tuple:
+    return ("sum", tuple((rng.choice(COEFFICIENTS), _random_term(rng, names, depth)) for _ in range(rng.randint(1, 3))))
+
+
+def _render(t) -> str:
+    """The text of a term where a factor goes: a sum is parenthesized."""
+    if t[0] == "var":
+        return t[1]
+    if t[0] == "sum":
+        return f"({_render_sum(t)})"
+    if t[0] == "op":
+        return "".join(name if power == 1 else f"{name}^{power}" for name, power in t[1]) + _render(t[2])
+    arguments = ",".join(_render_sum(a) if a[0] == "sum" else _render(a) for a in t[2:])
+    return ("[{}]" if t[0] == "br" else "<{}>").format(arguments) + t[1]
+
+
+def _render_sum(t) -> str:
+    text = ""
+    for c, u in t[1]:
+        sign = "-" if c < 0 else "+" if text else ""
+        text += f" {sign} " if text else sign
+        text += ("" if abs(c) == 1 else render_scalar(abs(c))) + _render(u)
+    return text
+
+
+def _dense(t, at: dict, structures: dict) -> dict:
+    """The generated term at the basis tuple `at` (variable name -> index),
+    with operators applied row by row and contractions over every index tuple."""
+    if t[0] == "var":
+        return {at[t[1]]: 1}
+    if t[0] == "sum":
+        acc = {}
+        for c, u in t[1]:
+            vec_iadd(acc, _dense(u, at, structures), c)
+        return acc
+    if t[0] == "op":
+        v = _dense(t[2], at, structures)
+        for name, power in reversed(t[1]):
+            rows = structures[name].rows
+            for _ in range(power):
+                v = {r: x for r, row in enumerate(rows) if (x := sum(row[c] * y for c, y in v.items()))}
+        return v
+    structure = structures[("bracket" if t[0] == "br" else "triple") + t[1]]
+    vectors = [_dense(a, at, structures) for a in t[2:]]
+    acc = {}
+    for ix in itertools.product(*vectors):
+        vec_iadd(acc, structure.value(*ix), math.prod(v[i] for v, i in zip(vectors, ix)))
+    return acc
+
+
+def _random_structures(rng, dim: int, rational: bool) -> dict:
+    """Every name a random formula reads, seeded and sparse; rational ones
+    give each structure its own denominator."""
+    denominators = itertools.cycle((2, 3, 4, 5, 6) if rational else (1,))
+
+    def entry(q):
+        return scalar(rng.randint(-3, 3), rng.choice((1, q))) if rng.random() < 0.5 else 0
+
+    def entries(arity, q):
+        rows = {key: {k: x for k in range(dim) if (x := entry(q))} for key in itertools.product(range(dim), repeat=arity)}
+        return {key: vec for key, vec in rows.items() if vec}
+
+    s = {}
+    for name in OPERATOR_NAMES:
+        q = next(denominators)
+        s[name] = oa.Operator([[entry(q) for _ in range(dim)] for _ in range(dim)])
+    for suffix in ("", "_R", "_rho"):
+        s["bracket" + suffix] = oa.BilinearStructure(dim, entries(2, next(denominators)))
+    for suffix in ("", "_R"):
+        s["triple" + suffix] = oa.TrilinearStructure(dim, entries(3, next(denominators)))
+    return s
+
+
+def _on_both_evaluators(formula: Formula, structures: dict, dim: int) -> tuple:
+    """The yield streams of the loop nest and of the joins on the structures, whatever the arity."""
+    top, names = formula._parsed
+    forms = {name: structures[name].integer_form() for name in names}
+    integer = {name: form for name, (form, _) in forms.items()}
+    denominators = {name: d for name, (_, d) in forms.items()}
+    nest = formula._nest(
+        core.vec_iadd, core.vec_scale, core.vec_gather, range(dim),
+        **integer, **{f"_d_{name}": d for name, d in denominators.items()},
+    )
+    return list(nest), list(_Joins(top, formula.arity, dim, integer, denominators).residuals())
+
+
+def test_random_formulas_match_the_generated_tree_on_both_evaluators():
+    rng = random.Random(RANDOM_SEED)
+    on = [(_random_structures(rng, 2, False), 2), (_random_structures(rng, 3, True), 3)]
+    arities = set()
+    for count in range(RANDOM_COUNT):
+        names = tuple(rng.sample("XYZW", rng.randint(1, 4)))
+        sides = [_random_sum(rng, names, 3) for _ in range(rng.choice((1, 2)))]
+        text = " = ".join(map(_render_sum, sides)) + (" = 0" if len(sides) == 1 and rng.random() < 0.3 else "")
+        formula = Formula(f"random-{count}", " ".join(names), text)
+        arities.add(formula.arity)
+        for structures, dim in on:
+            expected = []
+            for idx in itertools.product(range(dim), repeat=len(names)):
+                at = dict(zip(names, idx))
+                residual = _dense(sides[0], at, structures)
+                if len(sides) == 2:
+                    vec_iadd(residual, _dense(sides[1], at, structures), -1)
+                if residual:
+                    expected.append((idx, residual))
+            nest, joins = _on_both_evaluators(formula, structures, dim)
+            assert nest == expected, text
+            assert joins == expected, text
+    assert arities == {1, 2, 3, 4}

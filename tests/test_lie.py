@@ -7,6 +7,7 @@ from opalg import (
     LieBiOperator,
     LieWithOperator,
     Operator,
+    PreconditionError,
     check_bi_myb,
     check_even_tempered,
     check_even_tempered_xi,
@@ -71,7 +72,7 @@ def test_constructor_rejects_non_lie_bracket():
     from opalg import BilinearStructure
 
     bad = BilinearStructure(2, {(0, 0): {1: 1}})
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         LieWithOperator(bad, Operator.identity(2))
 
 

@@ -15,6 +15,7 @@ from opalg import (
     LieBiOperator,
     LieWithOperator,
     Operator,
+    PreconditionError,
     QuadraticBunch,
     RRhoAlgebra,
     TrilinearStructure,
@@ -127,7 +128,7 @@ def test_a_failing_structure_gets_a_report_and_no_proof(kind):
     if message is None:
         assert _record(bad).notes == (BASE_UNVERIFIED_NOTE,)
     else:
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(PreconditionError, match=message):
             require_lie(bad)
 
 
@@ -157,7 +158,7 @@ def test_every_record_on_a_lie_bracket_refuses_a_non_lie_one(bad):
         lambda: DesignCandidate(bad, TrilinearStructure(n)),
     )
     for construct in constructors:
-        with pytest.raises(ValueError, match="not a Lie bracket"):
+        with pytest.raises(PreconditionError, match="not a Lie bracket"):
             construct()
 
 
@@ -218,7 +219,7 @@ def test_replacing_the_bracket_proves_the_new_one(monkeypatch):
     again = g.replace(bracket=so_n(3).bracket)
     assert binds == ["antisymmetry", "jacobi"]
     assert again == g and isinstance(again.bracket, LieBracket) and again.bracket is not g.bracket
-    with pytest.raises(ValueError, match="not a Lie bracket"):
+    with pytest.raises(PreconditionError, match="not a Lie bracket"):
         g.replace(bracket=NOT_JACOBI)
 
 

@@ -208,6 +208,16 @@ def test_search_so3_non_myb_finds_pinned_witness():
     assert "algebra" in first
 
 
+def test_search_so3_non_myb_checks_each_candidate_as_it_draws_it(monkeypatch):
+    log = []
+    for name, label in (("random_operator", "draw"), ("check_myb_raw", "check")):
+        fn = getattr(searches, name)
+        monkeypatch.setattr(searches, name, lambda *args, fn=fn, label=label: log.append(label) or fn(*args))
+    report = run_search("so3-non-myb", seed=42, trials=4)
+    assert log == ["check"] + ["draw", "check"] * 3
+    assert [f["candidate"] for f in report.findings][:1] == ["diag(1,0,0)"]
+
+
 def test_search_mode_disagreement_finds_witness():
     report = run_search("triple-r-mode-disagreement", seed=3, trials=5)
     assert any(f["kind"] == "derived-triple-mode-disagreement" for f in report.findings)
@@ -571,16 +581,28 @@ def test_cli_guards_search_dim(capsys):
     assert time.perf_counter() - start < 1
 
 
-@pytest.mark.parametrize("target, dim", [("r0-not-myb", 7), ("non-even-tempered-diagonal-R", 10)])
-def test_cli_force_lifts_the_search_dim_guard(monkeypatch, capsys, target, dim):
-    # gl(7) has dimension 49 and so(10) 45, both above the dim^3 limit of 36
-    reached = []
-    monkeypatch.setitem(searches.SEARCH_TARGETS, target, lambda rng, trials, n, *_: reached.append(n))
+@pytest.mark.parametrize(
+    "target, dim, expected",
+    [("r0-not-myb", 7, 49), ("non-even-tempered-diagonal-R", 10, 45)],
+    ids=["r0-not-myb-7", "non-even-tempered-diagonal-R-10"],
+)
+def test_cli_force_lifts_the_search_dim_guard(monkeypatch, capsys, target, dim, expected):
+    # gl(7) has dimension 49 and so(10) 45, both above the dim^3 limit of 36;
+    # unforced, no algebra is built and the search is never reached
+    built, reached = [], []
+    for name in ("gl_assoc", "so_n"):
+        monkeypatch.setattr(catalog, name, lambda n, build=getattr(catalog, name): built.append(n) or build(n))
+
+    def search(rng, trials, entry, *_):
+        reached.append(entry.dim)
+
+    _, *row = searches.SEARCH_TARGETS[target]
+    monkeypatch.setitem(searches.SEARCH_TARGETS, target, (search, *row))
     argv = ("search", target, "--seed", "1", "--trials", "1", "--dim", str(dim))
     code, _, err = run_cli(capsys, *argv)
-    assert code == 2 and "guard" in err and not reached
+    assert code == 2 and "guard" in err and not built and not reached
     code, _, _ = run_cli(capsys, *argv, "--force")
-    assert code == 0 and reached == [dim]
+    assert code == 0 and built == [dim] and reached == [expected]
 
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(catalog.__file__)))
@@ -759,11 +781,12 @@ def test_cli_search_dim_on_a_fixed_algebra_is_a_usage_error(capsys, monkeypatch)
     # so3-non-myb always works on so(3); a --dim it would ignore is refused
     # before the search runs, rather than echoed in the report
     reached = []
-    monkeypatch.setitem(searches.SEARCH_TARGETS, "so3-non-myb", lambda *args: reached.append(args))
+    _, *row = searches.SEARCH_TARGETS["so3-non-myb"]
+    monkeypatch.setitem(searches.SEARCH_TARGETS, "so3-non-myb", (lambda *args: reached.append(args), *row))
     code, out, err = run_cli(capsys, "search", "so3-non-myb", "--seed", "1", "--trials", "2", "--dim", "5")
     assert code == 2 and out == "" and err == "error: search target 'so3-non-myb' takes no --dim\n"
     assert not reached
-    assert set(searches.SEARCH_TARGETS) - set(searches._DIM_FAMILIES) == {"so3-non-myb"}
+    assert [t for t, (_, family, _) in searches.SEARCH_TARGETS.items() if family is None] == ["so3-non-myb"]
 
 
 def test_importing_the_cli_loads_no_dataclass_machinery():
