@@ -61,7 +61,6 @@ class CatalogEntry(FrozenRecord):
         "name",
         "family",  # "gl" or "so"
         "n",  # size of the underlying matrices
-        "dim",
         "basis",
         "lead_positions",
         "bracket",
@@ -77,7 +76,6 @@ class CatalogEntry(FrozenRecord):
         name: str,
         family: str,
         n: int,
-        dim: int,
         basis: tuple,
         lead_positions: tuple,
         bracket: BilinearStructure,
@@ -91,7 +89,6 @@ class CatalogEntry(FrozenRecord):
             name,
             family,
             n,
-            dim,
             basis,
             lead_positions,
             bracket,
@@ -104,6 +101,10 @@ class CatalogEntry(FrozenRecord):
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
     def expand(self, M) -> dict:
         """Coordinates of a matrix in the entry's basis; errors if outside the span."""
@@ -254,7 +255,6 @@ def so_n(n: int) -> CatalogEntry:
         name=f"so{n}",
         family="so",
         n=n,
-        dim=len(basis),
         basis=basis,
         lead_positions=positions,
         bracket=_SparseBasis(basis, positions).commutator_tensor(),
@@ -272,7 +272,6 @@ def gl_assoc(n: int) -> CatalogEntry:
         name=f"gl{n}",
         family="gl",
         n=n,
-        dim=n * n,
         basis=basis,
         lead_positions=positions,
         bracket=sparse.commutator_tensor(),
@@ -372,10 +371,6 @@ def example1_candidates(x0=None, form=None) -> CatalogEntry:
 # named parametrized entries
 
 
-def _default_q(n: int):
-    return mat_diag(range(1, n + 1))
-
-
 def _parse_q(spec: str, n: int, symmetric: bool):
     """The matrix a q= spec names; a bad scalar or seed in it is a CatalogError."""
     if spec == "id":
@@ -394,44 +389,52 @@ def _parse_q(spec: str, n: int, symmetric: bool):
     raise CatalogError(f"unsupported q spec: {spec!r}")
 
 
+def _with_q(entry: CatalogEntry, name: str, Q=None) -> CatalogEntry:
+    """entry, named name, with Q (diag(1..n) if None) and its multiplication operators."""
+    Q = mat(Q) if Q is not None else mat_diag(range(1, entry.n + 1))
+    return entry.replace(name=name, operators=mult_operators(entry, Q), q=Q)
+
+
 def example2_gl(n: int, Q=None) -> CatalogEntry:
     """Matrix algebra with the right/left multiplication operator pair."""
-    base = gl_assoc(n)
-    Q = mat(Q) if Q is not None else _default_q(n)
-    return base.replace(name=f"example2-gl{n}", operators=mult_operators(base, Q), q=Q)
+    return _with_q(gl_assoc(n), f"example2-gl{n}", Q)
 
 
 def example3_gl(n: int, Q=None) -> CatalogEntry:
     """example2_gl(n, Q) read for its triple XYZ + ZYX with the same operators."""
-    return example2_gl(n, Q).replace(name=f"example3-gl{n}")
+    return _with_q(gl_assoc(n), f"example3-gl{n}", Q)
 
 
 def example4_so(n: int, Q=None) -> CatalogEntry:
     """Skew matrices with R X = QX + XQ and rho X = QXQ for symmetric Q."""
-    base = so_n(n)
-    Q = mat(Q) if Q is not None else _default_q(n)
-    return base.replace(name=f"example4-so{n}", operators=mult_operators(base, Q), q=Q)
+    return _with_q(so_n(n), f"example4-so{n}", Q)
 
 
-_NAME_RE = re.compile(r"(?P<kind>so|gl|example1-so|example2-gl|example3-gl|example4-so)(?P<n>\d+)\Z")
+def _example1_so(n: int) -> CatalogEntry:
+    """example1_candidates() with its defaults; it has no other size than 3."""
+    if n != 3:
+        raise CatalogError("example1 is defined on so(3)")
+    return example1_candidates()
+
+
+# One row per catalog kind, a name <kind><n>, in `catalog list` order: the
+# builder of its algebra at size n (gl_assoc and so_n are looked up when
+# called), the dimension of that algebra, which the dim^3 guard prices before
+# anything is built, whether a q= sets its operators, and its list line.
+_GL = (lambda n: gl_assoc(n), lambda n: n * n)
+_SO = (lambda n: so_n(n), lambda n: n * (n - 1) // 2)
+_KINDS = {
+    "gl": (*_GL, False, "gl<n>"),
+    "so": (*_SO, False, "so<n>"),
+    "example1-so": (_example1_so, lambda n: 3, False, "example1-so3"),
+    "example2-gl": (*_GL, True, "example2-gl<n>[?q=diag:...|seed:<int>|id]"),
+    "example3-gl": (*_GL, True, "example3-gl<n>[?q=...]"),
+    "example4-so": (*_SO, True, "example4-so<n>[?q=...]"),
+}
 
 
 def catalog_names() -> list:
-    return [
-        "gl<n>",
-        "so<n>",
-        "example1-so3",
-        "example2-gl<n>[?q=diag:...|seed:<int>|id]",
-        "example3-gl<n>[?q=...]",
-        "example4-so<n>[?q=...]",
-    ]
-
-
-def _entry_dim(kind: str, n: int) -> int:
-    """Dimension of the named entry's algebra, read off its name."""
-    if kind == "example1-so":
-        return 3
-    return n * n if kind.endswith("gl") else n * (n - 1) // 2
+    return [line for *_, line in _KINDS.values()]
 
 
 def build_entry(spec: str) -> CatalogEntry:
@@ -451,36 +454,25 @@ def build_entry(spec: str) -> CatalogEntry:
             if key in params:
                 raise CatalogError(f"repeated catalog parameter: {key!r}")
             params[key] = value
-    m = _NAME_RE.match(name)
-    if not m:
+    size = re.search(r"(?<!\d)\d+\Z", name)
+    kind = name[: size.start()] if size else None
+    if kind not in _KINDS:
         raise CatalogError(f"unknown catalog entry: {name!r}")
-    kind = m.group("kind")
+    build, dimension, takes_q, _ = _KINDS[kind]
     try:
-        n = read_int(m.group("n"), f"catalog entry {kind}<n>: n")
+        n = read_int(size[0], f"catalog entry {kind}<n>: n")
     except ScalarError as exc:
         raise CatalogError(str(exc)) from None
-    guard_scan(_entry_dim(kind, n), 3)
-    if "q" in params and kind in ("so", "gl", "example1-so"):
+    guard_scan(dimension(n), 3)
+    if "q" in params and not takes_q:
         raise CatalogError(f"catalog entry {name!r} takes no q parameter")
-    symmetric = kind.endswith("so")
-    q = _parse_q(params.pop("q"), n, symmetric) if "q" in params else None
+    q = _parse_q(params.pop("q"), n, kind.endswith("so")) if "q" in params else None
     triple_choice = params.pop("triple", None)
     if params:
         raise CatalogError(f"unsupported catalog parameters: {sorted(params)}")
-    if kind == "so":
-        entry = so_n(n)
-    elif kind == "gl":
-        entry = gl_assoc(n)
-    elif kind == "example1-so":
-        if n != 3:
-            raise CatalogError("example1 is defined on so(3)")
-        entry = example1_candidates()
-    elif kind == "example2-gl":
-        entry = example2_gl(n, q)
-    elif kind == "example3-gl":
-        entry = example3_gl(n, q)
-    else:
-        entry = example4_so(n, q)
+    entry = build(n)
+    if takes_q:
+        entry = _with_q(entry, f"{kind}{n}", q)
     if triple_choice:
         if triple_choice not in entry.extra_triples:
             raise CatalogError(f"no alternate triple named {triple_choice!r}")

@@ -12,7 +12,7 @@ import argparse
 import gc
 import sys
 
-from .algfile import AlgebraFile, render_algebra_file
+from .algfile import AlgebraFile, entry_to_algebra_file, render_algebra_file
 from .bunch import RRhoAlgebra
 from .catalog import build_entry, catalog_names
 from .core import WorkbenchError, forced
@@ -169,8 +169,6 @@ def _cmd_catalog(args) -> int:
         for name in catalog_names():
             sys.stdout.write(name + "\n")
         return 0
-    from .algfile import entry_to_algebra_file
-
     entry = build_entry(args.name)
     _write(render_algebra_file(entry_to_algebra_file(entry)), args.out)
     return 0

@@ -592,6 +592,15 @@ def scan(formula: Formula, structures: dict, name=None, notes=(), informational=
     return core.scan_tuples(name or formula.name, dim, formula.arity, nonzero, notes, informational)
 
 
+def scan_each_s(formula: Formula, structures: dict, name: str) -> tuple:
+    """(the scan with S = R1, the scan with S = R2), named name-r1 and
+    name-r2; when R1 and R2 are one operator, the second is the first renamed."""
+    r1 = scan(formula, {**structures, "S": structures["R1"]}, name=f"{name}-r1")
+    if structures["R2"] is structures["R1"]:
+        return r1, r1.replace(name=f"{name}-r2")
+    return r1, scan(formula, {**structures, "S": structures["R2"]}, name=f"{name}-r2")
+
+
 def tabulate(formula: Formula, structures: dict):
     """Structure tensor whose (i, j[, k]) entry is the formula at those basis vectors."""
     nonzero, dim = formula.bind(structures)

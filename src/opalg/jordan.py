@@ -26,7 +26,7 @@ from .core import (
     require_lie,
     tensors_equal_report,
 )
-from .formula import Formula, scan, states, tabulate
+from .formula import Formula, scan, scan_each_s, states, tabulate
 
 BASE_UNVERIFIED_NOTE = "base-JTS-unverified"
 
@@ -199,16 +199,11 @@ def check_triple_bi_myb(s1: TripleWithOperator, s2: TripleWithOperator) -> Check
     if s1.triple != s2.triple:
         raise ValueError("the two operators' records are on different triples")
     pair = {"triple": s1.triple, "R1": s1.R, "R2": s2.R}
-    one = s2 is s1
-
-    def chain(formula, name):
-        r1 = scan(formula, {**pair, "S": s1.R}, name=f"{name}-r1")
-        return r1, r1.replace(name=f"{name}-r2") if one else scan(formula, {**pair, "S": s2.R}, name=f"{name}-r2")
-
-    normal = aggregate_report(
-        "normal", (scan(NORMAL_OUTER_PAIR, pair), *chain(NORMAL_REDUCED, "normal-reduced")), informational=True
+    normal_reduced = scan_each_s(NORMAL_REDUCED, pair, "normal-reduced")
+    normal = aggregate_report("normal", (scan(NORMAL_OUTER_PAIR, pair), *normal_reduced), informational=True)
+    even = aggregate_report(
+        "even-tempered", scan_each_s(EVEN_TEMPERED_TRIPLE, pair, "even-tempered"), informational=True
     )
-    even = aggregate_report("even-tempered", chain(EVEN_TEMPERED_TRIPLE, "even-tempered"), informational=True)
     printed = scan(EVEN_TEMPERED_AS_PRINTED, pair, informational=True)
 
     full_1 = _full_derived_triple(s1)
@@ -223,7 +218,7 @@ def check_triple_bi_myb(s1: TripleWithOperator, s2: TripleWithOperator) -> Check
         scan(COMMUTE, pair),
         s1.triple_r[0].replace(name="triple-myb-r1"),
         s2.triple_r[0].replace(name="triple-myb-r2"),
-        tensors_equal_report("derived-triples-coincide", full_1, full_1 if one else _full_derived_triple(s2)),
+        tensors_equal_report("derived-triples-coincide", full_1, full_1 if s2 is s1 else _full_derived_triple(s2)),
         normal,
         even,
         printed,

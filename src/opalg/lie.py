@@ -22,7 +22,7 @@ from .core import (
     require_lie,
     tensors_equal_report,
 )
-from .formula import Formula, scan, states, tabulate
+from .formula import Formula, scan, scan_each_s, states, tabulate
 from .scalars import scalar
 
 MYB = Formula("myb", "X Y", "R[RX,Y] + R[X,RY] = [RX,RY] + R^2[X,Y]")
@@ -138,11 +138,7 @@ def check_bi_myb(g: LieBiOperator) -> CheckReport:
 def check_even_tempered(g: LieBiOperator) -> CheckReport:
     """Both mixed second-order identities of an even-tempered pair."""
     pair = {"bracket": g.bracket, "R1": g.R1, "R2": g.R2}
-    subs = [
-        scan(EVEN_TEMPERED, {**pair, "S": g.R1}, name="even-tempered-r1"),
-        scan(EVEN_TEMPERED, {**pair, "S": g.R2}, name="even-tempered-r2"),
-    ]
-    return aggregate_report("even-tempered", subs)
+    return aggregate_report("even-tempered", scan_each_s(EVEN_TEMPERED, pair, "even-tempered"))
 
 
 @states(XI_DERIVATION, COMMUTE, XI_PAIR, XI_DERIVATION_DERIVED)

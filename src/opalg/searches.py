@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from .algfile import AlgebraFile, algebra_file_to_dict, entry_to_algebra_file
+from .algfile import algebra_file_to_dict, entry_to_algebra_file
 from .bunch import RRhoAlgebra, check_rrho
-from .catalog import _mult_pair, build_entry, example4_so
+from .catalog import _mult_pair, _with_q, build_entry
 from .core import Operator, WorkbenchError, require_lie, tensors_equal_report
 from .jordan import MODE_FULL, MODE_REDUCED, TripleWithOperator, check_triple_bi_myb, check_triple_myb, derived_triple
 from .lie import LieBiOperator, check_bi_myb, check_even_tempered, check_myb_raw
@@ -32,9 +32,7 @@ class TargetIsTheoremError(WorkbenchError):
 
 
 def _instance(entry, **operators) -> dict:
-    af = entry_to_algebra_file(entry)
-    af = AlgebraFile(af.dimension, af.basis_names, af.bracket, af.triple, dict(operators))
-    return algebra_file_to_dict(af)
+    return algebra_file_to_dict(entry_to_algebra_file(entry).replace(operators=dict(operators)))
 
 
 def _search_so3_non_myb(rng, trials, entry, entry_bound, findings):
@@ -156,8 +154,7 @@ def _search_example4_factorization(rng, trials, entry, entry_bound, findings):
     disprove the non-factorizability claim for that instance; outcomes are
     recorded either way.
     """
-    Q = random_symmetric_matrix(rng, entry.n, entry_bound, entry_bound)
-    entry = example4_so(entry.n, Q)
+    entry = _with_q(entry, entry.name, random_symmetric_matrix(rng, entry.n, entry_bound, entry_bound))
     R, rho = entry.operators["R"], entry.operators["rho"]
     a = RRhoAlgebra(entry.bracket, R, rho)
     rrho = check_rrho(a)

@@ -242,6 +242,24 @@ def test_build_entry_guards_the_dimension_before_building(monkeypatch):
             build_entry(spec)
 
 
+@pytest.mark.parametrize("kind", catalog.catalog_names())
+def test_build_entry_guards_the_dimension_it_builds(monkeypatch, kind):
+    # each kind at two sizes (example1 has one)
+    priced = []
+    monkeypatch.setattr(catalog, "guard_scan", lambda dim, arity: priced.append((dim, arity)))
+    for n in ("3",) if "<n>" not in kind else ("3", "4"):
+        priced.clear()
+        entry = build_entry(kind.split("[")[0].replace("<n>", n))
+        assert priced == [(entry.dim, 3)] and entry.dim == entry.bracket.dim
+
+
+def test_the_example4_search_builds_so_n_once(monkeypatch):
+    built = []
+    monkeypatch.setattr(catalog, "so_n", lambda n, build=catalog.so_n: built.append(n) or build(n))
+    searches.run_search("example4-non-factorizable", 1, 2)
+    assert built == [3]
+
+
 @pytest.mark.parametrize("spec", ["so3?q=diag:1,2,3", "gl2?q=id", "example1-so3?q=seed:1"])
 def test_build_entry_refuses_a_q_it_would_ignore(spec):
     with pytest.raises(CatalogError, match="takes no q parameter"):

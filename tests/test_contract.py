@@ -2,9 +2,11 @@
 
 Hypothesis generates argv for every subcommand over valid and malformed
 algebra files and catalog specs with n up to 10^8, and runs each case
-in-process under a wall-clock bound.  Exit 2 (usage, parse or guard error)
-must print exactly one stderr line; exit 3 (a crash) or a case that outlives
-its bound fails the test.  `--force` is never passed, so the dimension guards
+in-process under a wall-clock bound.  Some files hold a 3000-digit scalar,
+whose computed products pass the 4300-digit str() limit, or one over the
+int() limit.  Exit 2 (usage, parse or guard error) must print exactly one
+stderr line; exit 3 (a crash) or a case that outlives its bound fails the
+test.  `--force` is never passed, so the dimension guards
 are what keeps every case small.  A second test draws argv that does not
 parse at all, which must also end in exit 2 with one `error:` line.  Last,
 named cases pin each exit code to its cause: a computed scalar too long for
@@ -30,9 +32,10 @@ from opalg.suites import SUITES
 
 SECONDS_PER_CASE = 5
 OPERATOR_NAMES = ("R", "R1", "R2", "xi", "rho")
-NEGATED = {"0": "0", "1": "-1", "-1": "1", "2": "-2", "1/2": "-1/2", "-3/4": "3/4"}
+LONG = "7" * 3000  # valid; its products pass the str() limit
+NEGATED = {"0": "0", "1": "-1", "-1": "1", "2": "-2", LONG: "-" + LONG, "1/2": "-1/2", "-3/4": "3/4"}
 SCALARS = tuple(NEGATED)
-BAD_SCALARS = ("2/4", "1/0", "x", "", 1)
+BAD_SCALARS = ("7" * (sys.get_int_max_str_digits() + 1), "2/4", "1/0", "x", "", 1)
 
 
 class CaseTimeout(BaseException):

@@ -408,11 +408,45 @@ def test_cli_json_report_is_machine_readable(capsys):
 
 def test_cli_catalog_list_and_export(capsys):
     code, out, _ = run_cli(capsys, "catalog", "list")
-    assert code == 0 and "example2-gl<n>" in out
+    assert code == 0
+    assert out == (
+        "gl<n>\n"
+        "so<n>\n"
+        "example1-so3\n"
+        "example2-gl<n>[?q=diag:...|seed:<int>|id]\n"
+        "example3-gl<n>[?q=...]\n"
+        "example4-so<n>[?q=...]\n"
+    )
     code, out, _ = run_cli(capsys, "catalog", "export", "so3")
     assert code == 0
     af = parse_algebra_file(out)
     assert af.dimension == 3
+
+
+GUARD_TEXT = "dim^3 scan at dim={} exceeds guard (limit 36); set the force flag to run it anyway"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("gl", "unknown catalog entry: 'gl'"),
+        ("xgl3", "unknown catalog entry: 'xgl3'"),
+        ("gl0", "gl(n) requires n >= 1"),
+        ("so1", "so(n) requires n >= 2"),
+        ("example1-so4", "example1 is defined on so(3)"),
+        ("example1-so4?q=id", "catalog entry 'example1-so4' takes no q parameter"),
+        ("example1-so4?color=red", "unsupported catalog parameters: ['color']"),
+        ("so3?q=id", "catalog entry 'so3' takes no q parameter"),
+        ("example2-gl2?q=seed:x", "q: seed is not an integer: 'x'"),
+        ("gl7", GUARD_TEXT.format(49)),
+        ("example4-so10?q=id", GUARD_TEXT.format(45)),
+        ("so3?triple=two-term", "no alternate triple named 'two-term'"),
+        ("gl" + "1" * 5000, f"catalog entry gl<n>: n is 5000 characters long, over the limit of {sys.get_int_max_str_digits()} digits"),
+    ],
+)
+def test_cli_catalog_refusals_keep_their_text(capsys, spec, message):
+    # the refusal order: name, size, guard, q, other parameters, size of the kind, triple
+    assert run_cli(capsys, "catalog", "export", spec) == (2, "", f"error: {message}\n")
 
 
 def test_cli_convert_round_trip(tmp_path, capsys):
