@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import sys
 
-from .core import BilinearStructure, Operator, Record, TrilinearStructure, WorkbenchError
+from .core import BilinearStructure, FrozenRecord, Operator, TrilinearStructure, WorkbenchError
 from .scalars import ScalarError, parse_scalar, render_scalar
 
 
@@ -28,7 +28,7 @@ class ParseError(WorkbenchError):
 _TOP_KEYS = {"dimension", "basis_names", "bracket", "triple", "operators"}
 
 
-class AlgebraFile(Record):
+class AlgebraFile(FrozenRecord):
     __slots__ = ("dimension", "basis_names", "bracket", "triple", "operators")
 
     def __init__(

@@ -42,15 +42,20 @@ class PreconditionError(WorkbenchError):
 # records
 
 
-class Record:
+class FrozenRecord:
     """Base of the workbench's records: the fields are the subclass's
     __slots__, in order, and every field is an argument of its __init__.
+    Records of one class compare by their field values, and no field can be
+    assigned after __init__; a record hashes by its fields when they hash.
 
-    Records of one class compare by their field values and are unhashable;
-    FrozenRecord adds immutability and hashing.
+    What a subclass derives from its fields is a functools.cached_property:
+    computed on first read and then kept in the record's __dict__, which
+    equality, hashing, repr and replace ignore, so a replaced record computes
+    it again.  Operator is one (its dim and sparse columns are derived), and
+    the structure tensors keep their derived values the same way.
     """
 
-    __slots__ = ()
+    __slots__ = ("__dict__",)
 
     def _assign(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -70,33 +75,18 @@ class Record:
             return NotImplemented
         return self._values() == other._values()
 
-    __hash__ = None
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__name__}({fields})"
-
-
-class FrozenRecord(Record):
-    """A record whose fields cannot be assigned after __init__.
-
-    What a subclass derives from its fields is a functools.cached_property:
-    computed on first read and then kept in the record's __dict__, which
-    equality, hashing, repr and replace ignore, so a replaced record computes
-    it again.  Operator is one (its dim and sparse columns are derived), and
-    the structure tensors keep their derived values the same way.
-    """
-
-    __slots__ = ("__dict__",)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{self.__class__.__name__} is immutable")
 
     def __delattr__(self, name):
         raise AttributeError(f"{self.__class__.__name__} is immutable")
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
 
 # Guards keep exhaustive scans at desk scale unless forced: at each limit a
@@ -182,10 +172,6 @@ def vec_gather(columns: dict, w: dict) -> dict:
 
 def vec_dense(v: dict, dim: int) -> tuple:
     return tuple(v.get(i, 0) for i in range(dim))
-
-
-def vec_from_dense(seq) -> dict:
-    return {i: s for i, s in enumerate(map(as_scalar, seq)) if s}
 
 
 # The value of every absent key: read-only, so no caller can change what later lookups see.
@@ -544,7 +530,6 @@ TENSOR_CLASSES = {2: BilinearStructure, 3: TrilinearStructure}
 
 
 def _apply_tensor(t: _SparseTensor, vectors) -> dict:
-    vectors = [v if isinstance(v, dict) else vec_from_dense(v) for v in vectors]
     if any(i >= t.dim for v in vectors for i in v):
         raise DimensionMismatchError("vector index out of range")
     return t.apply(*vectors)

@@ -38,7 +38,7 @@ def _instance(entry, **operators) -> dict:
 def _search_so3_non_myb(rng, trials, entry, entry_bound, findings):
     """Operators on so(3) failing the mYB identity: diag(1,0,0), then one
     random operator per further trial, each checked as it is drawn."""
-    randoms = ((f"random[{k}]", random_operator(rng, entry.dim, entry_bound, entry_bound)) for k in range(trials - 1))
+    randoms = ((f"random[{k}]", random_operator(rng, entry.dim, entry_bound)) for k in range(trials - 1))
     for label, op in itertools.chain([("diag(1,0,0)", Operator.diagonal([1, 0, 0]))], randoms):
         report = check_myb_raw(entry.bracket, op)
         if not report.passed:
@@ -55,7 +55,7 @@ def _search_so3_non_myb(rng, trials, entry, entry_bound, findings):
 def _search_triple_r_modes(rng, trials, entry, entry_bound, findings):
     """Random operators where the full and reduced derived triples disagree."""
     for trial in range(trials):
-        op = random_operator(rng, entry.dim, entry_bound, entry_bound)
+        op = random_operator(rng, entry.dim, entry_bound)
         full = derived_triple(entry.triple, op, MODE_FULL)
         reduced = derived_triple(entry.triple, op, MODE_REDUCED)
         eq = tensors_equal_report("modes-agree", full, reduced)
@@ -75,7 +75,7 @@ def _search_triple_r_modes(rng, trials, entry, entry_bound, findings):
 def _search_r0_not_myb(rng, trials, entry, entry_bound, findings):
     """Midpoint operators (R1+R2)/2 of bi-mYB pairs that fail the mYB identity."""
     for trial in range(trials):
-        R1, R2 = _mult_pair(entry, random_matrix(rng, entry.n, entry_bound, entry_bound))
+        R1, R2 = _mult_pair(entry, random_matrix(rng, entry.n, entry_bound))
         r0 = (R1 + R2).scale(scalar(1, 2))
         report = check_myb_raw(entry.bracket, r0, "midpoint-myb")
         if not report.passed:
@@ -110,14 +110,14 @@ def _non_even_tempered(entry, operators, findings):
 
 def _search_non_even_tempered(rng, trials, entry, entry_bound, findings):
     """Right multiplications on gl(n) that are mYB but not even-tempered."""
-    draws = (_mult_pair(entry, random_matrix(rng, entry.n, entry_bound, entry_bound))[0] for _ in range(trials))
+    draws = (_mult_pair(entry, random_matrix(rng, entry.n, entry_bound))[0] for _ in range(trials))
     _non_even_tempered(entry, draws, findings)
 
 
 def _search_non_even_tempered_diagonal(rng, trials, entry, entry_bound, findings):
     """Diagonal operators on so(n) that are mYB but not even-tempered."""
     draws = (
-        Operator.diagonal([random_scalar(rng, entry_bound, entry_bound) for _ in range(entry.dim)]) for _ in range(trials)
+        Operator.diagonal([random_scalar(rng, entry_bound) for _ in range(entry.dim)]) for _ in range(trials)
     )
     _non_even_tempered(entry, draws, findings)
 
@@ -125,7 +125,7 @@ def _search_non_even_tempered_diagonal(rng, trials, entry, entry_bound, findings
 def _search_non_normal_triple(rng, trials, entry, entry_bound, findings):
     """Triple systems with R1 = R2 = R whose classification flags fail."""
     for trial in range(trials):
-        R = _mult_pair(entry, random_matrix(rng, entry.n, entry_bound, entry_bound))[0]
+        R = _mult_pair(entry, random_matrix(rng, entry.n, entry_bound))[0]
         s = TripleWithOperator(entry.triple, R)
         report = check_triple_bi_myb(s, s)
         if not report.passed:
@@ -154,13 +154,13 @@ def _search_example4_factorization(rng, trials, entry, entry_bound, findings):
     disprove the non-factorizability claim for that instance; outcomes are
     recorded either way.
     """
-    entry = _with_q(entry, entry.name, random_symmetric_matrix(rng, entry.n, entry_bound, entry_bound))
+    entry = _with_q(entry, entry.name, random_symmetric_matrix(rng, entry.n, entry_bound))
     R, rho = entry.operators["R"], entry.operators["rho"]
     a = RRhoAlgebra(entry.bracket, R, rho)
     rrho = check_rrho(a)
     successes = 0
     for trial in range(trials):
-        R1 = random_operator(rng, entry.dim, entry_bound, entry_bound)
+        R1 = random_operator(rng, entry.dim, entry_bound)
         R2 = R - R1
         if R1 @ R2 != rho or R1 @ R2 != R2 @ R1:
             continue

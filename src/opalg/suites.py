@@ -11,8 +11,8 @@ from .bunch import RRhoAlgebra, build_bunch, check_rrho, extract_rrho
 from .catalog import build_entry
 from .core import (
     CheckReport,
+    FrozenRecord,
     JTS_VARIANTS,
-    Record,
     VARIANT_JACOBSON,
     WorkbenchError,
     check_jts_identity,
@@ -48,7 +48,7 @@ class UnknownSuiteError(WorkbenchError):
 TOOL = f"opalg {__version__}"
 
 
-class RunReport(Record):
+class RunReport(FrozenRecord):
     __slots__ = ("source", "input_digest", "suite", "options", "checks", "findings", "tool")
 
     def __init__(
@@ -138,12 +138,14 @@ def load_input(spec: str) -> tuple:
     return parse_algebra_file(text), spec
 
 
-# A suite is a gate, the checks of the base structure it builds on, and a
-# body, its own checks; run_suite runs the body only when every gate check
-# passes.  A gate returns (checks, the input as the body reads it): the Lie
-# gate hands on the proven bracket and the JTS gate the proven triple, so
-# nothing the body builds on them proves them again.  A body returns
-# (checks, findings).
+# A suite is a row (gate, default operator names, body).  The gate checks the
+# base structure the suite builds on, and run_suite runs the body only when
+# every gate check passes.  A gate returns (checks, the input as the body reads
+# it): the Lie gate hands on the proven bracket and the JTS gate the proven
+# triple, so nothing the body builds on them proves them again.  run_suite then
+# looks up the body's operators, --operator and --operator2 in row order, or
+# else the row's defaults, where None reads an operator only when it is given.
+# A body takes (input, options, *operators) and returns (checks, findings).
 
 
 def _variant(opts) -> str:
@@ -163,39 +165,23 @@ def _jts_gate(af, opts) -> tuple:
     return [report], af.replace(triple=triple)
 
 
-def _suite_lie_base(af, opts):
-    return [], []
+def _triple_gate(af, opts) -> tuple:
+    af.require_triple()
+    return [], af
 
 
-def _suite_myb(af, opts):
-    return [check_myb_raw(af.require_bracket(), af.require_operator(opts.get("operator", "R")))], []
-
-
-def _bi_operator(af, opts) -> LieBiOperator:
-    return LieBiOperator(
-        af.require_bracket(),
-        af.require_operator(opts.get("operator", "R1")),
-        af.require_operator(opts.get("operator2", "R2")),
-    )
-
-
-def _suite_bi_myb(af, opts):
-    return [check_bi_myb(_bi_operator(af, opts))], []
-
-
-def _suite_even_tempered(af, opts):
-    g = _bi_operator(af, opts)
+def _suite_even_tempered(af, opts, R1, R2):
+    g = LieBiOperator(af.bracket, R1, R2)
     return [check_bi_myb(g), check_even_tempered(g)], []
 
 
-def _suite_xi(af, opts):
-    g = LieWithOperator(af.require_bracket(), af.require_operator(opts.get("operator", "R")))
-    xi = af.require_operator(opts.get("operator2", "xi"))
+def _suite_xi(af, opts, R, xi):
+    g = LieWithOperator(af.bracket, R)
     return [check_xi_characterization(g, xi), check_even_tempered_xi(g, xi)], []
 
 
-def _suite_r0_probe(af, opts):
-    bi, probe = probe_r0(_bi_operator(af, opts))
+def _suite_r0_probe(af, opts, R1, R2):
+    bi, probe = probe_r0(LieBiOperator(af.bracket, R1, R2))
     if probe is None:
         return [bi], []
     myb = probe.sub("midpoint-myb")
@@ -208,60 +194,34 @@ def _suite_r0_probe(af, opts):
 
 
 def _suite_jordan_base(af, opts):
-    triple = af.require_triple()
     variant = _variant(opts)
     other = next(v for v in JTS_VARIANTS if v != variant)
-    checks = [check_jts_identity(triple, variant)]
-    checks.append(check_jts_identity(triple, other).replace(informational=True))
+    checks = [check_jts_identity(af.triple, variant)]
+    checks.append(check_jts_identity(af.triple, other).replace(informational=True))
     return checks, []
 
 
-def _suite_triple_myb(af, opts):
-    s = TripleWithOperator(af.require_triple(), af.require_operator(opts.get("operator", "R")))
-    return [check_triple_myb(s)], []
-
-
-def _suite_triple_bi_myb(af, opts):
-    s1 = TripleWithOperator(af.require_triple(), af.require_operator(opts.get("operator", "R1")))
-    s2 = s1.replace(R=af.require_operator(opts.get("operator2", "R2")))
-    return [check_triple_bi_myb(s1, s2)], []
+def _suite_triple_bi_myb(af, opts, R1, R2):
+    s1 = TripleWithOperator(af.triple, R1)
+    return [check_triple_bi_myb(s1, s1.replace(R=R2))], []
 
 
 def _suite_design(af, opts):
-    candidate = DesignCandidate(af.require_bracket(), af.require_triple(), _variant(opts))
-    return [check_design(candidate)], []
+    return [check_design(DesignCandidate(af.bracket, af.require_triple(), _variant(opts)))], []
 
 
-def _suite_equivariance(af, opts):
-    return [check_equivariance(af.require_bracket(), af.require_triple())], []
-
-
-def _suite_rho(af, opts):
+def _suite_rho(af, opts, rho, R):
     """rho-exchange; with operator2 R, first the triple mYB identity of (triple,
     R), then the transport of the reduced derived triple only where it holds.
     The suite proves no JTS identity, so the triple-mYB line notes it."""
-    triple = af.require_triple()
-    rho = af.require_operator(opts.get("operator", "rho"))
-    if "operator2" not in opts:
-        return [check_rho_identity(triple, rho)], []
-    s = TripleWithOperator(triple, af.require_operator(opts["operator2"]))
+    if R is None:
+        return [check_rho_identity(af.triple, rho)], []
+    s = TripleWithOperator(af.triple, R)
     return [s.triple_r[0], check_rho_identity(s, rho)], []
 
 
-def _rrho_algebra(af, opts) -> RRhoAlgebra:
-    return RRhoAlgebra(
-        af.require_bracket(),
-        af.require_operator(opts.get("operator", "R")),
-        af.require_operator(opts.get("operator2", "rho")),
-    )
-
-
-def _suite_rrho(af, opts):
-    return [check_rrho(_rrho_algebra(af, opts))], []
-
-
-def _suite_rrho_bunch(af, opts):
-    a = _rrho_algebra(af, opts)
+def _suite_rrho_bunch(af, opts, R, rho):
+    a = RRhoAlgebra(af.bracket, R, rho)
     gamma, back = extract_rrho(build_bunch(a))
     checks = [check_rrho(a), gamma]
     if back is not None:
@@ -270,25 +230,26 @@ def _suite_rrho_bunch(af, opts):
 
 
 SUITES = {
-    "lie-base": (_lie_gate, _suite_lie_base),
-    "myb": (_lie_gate, _suite_myb),
-    "bi-myb": (_lie_gate, _suite_bi_myb),
-    "even-tempered": (_lie_gate, _suite_even_tempered),
-    "xi": (_lie_gate, _suite_xi),
-    "r0-probe": (_lie_gate, _suite_r0_probe),
-    "jordan-base": (None, _suite_jordan_base),
-    "triple-myb": (_jts_gate, _suite_triple_myb),
-    "triple-bi-myb": (_jts_gate, _suite_triple_bi_myb),
-    "design": (_lie_gate, _suite_design),
-    "equivariance": (_lie_gate, _suite_equivariance),
-    "rho": (None, _suite_rho),
-    "rrho": (_lie_gate, _suite_rrho),
-    "rrho+bunch": (_lie_gate, _suite_rrho_bunch),
+    "lie-base": (_lie_gate, (), lambda af, opts: ([], [])),
+    "myb": (_lie_gate, ("R",), lambda af, opts, R: ([check_myb_raw(af.bracket, R)], [])),
+    "bi-myb": (_lie_gate, ("R1", "R2"), lambda af, opts, *pair: ([check_bi_myb(LieBiOperator(af.bracket, *pair))], [])),
+    "even-tempered": (_lie_gate, ("R1", "R2"), _suite_even_tempered),
+    "xi": (_lie_gate, ("R", "xi"), _suite_xi),
+    "r0-probe": (_lie_gate, ("R1", "R2"), _suite_r0_probe),
+    "jordan-base": (_triple_gate, (), _suite_jordan_base),
+    "triple-myb": (_jts_gate, ("R",), lambda af, opts, R: ([check_triple_myb(TripleWithOperator(af.triple, R))], [])),
+    "triple-bi-myb": (_jts_gate, ("R1", "R2"), _suite_triple_bi_myb),
+    "design": (_lie_gate, (), _suite_design),
+    "equivariance": (_lie_gate, (), lambda af, opts: ([check_equivariance(af.bracket, af.require_triple())], [])),
+    "rho": (_triple_gate, ("rho", None), _suite_rho),
+    "rrho": (_lie_gate, ("R", "rho"), lambda af, opts, R, rho: ([check_rrho(RRhoAlgebra(af.bracket, R, rho))], [])),
+    "rrho+bunch": (_lie_gate, ("R", "rho"), _suite_rrho_bunch),
 }
 
 
 def run_suite(input_spec, suite: str, options: dict | None = None) -> RunReport:
-    """Run a named suite against a file path, catalog name, or AlgebraFile.
+    """Run a named suite against a file path, catalog name, or AlgebraFile
+    (whose report names its source "<memory>").
 
     options["force"] lifts the scan guards for this call, and its absence
     applies them, whatever the caller's opalg.forced() says.
@@ -296,16 +257,18 @@ def run_suite(input_spec, suite: str, options: dict | None = None) -> RunReport:
     options = dict(options or {})
     if suite not in SUITES:
         raise UnknownSuiteError(f"unknown suite {suite!r}; known: {sorted(SUITES)}")
-    gate, body = SUITES[suite]
+    gate, defaults, body = SUITES[suite]
     with forced(bool(options.get("force"))):
         if isinstance(input_spec, AlgebraFile):
-            af, source = input_spec, options.pop("source", "<memory>")
+            af, source = input_spec, "<memory>"
         else:
             af, source = load_input(input_spec)
-        checks, gated = gate(af, options) if gate else ([], af)
+        checks, gated = gate(af, options)
         findings = []
         if all(c.passed for c in checks):
-            more, findings = body(gated, options)
+            names = [options.get(key, default) for key, default in zip(("operator", "operator2"), defaults)]
+            operators = [None if name is None else gated.require_operator(name) for name in names]
+            more, findings = body(gated, options, *operators)
             checks += more
     return RunReport(
         source=source,

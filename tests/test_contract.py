@@ -11,7 +11,8 @@ are what keeps every case small.  A second test draws argv that does not
 parse at all, which must also end in exit 2 with one `error:` line.  Last,
 named cases pin each exit code to its cause: a computed scalar too long for
 `str()` still ends in its verdict, an input too long for `int()` is exit 2
-with a message naming it, and an internal `ValueError` is exit 3.
+with a message naming it, each malformed scalar is exit 2 with a message
+naming its place, and an internal `ValueError` is exit 3.
 """
 
 import contextlib
@@ -25,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from opalg.algfile import entry_to_algebra_file, render_algebra_file
-from opalg.catalog import build_entry
+from opalg.catalog import _KINDS, build_entry
 from opalg.cli import main
 from opalg.searches import SEARCH_TARGETS, THEOREM_TARGETS
 from opalg.suites import SUITES
@@ -60,7 +61,7 @@ huge = st.integers(37, 10**8)
 
 @st.composite
 def catalog_specs(draw) -> str:
-    kind = draw(st.sampled_from(("so", "gl", "example1-so", "example2-gl", "example3-gl", "example4-so")))
+    kind = draw(st.sampled_from(tuple(_KINDS)))
     name = f"{kind}{draw(small | huge)}" if kind != "example1-so" or _rarely(draw) else "example1-so3"
     if _rarely(draw):
         junk = ("q=seed:x", "q=diag:1,2", "q=diag:1,1/0", "q=", "q", "triple=none", "color=red", "q=id&q=id")
@@ -298,6 +299,23 @@ def test_a_refused_input_is_one_error_line_naming_it(tmp_path):
         assert (code, out) == (2, ""), err
         assert err.startswith(f"error: {named}") and err.count("\n") == 1, err
         assert "sys.set_int_max_str_digits" not in err and "int()" not in err
+
+
+@pytest.mark.parametrize("where", ["operators['R'][0][0]", "bracket[0]"])
+@pytest.mark.parametrize(
+    "bad", BAD_SCALARS, ids=["over-int-limit", "unreduced", "zero-denominator", "not-a-number", "empty", "not-a-string"]
+)
+def test_a_malformed_scalar_is_one_error_line_naming_its_place(tmp_path, where, bad):
+    data = _gl2_with_R("1")
+    if where == "bracket[0]":
+        data["bracket"][0][-1] = bad
+    else:
+        data["operators"]["R"][0][0] = bad
+    path = tmp_path / "gl2.json"
+    path.write_text(json.dumps(data))
+    code, out, err = _run(["check", str(path), "--suite", "lie-base"])
+    assert (code, out) == (2, ""), err
+    assert err.startswith(f"error: {where}: ") and err.count("\n") == 1, err
 
 
 def test_an_internal_value_error_is_exit_3(monkeypatch):

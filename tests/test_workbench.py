@@ -11,12 +11,12 @@ import time
 import pytest
 
 from opalg import DimensionGuardError, WorkbenchError, catalog, core, forced, searches
-from opalg.algfile import parse_algebra_file
+from opalg.algfile import ParseError, parse_algebra_file
 from opalg.cli import _build_parser, main
 from opalg.findings import open_question_findings, render_findings
 from opalg.formula import Formula
 from opalg.searches import TargetIsTheoremError, UnknownTargetError, run_search
-from opalg.suites import SUITES, UnknownSuiteError, _lie_gate, run_suite
+from opalg.suites import SUITES, UnknownSuiteError, _lie_gate, load_input, run_suite
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +62,42 @@ def test_failing_input_reports_witness_and_fails(tmp_path):
 def test_unknown_suite_is_an_error():
     with pytest.raises(UnknownSuiteError):
         run_suite("catalog:so3", "frobenius")
+
+
+@pytest.mark.parametrize(
+    "suite, ignored",
+    [(suite, ("operator", "operator2")) for suite in ("lie-base", "jordan-base", "design", "equivariance")]
+    + [("myb", ("operator2",))],
+)
+def test_a_suite_ignores_operator_options_it_does_not_read(suite, ignored):
+    plain = run_suite("catalog:example3-gl2", suite)
+    report = run_suite("catalog:example3-gl2", suite, dict.fromkeys(ignored, "nope"))
+    assert report.to_text() == plain.to_text()
+    assert report.to_dict() == {**plain.to_dict(), "options": dict.fromkeys(ignored, "nope")}
+
+
+@pytest.mark.parametrize(
+    "suite, message",
+    [
+        ("rho", "input has no triple section"),
+        ("triple-myb", "input has no triple section"),
+        ("bi-myb", "input has no operator named 'R1'"),
+    ],
+)
+def test_a_suite_refuses_a_missing_section_before_a_missing_operator(suite, message):
+    # so3 has a bracket, and neither a triple nor an operator
+    with pytest.raises(ParseError) as refused:
+        run_suite("catalog:so3", suite)
+    assert str(refused.value) == message
+
+
+def test_algebra_files_and_run_reports_refuse_assignment():
+    af, _ = load_input("catalog:so3")
+    report = run_suite(af, "lie-base")
+    assert report.source == "<memory>"
+    for record, field in ((af, "operators"), (report, "checks")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
 
 
 def test_suite_reports_are_deterministic():
@@ -118,7 +154,7 @@ def _count_binds(monkeypatch) -> list:
     return binds
 
 
-@pytest.mark.parametrize("suite", [name for name, (gate, _) in SUITES.items() if gate is _lie_gate])
+@pytest.mark.parametrize("suite", [name for name, (gate, _, _) in SUITES.items() if gate is _lie_gate])
 def test_lie_suites_prove_the_bracket_once(monkeypatch, suite):
     proofs = collections.Counter()
     bind = Formula.bind
