@@ -332,6 +332,9 @@ class _SparseTensor:
     def __setattr__(self, name, value):
         raise AttributeError(f"{TENSOR_CLASSES[self.arity].__name__} is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError(f"{TENSOR_CLASSES[self.arity].__name__} is immutable")
+
     @classmethod
     def from_rows(cls, dim: int, rows):
         """Build from sparse rows [*index tuple, component, scalar], e.g.

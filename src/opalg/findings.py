@@ -199,8 +199,8 @@ def _even_tempered_expression_item(entry, s1: TripleWithOperator) -> dict:
             "as-printed-reading": _verdict(report.sub("even-tempered-as-printed")),
         },
         "conclusion": (
-            "the symmetrized reading holds on the matrix-algebra instances and "
-            "the printed one fails, so the even-tempered flag uses the "
+            "the symmetrized reading holds on example3-gl2 with Q = diag(1,2) "
+            "and the printed one fails there, so the even-tempered flag uses the "
             "symmetrized reading and the printed form stays an informational check"
         ),
     }

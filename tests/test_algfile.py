@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from opalg import gl_assoc, so_n
@@ -10,6 +12,7 @@ from opalg.algfile import (
     render_algebra_file,
 )
 from opalg.catalog import build_entry
+from opalg.suites import run_suite
 
 
 def test_minimal_abelian_file():
@@ -34,6 +37,20 @@ def test_operator_export_round_trips():
     af = parse_algebra_file(text)
     assert af.operators == dict(entry.operators)
     assert af.triple == entry.triple
+
+
+def test_basis_names_round_trip_and_suites_accept_them(tmp_path):
+    data = json.loads(render_algebra_file(entry_to_algebra_file(build_entry("example4-so3"))))
+    data["basis_names"] = ["L_x", "L_y", "L_z"]
+    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+    af = parse_algebra_file(text)
+    assert af.basis_names == ("L_x", "L_y", "L_z")
+    assert render_algebra_file(af) == text
+    path = tmp_path / "so3-named.json"
+    path.write_text(text)
+    for suite in ("lie-base", "rrho"):
+        report = run_suite(str(path), suite)
+        assert report.passed and report.source == str(path), suite
 
 
 def test_digest_is_deterministic():

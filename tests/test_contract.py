@@ -271,14 +271,18 @@ def test_a_witness_too_long_for_str_keeps_its_verdict(tmp_path, fmt):
 
 def _input_cases(tmp_path) -> list:
     """(argv, the start of the one error line) for inputs too long for int(),
-    malformed q specs, a file that is not UTF-8, and a bracket that a
-    Lie-only command refuses."""
+    malformed q specs, a file that is not UTF-8, basis names of the wrong
+    length, operators that are not an object, and a bracket that a Lie-only
+    command refuses."""
     digits = sys.get_int_max_str_digits() + 1
     scalar_file, integer_file = tmp_path / "scalar.json", tmp_path / "integer.json"
     scalar_file.write_text(json.dumps(_gl2_with_R("7" * digits)))
     integer_file.write_text('{"dimension": ' + "1" * 5000 + "}")
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes('{"dimension": 1, "basis_names": ["é"]}'.encode("latin-1"))
+    misnamed, listed = tmp_path / "misnamed.json", tmp_path / "listed-operators.json"
+    misnamed.write_text(json.dumps({**_gl2_with_R("1"), "basis_names": ["e11", "e12", "e21"]}))
+    listed.write_text(json.dumps({**_gl2_with_R("1"), "operators": [["1", "0", "0", "0"]] * 4}))
     not_lie = tmp_path / "not-lie.json"
     not_lie.write_text(json.dumps({"dimension": 2, "bracket": [[0, 0, 1, "1"]], "operators": {"R": [["1", "0"]] * 2}}))
     check = ["--suite", "lie-base"]
@@ -289,6 +293,8 @@ def _input_cases(tmp_path) -> list:
         (["check", "catalog:example4-so3?q=diag:1,1/0,2", *check], "q: zero denominator: '1/0'"),
         (["catalog", "export", "gl" + "1" * 5000], "catalog entry gl<n>: n is 5000 characters long"),
         (["check", str(latin1), *check], f"cannot read input {str(latin1)!r}: 'utf-8' codec can't decode"),
+        (["check", str(misnamed), *check], "basis_names must be a list of 4 strings"),
+        (["check", str(listed), *check], "operators must be an object"),
         (["derive", str(not_lie), "--what", "quadratic-bracket", "--operator2", "R"], "bracket is not a Lie bracket"),
     ]
 

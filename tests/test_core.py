@@ -171,6 +171,19 @@ def test_rows_repr_and_immutability(arity, proven):
 
 @pytest.mark.parametrize("proven", [False, True], ids=["plain", "proven"])
 @pytest.mark.parametrize("arity", ARITIES)
+def test_a_tensor_refuses_to_lose_a_field(arity, proven):
+    # as a FrozenRecord refuses del, so does a structure tensor, proven or not
+    cls = ARITIES[arity][0]
+    t = _halved(arity, proven)
+    t.entries_by(0)  # a derived value, kept in __dict__
+    for name in ("dim", "_c", "_by_slot", *type(t).__slots__):
+        with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
+            delattr(t, name)
+    assert t == _halved(arity, False) and t.dim == _halved(arity, False).dim
+
+
+@pytest.mark.parametrize("proven", [False, True], ids=["plain", "proven"])
+@pytest.mark.parametrize("arity", ARITIES)
 def test_entries_by_slot_list_every_entry_once(arity, proven):
     plain = _halved(arity, False)
     t = ARITIES[arity][2](plain)[1] if proven else plain

@@ -114,9 +114,26 @@ def _cases() -> dict:
         argv.append("--force")
         if argv[0] == "check":
             argv += ["--format", "json"]
+    # the text layout, with a notes= line and a finding: line
+    cases["check example3-gl2 rho transport R1 text"] = [
+        "check", "catalog:example3-gl2", "--suite", "rho", "--operator2", "R1", "--force", "--format", "text",
+    ]
+    cases["check example3-gl2 r0-probe text"] = [
+        "check", "catalog:example3-gl2", "--suite", "r0-probe", "--force", "--format", "text",
+    ]
     for target in SEARCH_TARGETS:
         for seed in ("1", "2"):
             cases[f"search {target} seed {seed}"] = ["search", target, "--seed", seed, "--trials", "4"]
+        cases[f"search {target} seed 3 trials 16"] = ["search", target, "--seed", "3", "--trials", "16"]
+    # one --dim per catalog family, a smaller entry bound, and the text layout
+    for target, dim in (("non-even-tempered", "3"), ("example4-non-factorizable", "4")):
+        cases[f"search {target} dim {dim}"] = ["search", target, "--seed", "1", "--trials", "4", "--dim", dim]
+    cases["search example4-non-factorizable entry-bound 1"] = [
+        "search", "example4-non-factorizable", "--seed", "1", "--trials", "16", "--entry-bound", "1",
+    ]
+    cases["search non-normal-triple seed 1 text"] = [
+        "search", "non-normal-triple", "--seed", "1", "--trials", "4", "--format", "text",
+    ]
     cases["findings"] = ["findings"]
     return cases
 
@@ -336,12 +353,12 @@ def test_no_check_binds_a_formula_twice_on_equal_structures(golden_run):
     # proven structure carries its proof, so no request tabulates or scans
     # the same thing twice
     checks = [case for case in CASES if case.startswith("check ")]
-    assert len(checks) == 166
+    assert len(checks) == 168
     assert {case: golden_run[1][case] for case in checks if golden_run[1][case]} == {}
     # the findings items share their gl(2) record, and a search that passes
     # one operator as both of a pair scans each condition on it once
     others = ["findings"] + [case for case in CASES if case.startswith("search ")]
-    assert len(others) == 15
+    assert len(others) == 26
     assert {case: golden_run[1][case] for case in others if golden_run[1][case]} == {}
 
 

@@ -663,11 +663,12 @@ def test_cli_force_lifts_the_search_dim_guard(monkeypatch, capsys, target, dim, 
     for name in ("gl_assoc", "so_n"):
         monkeypatch.setattr(catalog, name, lambda n, build=getattr(catalog, name): built.append(n) or build(n))
 
-    def search(rng, trials, entry, *_):
+    def setup(rng, entry, *_):
         reached.append(entry.dim)
+        return entry, None
 
-    _, *row = searches.SEARCH_TARGETS[target]
-    monkeypatch.setitem(searches.SEARCH_TARGETS, target, (search, *row))
+    family, default, *_ = searches.SEARCH_TARGETS[target]
+    monkeypatch.setitem(searches.SEARCH_TARGETS, target, (family, default, setup, lambda *_: {}, lambda *_: None))
     argv = ("search", target, "--seed", "1", "--trials", "1", "--dim", str(dim))
     code, _, err = run_cli(capsys, *argv)
     assert code == 2 and "guard" in err and not built and not reached
@@ -851,12 +852,13 @@ def test_cli_search_dim_on_a_fixed_algebra_is_a_usage_error(capsys, monkeypatch)
     # so3-non-myb always works on so(3); a --dim it would ignore is refused
     # before the search runs, rather than echoed in the report
     reached = []
-    _, *row = searches.SEARCH_TARGETS["so3-non-myb"]
-    monkeypatch.setitem(searches.SEARCH_TARGETS, "so3-non-myb", (lambda *args: reached.append(args), *row))
+    family, default, _, *steps = searches.SEARCH_TARGETS["so3-non-myb"]
+    row = (family, default, lambda *args: reached.append(args), *steps)
+    monkeypatch.setitem(searches.SEARCH_TARGETS, "so3-non-myb", row)
     code, out, err = run_cli(capsys, "search", "so3-non-myb", "--seed", "1", "--trials", "2", "--dim", "5")
     assert code == 2 and out == "" and err == "error: search target 'so3-non-myb' takes no --dim\n"
     assert not reached
-    assert [t for t, (_, family, _) in searches.SEARCH_TARGETS.items() if family is None] == ["so3-non-myb"]
+    assert [t for t, (family, *_) in searches.SEARCH_TARGETS.items() if family is None] == ["so3-non-myb"]
 
 
 def test_importing_the_cli_loads_no_dataclass_machinery():
