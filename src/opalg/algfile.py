@@ -31,15 +31,7 @@ _TOP_KEYS = {"dimension", "basis_names", "bracket", "triple", "operators"}
 class AlgebraFile(FrozenRecord):
     __slots__ = ("dimension", "basis_names", "bracket", "triple", "operators")
 
-    def __init__(
-        self,
-        dimension: int,
-        basis_names: tuple | None = None,
-        bracket: BilinearStructure | None = None,
-        triple: TrilinearStructure | None = None,
-        operators: dict | None = None,
-    ):
-        self._assign(dimension, basis_names, bracket, triple, {} if operators is None else operators)
+    _defaults = {"basis_names": None, "bracket": None, "triple": None, "operators": dict}
 
     def require_bracket(self) -> BilinearStructure:
         if self.bracket is None:
@@ -90,9 +82,19 @@ def _parse_tensor(cls, rows, dim):
     return cls(dim, entries)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object; a repeated key is refused, never settled by its last copy."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"repeated JSON key {key!r}")
+        out[key] = value
+    return out
+
+
 def parse_algebra_file(text: str) -> AlgebraFile:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except RecursionError:

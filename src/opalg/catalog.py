@@ -53,51 +53,16 @@ class CatalogError(WorkbenchError):
 
 class CatalogEntry(FrozenRecord):
     """A named algebra: basis matrices, structure tensors, named operators.
+    family is "gl" or "so" and n the size of the underlying matrices.
 
     Entries compare by identity.
     """
 
     __slots__ = (
-        "name",
-        "family",  # "gl" or "so"
-        "n",  # size of the underlying matrices
-        "basis",
-        "lead_positions",
-        "bracket",
-        "triple",
-        "operators",
-        "extra_triples",
-        "q",
-        "form",
+        "name", "family", "n", "basis", "lead_positions", "bracket", "triple", "operators", "extra_triples", "q", "form"
     )
 
-    def __init__(
-        self,
-        name: str,
-        family: str,
-        n: int,
-        basis: tuple,
-        lead_positions: tuple,
-        bracket: BilinearStructure,
-        triple: TrilinearStructure | None = None,
-        operators: dict | None = None,
-        extra_triples: dict | None = None,
-        q: tuple | None = None,
-        form: tuple | None = None,
-    ):
-        self._assign(
-            name,
-            family,
-            n,
-            basis,
-            lead_positions,
-            bracket,
-            triple,
-            {} if operators is None else operators,
-            {} if extra_triples is None else extra_triples,
-            q,
-            form,
-        )
+    _defaults = {"triple": None, "operators": dict, "extra_triples": dict, "q": None, "form": None}
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__

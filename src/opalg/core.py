@@ -44,9 +44,14 @@ class PreconditionError(WorkbenchError):
 
 class FrozenRecord:
     """Base of the workbench's records: the fields are the subclass's
-    __slots__, in order, and every field is an argument of its __init__.
-    Records of one class compare by their field values, and no field can be
-    assigned after __init__; a record hashes by its fields when they hash.
+    __slots__, in order, bound from positional arguments in slot order and
+    keywords by name.  A field left out or None takes the class's _defaults
+    entry, called if callable (dict gives each record a fresh container); a
+    field given twice, an unknown name or a missing field with no default
+    raises TypeError.  A record that validates its fields keeps its own
+    __init__ and stores them with _assign.  Records of one class compare by
+    their field values, and no field can be assigned after __init__; a
+    record hashes by its fields when they hash.
 
     What a subclass derives from its fields is a functools.cached_property:
     computed on first read and then kept in the record's __dict__, which
@@ -56,6 +61,23 @@ class FrozenRecord:
     """
 
     __slots__ = ("__dict__",)
+    _defaults: dict = {}
+
+    def __init__(self, *args, **fields):
+        record, slots, defaults = self.__class__.__name__, self.__slots__, self._defaults
+        given = len(args) + len(fields)
+        fields.update(zip(slots, args))
+        if len(fields) < given:  # a positional argument past the last slot, or a field given twice
+            raise TypeError(f"{record} takes at most {len(slots)} fields, each given once")
+        for name in slots:
+            value = fields.pop(name, None)
+            if value is None:
+                if name not in defaults:
+                    raise TypeError(f"{record} is missing field {name!r}")
+                value = defaults[name]() if callable(defaults[name]) else defaults[name]
+            object.__setattr__(self, name, value)
+        if fields:
+            raise TypeError(f"{record} has no field {next(iter(fields))!r}")
 
     def _assign(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -556,9 +578,6 @@ class Witness(FrozenRecord):
 
     __slots__ = ("indices", "residual")
 
-    def __init__(self, indices: tuple, residual: tuple):
-        self._assign(indices, residual)
-
     def to_dict(self) -> dict:
         return {
             "indices": list(self.indices),
@@ -569,17 +588,7 @@ class Witness(FrozenRecord):
 class CheckReport(FrozenRecord):
     __slots__ = ("name", "passed", "witness", "tuples_evaluated", "informational", "notes", "subchecks")
 
-    def __init__(
-        self,
-        name: str,
-        passed: bool,
-        witness: Witness | None = None,
-        tuples_evaluated: int = 0,
-        informational: bool = False,
-        notes: tuple = (),
-        subchecks: tuple = (),
-    ):
-        self._assign(name, passed, witness, tuples_evaluated, informational, notes, subchecks)
+    _defaults = {"witness": None, "tuples_evaluated": 0, "informational": False, "notes": (), "subchecks": ()}
 
     def sub(self, name: str) -> "CheckReport":
         for s in self.subchecks:

@@ -51,25 +51,7 @@ TOOL = f"opalg {__version__}"
 class RunReport(FrozenRecord):
     __slots__ = ("source", "input_digest", "suite", "options", "checks", "findings", "tool")
 
-    def __init__(
-        self,
-        source: str,
-        input_digest: str,
-        suite: str,
-        options: dict | None = None,
-        checks: list | None = None,
-        findings: list | None = None,
-        tool: str = TOOL,
-    ):
-        self._assign(
-            source,
-            input_digest,
-            suite,
-            {} if options is None else options,
-            [] if checks is None else checks,
-            [] if findings is None else findings,
-            tool,
-        )
+    _defaults = {"options": dict, "checks": list, "findings": list, "tool": TOOL}
 
     @property
     def passed(self) -> bool:

@@ -84,6 +84,9 @@ def test_unreduced_scalar_rejected():
         ('{"dimension": 2, "triple": [[0, 0, 0, "1"]]}', r"triple\[0\]: expected \[i, j, k, l, scalar\]"),
         ('{"dimension": 2, "triple": [[0, 0, 2, 0, "1"]]}', r"triple\[0\]: index 2 out of range"),
         ('{"dimension": 2, "triple": [[0, 0, 0, false, "1"]]}', r"triple\[0\]: index False out of range"),
+        ('{"dimension": 1, "operators": {"R": [["1"]], "R": [["0"]]}}', r"^repeated JSON key 'R'$"),
+        ('{"dimension": 1, "operators": {"R": [["0"]], "R": [["1"]]}}', r"^repeated JSON key 'R'$"),
+        ('{"dimension": 2, "dimension": 1}', r"^repeated JSON key 'dimension'$"),
     ],
 )
 def test_parse_errors(text, fragment):

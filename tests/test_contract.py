@@ -25,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from opalg.algfile import entry_to_algebra_file, render_algebra_file
+from opalg.algfile import algebra_file_to_dict, entry_to_algebra_file, render_algebra_file
 from opalg.catalog import _KINDS, build_entry
 from opalg.cli import main
 from opalg.searches import SEARCH_TARGETS, THEOREM_TARGETS
@@ -272,8 +272,9 @@ def test_a_witness_too_long_for_str_keeps_its_verdict(tmp_path, fmt):
 def _input_cases(tmp_path) -> list:
     """(argv, the start of the one error line) for inputs too long for int(),
     malformed q specs, a file that is not UTF-8, basis names of the wrong
-    length, operators that are not an object, and a bracket that a Lie-only
-    command refuses."""
+    length, operators that are not an object, an operator named twice (in
+    either order its copies would decide the verdict differently), and a
+    bracket that a Lie-only command refuses."""
     digits = sys.get_int_max_str_digits() + 1
     scalar_file, integer_file = tmp_path / "scalar.json", tmp_path / "integer.json"
     scalar_file.write_text(json.dumps(_gl2_with_R("7" * digits)))
@@ -283,6 +284,12 @@ def _input_cases(tmp_path) -> list:
     misnamed, listed = tmp_path / "misnamed.json", tmp_path / "listed-operators.json"
     misnamed.write_text(json.dumps({**_gl2_with_R("1"), "basis_names": ["e11", "e12", "e21"]}))
     listed.write_text(json.dumps({**_gl2_with_R("1"), "operators": [["1", "0", "0", "0"]] * 4}))
+    twice = [tmp_path / "R-twice-identity-last.json", tmp_path / "R-twice-identity-first.json"]
+    so3 = json.dumps(algebra_file_to_dict(entry_to_algebra_file(build_entry("so3")))["bracket"])
+    identity = '[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]'
+    corner = '[["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]'
+    for path, (first, last) in zip(twice, [(corner, identity), (identity, corner)]):
+        path.write_text(f'{{"dimension": 3, "bracket": {so3}, "operators": {{"R": {first}, "R": {last}}}}}')
     not_lie = tmp_path / "not-lie.json"
     not_lie.write_text(json.dumps({"dimension": 2, "bracket": [[0, 0, 1, "1"]], "operators": {"R": [["1", "0"]] * 2}}))
     check = ["--suite", "lie-base"]
@@ -295,6 +302,7 @@ def _input_cases(tmp_path) -> list:
         (["check", str(latin1), *check], f"cannot read input {str(latin1)!r}: 'utf-8' codec can't decode"),
         (["check", str(misnamed), *check], "basis_names must be a list of 4 strings"),
         (["check", str(listed), *check], "operators must be an object"),
+        *((["check", str(path), "--suite", "myb"], "repeated JSON key 'R'") for path in twice),
         (["derive", str(not_lie), "--what", "quadratic-bracket", "--operator2", "R"], "bracket is not a Lie bracket"),
     ]
 

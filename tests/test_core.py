@@ -27,7 +27,7 @@ from opalg import (
     op_polynomial,
     so_n,
 )
-from opalg.catalog import example1_candidates
+from opalg.catalog import build_entry, example1_candidates
 from opalg.core import prove_jts, prove_lie
 from opalg.formula import Formula
 from opalg.oracles import mat_mul
@@ -412,6 +412,102 @@ def test_records_keep_value_semantics():
     assert (af.dimension, af.bracket, af.triple) == (4, gl2.bracket, gl2.triple)
     assert af == AlgebraFile(4, bracket=gl2.bracket, triple=gl2.triple, operators={"R": Operator.identity(4)})
     assert AlgebraFile(1).operators == {} and AlgebraFile(1).operators is not AlgebraFile(1).operators
+
+
+def _records() -> list:
+    """Every record class: FrozenRecord's subclasses, searched recursively
+    once every opalg module is imported."""
+    import importlib
+    import pkgutil
+
+    import opalg
+    from opalg.core import FrozenRecord
+
+    for module in pkgutil.iter_modules(opalg.__path__):
+        importlib.import_module(f"opalg.{module.name}")
+    found, todo = [], [FrozenRecord]
+    while todo:
+        subs = todo.pop().__subclasses__()
+        found += subs
+        todo += subs
+    return found
+
+
+def _record_samples() -> dict:
+    """One instance of each record class, keyed by class name."""
+    from opalg import CheckReport, DesignCandidate, Witness
+    from opalg.algfile import entry_to_algebra_file
+    from opalg.bunch import build_bunch
+    from opalg.suites import RunReport
+
+    gl2, e4 = gl_assoc(2), example4_so(3)
+    one = Operator.identity(4)
+    rrho = RRhoAlgebra(e4.bracket, e4.operators["R"], e4.operators["rho"])
+    witness = Witness((0, 1), (1, 0))
+    return {
+        type(r).__name__: r
+        for r in (
+            witness,
+            CheckReport("myb", False, witness, 2, notes=("a-note",)),
+            RunReport("gl2", "digest", "myb", {"force": True}, [CheckReport("myb", True)], [{"kind": "x"}]),
+            entry_to_algebra_file(build_entry("example2-gl2")),
+            gl2,
+            one,
+            LieWithOperator(gl2.bracket, one),
+            LieBiOperator(gl2.bracket, one, one),
+            rrho,
+            build_bunch(rrho),
+            TripleWithOperator(gl2.triple, one),
+            DesignCandidate(gl2.bracket, gl2.triple),
+        )
+    }
+
+
+def test_every_record_binds_its_fields_the_one_way_replace_relies_on():
+    samples = _record_samples()
+    records = _records()
+    assert sorted(c.__name__ for c in records) == sorted(samples), "add a sample for each new record"
+    validating = {c.__name__ for c in records if "__init__" in vars(c)}
+    assert validating == {
+        "Operator", "LieWithOperator", "LieBiOperator", "RRhoAlgebra", "QuadraticBunch", "TripleWithOperator",
+        "DesignCandidate",
+    }
+    for cls in records:
+        record = samples[cls.__name__]
+        slots, values = cls.__slots__, record._values()
+        fields = dict(zip(slots, values))
+        # positional in slot order and keywords by name build the same record,
+        # and replace with no change keeps every value (catalog entries compare by identity)
+        assert cls(*values)._values() == cls(**fields)._values() == values, cls
+        assert record.replace()._values() == values, cls
+        # a field given twice, a name that is no field, one argument too many
+        # and a required field left out are refused
+        bad = [
+            lambda: cls(*values, **{slots[0]: values[0]}),
+            lambda: cls(**fields, no_such_field=1),
+            lambda: cls(*values, values[0]),
+            lambda: cls(**{k: v for k, v in fields.items() if k != slots[0]}),
+        ]
+        if "__init__" not in vars(cls):
+            assert set(cls._defaults) <= set(slots), cls
+            required = [k for k in slots if k not in cls._defaults]
+            bad += [lambda k=k: cls(**{n: v for n, v in fields.items() if n != k}) for k in required]
+        for make in bad:
+            with pytest.raises(TypeError):
+                make()
+
+
+@pytest.mark.parametrize("name", [c.__name__ for c in _records() if c._defaults])
+def test_a_record_default_is_taken_for_a_field_left_out_or_none_and_containers_are_fresh(name):
+    record = _record_samples()[name]
+    cls = type(record)
+    required = {k: getattr(record, k) for k in cls.__slots__ if k not in cls._defaults}
+    bare, again = cls(**required), cls(**required, **dict.fromkeys(cls._defaults))
+    for field, default in cls._defaults.items():
+        value = getattr(bare, field)
+        assert value == getattr(again, field) == (default() if callable(default) else default), field
+        if isinstance(value, (dict, list, set)):
+            assert value is not getattr(again, field), field
 
 
 # how each record with derived values is made, the field replace changes,

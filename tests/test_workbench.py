@@ -282,6 +282,20 @@ def test_search_non_normal_triple():
     assert any(f["kind"].startswith("triple-bi-myb-not-") for f in report.findings)
 
 
+def test_search_verdicts_that_find_nothing_and_a_factorization():
+    # the verdicts judged on chosen candidates, so each branch that the seeded
+    # searches never reach runs: the identity is mYB on so(3) and its full and
+    # reduced derived triples agree on gl(2); diag(1,0,0,0) is not triple
+    # bi-mYB on gl(2); and R = rho = R1 = R2 = 0 factorizes on so(3)
+    so3, gl2 = catalog.build_entry("so3"), catalog.build_entry("gl2")
+    assert searches._non_myb(so3, 0, core.Operator.identity(3)) is None
+    assert searches._modes_disagree(gl2, 1, core.Operator.identity(4)) is None
+    assert searches._not_normal(gl2, 1, core.Operator.diagonal([1, 0, 0, 0])) is None
+    zero = core.Operator.zero(3)
+    found = searches._factorization(so3, 2, R=zero, rho=zero, R1=zero, R2=zero)
+    assert found == {"kind": "factorization-found", "trial": 2}
+
+
 def test_search_is_deterministic():
     a = run_search("r0-not-myb", seed=11, trials=5)
     b = run_search("r0-not-myb", seed=11, trials=5)
