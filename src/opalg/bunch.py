@@ -179,11 +179,13 @@ def check_gamma_bunch(q: QuadraticBunch) -> CheckReport:
         **{f"bracket_b{d}": b for d, b in enumerate(q.brackets())},
         **{f"r{d}": r for d, r in enumerate(q.operators())},
     }
-    # b0 is a LieBracket, whose proof holds the scan of its antisymmetry
+    # b0 is a LieBracket, whose proof holds the scans of its antisymmetry and of
+    # its Jacobiator, which is the degree-0 one
     subs = [q.b0.lie.sub("antisymmetry").replace(name="antisymmetry-deg0")]
     subs += [check_antisymmetry(b).replace(name=f"antisymmetry-deg{d}") for d, b in ((1, q.b1), (2, q.b2))]
     subs += [scan(f, structures) for f in HOMOMORPHISM_DEGREES]
-    subs += [scan(f, structures) for f in JACOBI_DEGREES]
+    subs += [q.b0.lie.sub("jacobi").replace(name="jacobi-deg0")]
+    subs += [scan(f, structures) for f in JACOBI_DEGREES[1:]]
     return aggregate_report("gamma-bunch", subs)
 
 

@@ -78,7 +78,7 @@ def _search_arguments(search: argparse.ArgumentParser) -> None:
 
 def _convert_arguments(convert: argparse.ArgumentParser) -> None:
     convert.add_argument("input")
-    convert.add_argument("--to", required=True, choices=("xi", "pair"))
+    convert.add_argument("--to", required=True, choices=tuple(_CONVERSIONS))
     convert.add_argument("--operator", help="first operator name (default R1, or R for --to pair)")
     convert.add_argument("--operator2", help="second operator name (default R2, or xi)")
     convert.add_argument("--out")
@@ -180,19 +180,18 @@ def _cmd_search(args) -> int:
     return 0
 
 
+# --to -> (the operators it reads by default, the conversion, the names it writes)
+_CONVERSIONS = {
+    "xi": (("R1", "R2"), convert_params, ("R", "xi")),
+    "pair": (("R", "xi"), convert_params_inverse, ("R1", "R2")),
+}
+
+
 def _cmd_convert(args) -> int:
     af, _ = load_input(args.input)
-    if args.to == "xi":
-        first = args.operator or "R1"
-        second = args.operator2 or "R2"
-        R, xi = convert_params(af.require_operator(first), af.require_operator(second))
-        operators = {"R": R, "xi": xi}
-    else:
-        first = args.operator or "R"
-        second = args.operator2 or "xi"
-        R1, R2 = convert_params_inverse(af.require_operator(first), af.require_operator(second))
-        operators = {"R1": R1, "R2": R2}
-    out = AlgebraFile(af.dimension, af.basis_names, af.bracket, af.triple, operators)
+    (first, second), convert, written = _CONVERSIONS[args.to]
+    pair = convert(af.require_operator(args.operator or first), af.require_operator(args.operator2 or second))
+    out = AlgebraFile(af.dimension, af.basis_names, af.bracket, af.triple, dict(zip(written, pair)))
     _write(render_algebra_file(out), args.out)
     return 0
 

@@ -120,49 +120,48 @@ def load_input(spec: str) -> tuple:
     return parse_algebra_file(text), spec
 
 
-# A suite is a row (gate, default operator names, body).  The gate checks the
-# base structure the suite builds on, and run_suite runs the body only when
-# every gate check passes.  A gate returns (checks, the input as the body reads
-# it): the Lie gate hands on the proven bracket and the JTS gate the proven
-# triple, so nothing the body builds on them proves them again.  run_suite then
-# looks up the body's operators, --operator and --operator2 in row order, or
-# else the row's defaults, where None reads an operator only when it is given.
-# A body takes (input, options, *operators) and returns (checks, findings).
+# A suite is a row (what it reads, default operator names, body).  A row reads
+# "bracket" (the bracket, proved Lie first), "jts" (the triple, proved for the
+# variant first) or "triple" (the triple, unproved), or more than one of them.
+# run_suite resolves the whole request before any check runs: the input, each
+# section the row reads, --variant (validated for every suite), and the
+# operators, --operator and --operator2 in row order or else the row's
+# defaults, where None reads an operator only when it is given.  So a refusal
+# costs no scan.  Then it runs the row's proofs, and the body only when every
+# proof check passed; a proof hands on the proved section, so nothing the body
+# builds on it proves it again.  A body takes (input, variant, *operators) and
+# returns (checks, findings).
 
 
-def _variant(opts) -> str:
-    variant = opts.get("variant", VARIANT_JACOBSON)
-    if variant not in JTS_VARIANTS:
-        raise UnknownSuiteError(f"unknown triple-system identity variant: {variant!r}")
-    return variant
-
-
-def _lie_gate(af, opts) -> tuple:
-    report, bracket = prove_lie(af.require_bracket())
+def _prove_lie(af, variant) -> tuple:
+    report, bracket = prove_lie(af.bracket)
     return list(report.subchecks), af.replace(bracket=bracket)
 
 
-def _jts_gate(af, opts) -> tuple:
-    report, triple = prove_jts(af.require_triple(), _variant(opts))
+def _prove_jts(af, variant) -> tuple:
+    report, triple = prove_jts(af.triple, variant)
     return [report], af.replace(triple=triple)
 
 
-def _triple_gate(af, opts) -> tuple:
-    af.require_triple()
-    return [], af
+# what a row reads -> (the section it requires, the proof that section takes first)
+_READS = {
+    "bracket": (AlgebraFile.require_bracket, _prove_lie),
+    "jts": (AlgebraFile.require_triple, _prove_jts),
+    "triple": (AlgebraFile.require_triple, lambda af, variant: ([], af)),
+}
 
 
-def _suite_even_tempered(af, opts, R1, R2):
+def _suite_even_tempered(af, variant, R1, R2):
     g = LieBiOperator(af.bracket, R1, R2)
     return [check_bi_myb(g), check_even_tempered(g)], []
 
 
-def _suite_xi(af, opts, R, xi):
+def _suite_xi(af, variant, R, xi):
     g = LieWithOperator(af.bracket, R)
     return [check_xi_characterization(g, xi), check_even_tempered_xi(g, xi)], []
 
 
-def _suite_r0_probe(af, opts, R1, R2):
+def _suite_r0_probe(af, variant, R1, R2):
     bi, probe = probe_r0(LieBiOperator(af.bracket, R1, R2))
     if probe is None:
         return [bi], []
@@ -175,24 +174,19 @@ def _suite_r0_probe(af, opts, R1, R2):
     return [bi, probe], [finding]
 
 
-def _suite_jordan_base(af, opts):
-    variant = _variant(opts)
+def _suite_jordan_base(af, variant):
     other = next(v for v in JTS_VARIANTS if v != variant)
     checks = [check_jts_identity(af.triple, variant)]
     checks.append(check_jts_identity(af.triple, other).replace(informational=True))
     return checks, []
 
 
-def _suite_triple_bi_myb(af, opts, R1, R2):
+def _suite_triple_bi_myb(af, variant, R1, R2):
     s1 = TripleWithOperator(af.triple, R1)
     return [check_triple_bi_myb(s1, s1.replace(R=R2))], []
 
 
-def _suite_design(af, opts):
-    return [check_design(DesignCandidate(af.bracket, af.require_triple(), _variant(opts)))], []
-
-
-def _suite_rho(af, opts, rho, R):
+def _suite_rho(af, variant, rho, R):
     """rho-exchange; with operator2 R, first the triple mYB identity of (triple,
     R), then the transport of the reduced derived triple only where it holds.
     The suite proves no JTS identity, so the triple-mYB line notes it."""
@@ -202,7 +196,7 @@ def _suite_rho(af, opts, rho, R):
     return [s.triple_r[0], check_rho_identity(s, rho)], []
 
 
-def _suite_rrho_bunch(af, opts, R, rho):
+def _suite_rrho_bunch(af, variant, R, rho):
     a = RRhoAlgebra(af.bracket, R, rho)
     gamma, back = extract_rrho(build_bunch(a))
     checks = [check_rrho(a), gamma]
@@ -212,20 +206,20 @@ def _suite_rrho_bunch(af, opts, R, rho):
 
 
 SUITES = {
-    "lie-base": (_lie_gate, (), lambda af, opts: ([], [])),
-    "myb": (_lie_gate, ("R",), lambda af, opts, R: ([check_myb_raw(af.bracket, R)], [])),
-    "bi-myb": (_lie_gate, ("R1", "R2"), lambda af, opts, *pair: ([check_bi_myb(LieBiOperator(af.bracket, *pair))], [])),
-    "even-tempered": (_lie_gate, ("R1", "R2"), _suite_even_tempered),
-    "xi": (_lie_gate, ("R", "xi"), _suite_xi),
-    "r0-probe": (_lie_gate, ("R1", "R2"), _suite_r0_probe),
-    "jordan-base": (_triple_gate, (), _suite_jordan_base),
-    "triple-myb": (_jts_gate, ("R",), lambda af, opts, R: ([check_triple_myb(TripleWithOperator(af.triple, R))], [])),
-    "triple-bi-myb": (_jts_gate, ("R1", "R2"), _suite_triple_bi_myb),
-    "design": (_lie_gate, (), _suite_design),
-    "equivariance": (_lie_gate, (), lambda af, opts: ([check_equivariance(af.bracket, af.require_triple())], [])),
-    "rho": (_triple_gate, ("rho", None), _suite_rho),
-    "rrho": (_lie_gate, ("R", "rho"), lambda af, opts, R, rho: ([check_rrho(RRhoAlgebra(af.bracket, R, rho))], [])),
-    "rrho+bunch": (_lie_gate, ("R", "rho"), _suite_rrho_bunch),
+    "lie-base": (("bracket",), (), lambda af, variant: ([], [])),
+    "myb": (("bracket",), ("R",), lambda af, variant, R: ([check_myb_raw(af.bracket, R)], [])),
+    "bi-myb": (("bracket",), ("R1", "R2"), lambda af, variant, *pair: ([check_bi_myb(LieBiOperator(af.bracket, *pair))], [])),
+    "even-tempered": (("bracket",), ("R1", "R2"), _suite_even_tempered),
+    "xi": (("bracket",), ("R", "xi"), _suite_xi),
+    "r0-probe": (("bracket",), ("R1", "R2"), _suite_r0_probe),
+    "jordan-base": (("triple",), (), _suite_jordan_base),
+    "triple-myb": (("jts",), ("R",), lambda af, variant, R: ([check_triple_myb(TripleWithOperator(af.triple, R))], [])),
+    "triple-bi-myb": (("jts",), ("R1", "R2"), _suite_triple_bi_myb),
+    "design": (("bracket", "triple"), (), lambda af, variant: ([check_design(DesignCandidate(af.bracket, af.triple, variant))], [])),
+    "equivariance": (("bracket", "triple"), (), lambda af, variant: ([check_equivariance(af.bracket, af.triple)], [])),
+    "rho": (("triple",), ("rho", None), _suite_rho),
+    "rrho": (("bracket",), ("R", "rho"), lambda af, variant, R, rho: ([check_rrho(RRhoAlgebra(af.bracket, R, rho))], [])),
+    "rrho+bunch": (("bracket",), ("R", "rho"), _suite_rrho_bunch),
 }
 
 
@@ -239,19 +233,25 @@ def run_suite(input_spec, suite: str, options: dict | None = None) -> RunReport:
     options = dict(options or {})
     if suite not in SUITES:
         raise UnknownSuiteError(f"unknown suite {suite!r}; known: {sorted(SUITES)}")
-    gate, defaults, body = SUITES[suite]
+    reads, defaults, body = SUITES[suite]
+    variant = options.get("variant", VARIANT_JACOBSON)
     with forced(bool(options.get("force"))):
         if isinstance(input_spec, AlgebraFile):
             af, source = input_spec, "<memory>"
         else:
             af, source = load_input(input_spec)
-        checks, gated = gate(af, options)
-        findings = []
-        if all(c.passed for c in checks):
-            names = [options.get(key, default) for key, default in zip(("operator", "operator2"), defaults)]
-            operators = [None if name is None else gated.require_operator(name) for name in names]
-            more, findings = body(gated, options, *operators)
+        for read in reads:
+            _READS[read][0](af)
+        if variant not in JTS_VARIANTS:
+            raise UnknownSuiteError(f"unknown triple-system identity variant: {variant!r}")
+        names = [options.get(key, default) for key, default in zip(("operator", "operator2"), defaults)]
+        operators = [None if name is None else af.require_operator(name) for name in names]
+        checks, proved = [], af
+        for read in reads:
+            more, proved = _READS[read][1](proved, variant)
             checks += more
+        more, findings = body(proved, variant, *operators) if all(c.passed for c in checks) else ([], [])
+        checks += more
     return RunReport(
         source=source,
         input_digest=algebra_file_digest(af),

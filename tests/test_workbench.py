@@ -11,12 +11,12 @@ import time
 import pytest
 
 from opalg import DimensionGuardError, WorkbenchError, catalog, core, forced, searches
-from opalg.algfile import ParseError, parse_algebra_file
+from opalg.algfile import ParseError, parse_algebra_file, render_algebra_file
 from opalg.cli import _build_parser, main
 from opalg.findings import open_question_findings, render_findings
 from opalg.formula import Formula
 from opalg.searches import TargetIsTheoremError, UnknownTargetError, run_search
-from opalg.suites import SUITES, UnknownSuiteError, _lie_gate, load_input, run_suite
+from opalg.suites import SUITES, UnknownSuiteError, load_input, run_suite
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +138,11 @@ def test_rrho_bunch_suite_scans_gamma_bunch_once(monkeypatch):
     assert [c.name for c in report.checks][-1] == "extraction-round-trip"
     # the suite reports the gamma-bunch check that the extraction ran as its precondition
     for d in range(5):
-        assert scans.count(f"homomorphism-deg{d}") == scans.count(f"jacobi-deg{d}") == 1
+        assert scans.count(f"homomorphism-deg{d}") == 1
+        if d == 0:  # b0's Lie proof holds its Jacobiator
+            assert scans.count("jacobi-deg0") == 0 and scans.count("jacobi") == 1
+        else:
+            assert scans.count(f"jacobi-deg{d}") == 1
 
 
 def _count_binds(monkeypatch) -> list:
@@ -154,7 +158,7 @@ def _count_binds(monkeypatch) -> list:
     return binds
 
 
-@pytest.mark.parametrize("suite", [name for name, (gate, _, _) in SUITES.items() if gate is _lie_gate])
+@pytest.mark.parametrize("suite", [name for name, (reads, _, _) in SUITES.items() if "bracket" in reads])
 def test_lie_suites_prove_the_bracket_once(monkeypatch, suite):
     proofs = collections.Counter()
     bind = Formula.bind
@@ -177,6 +181,74 @@ def test_lie_suites_prove_the_bracket_once(monkeypatch, suite):
         assert proofs.pop(("antisymmetry", bracket)) == 1, entry
         assert proofs.pop(("jacobi", bracket)) == 1, entry
         assert set(proofs.values()) <= {1}, entry
+
+
+NO_BRACKET, NO_TRIPLE = "input has no bracket section", "input has no triple section"
+UNKNOWN_VARIANT = "unknown triple-system identity variant: 'classical'"
+
+
+def _no_operator(name):
+    return f"input has no operator named {name!r}"
+
+
+# suite -> its refusal of (a file with only a dimension, catalog:so9, which has
+# a bracket only, a file with a triple only); None where the input is accepted
+REFUSALS = {
+    "lie-base": (NO_BRACKET, None, NO_BRACKET),
+    "myb": (NO_BRACKET, _no_operator("R"), NO_BRACKET),
+    "bi-myb": (NO_BRACKET, _no_operator("R1"), NO_BRACKET),
+    "even-tempered": (NO_BRACKET, _no_operator("R1"), NO_BRACKET),
+    "xi": (NO_BRACKET, _no_operator("R"), NO_BRACKET),
+    "r0-probe": (NO_BRACKET, _no_operator("R1"), NO_BRACKET),
+    "jordan-base": (NO_TRIPLE, NO_TRIPLE, None),
+    "triple-myb": (NO_TRIPLE, NO_TRIPLE, _no_operator("R")),
+    "triple-bi-myb": (NO_TRIPLE, NO_TRIPLE, _no_operator("R1")),
+    "design": (NO_BRACKET, NO_TRIPLE, NO_BRACKET),
+    "equivariance": (NO_BRACKET, NO_TRIPLE, NO_BRACKET),
+    "rho": (NO_TRIPLE, NO_TRIPLE, _no_operator("rho")),
+    "rrho": (NO_BRACKET, _no_operator("R"), NO_BRACKET),
+    "rrho+bunch": (NO_BRACKET, _no_operator("R"), NO_BRACKET),
+}
+# the suites that read --operator, and those that also read --operator2
+READS_OPERATOR = sorted(set(SUITES) - {"lie-base", "jordan-base", "design", "equivariance"})
+READS_OPERATOR2 = sorted(set(READS_OPERATOR) - {"myb", "triple-myb"})
+
+
+def _refusal_cases():
+    for suite, refusals in REFUSALS.items():
+        for source, message in zip(("dimension-only", "catalog:so9", "triple-only"), refusals):
+            if message is not None:
+                yield pytest.param(suite, source, (), message, id=f"{suite}-{source}")
+        yield pytest.param(suite, "catalog:example3-gl2", ("--variant", "classical"), UNKNOWN_VARIANT, id=f"{suite}-variant")
+    for suite in READS_OPERATOR:
+        yield pytest.param(suite, "catalog:example3-gl2", ("--operator", "nope"), _no_operator("nope"), id=f"{suite}-operator")
+    for suite in READS_OPERATOR2:
+        yield pytest.param(suite, "catalog:example3-gl2", ("--operator2", "nope"), _no_operator("nope"), id=f"{suite}-operator2")
+    # a missing section comes before an unknown variant, which comes before a missing operator
+    yield pytest.param("jordan-base", "dimension-only", ("--variant", "classical"), NO_TRIPLE, id="section-before-variant")
+    yield pytest.param("bi-myb", "catalog:so9", ("--variant", "classical"), UNKNOWN_VARIANT, id="variant-before-operator")
+
+
+@pytest.mark.parametrize("suite, source, options, message", _refusal_cases())
+def test_a_suite_refuses_before_any_scan(monkeypatch, capsys, tmp_path, suite, source, options, message):
+    gl2, _ = load_input("catalog:gl2")
+    files = {"dimension-only": '{"dimension": 2}', "triple-only": render_algebra_file(gl2.replace(bracket=None))}
+    if source in files:
+        path = tmp_path / f"{source}.json"
+        path.write_text(files[source])
+        source = str(path)
+    binds = _count_binds(monkeypatch)
+    assert run_cli(capsys, "check", source, "--suite", suite, *options) == (2, "", f"error: {message}\n")
+    assert binds == []
+
+
+def test_a_refusal_comes_before_a_failing_proof(tmp_path, capsys):
+    # the bracket fails Jacobi and the file has no R: the missing operator is
+    # refused before the proof runs, so the request is a usage error, not exit 1
+    path = tmp_path / "not-lie.json"
+    path.write_text(json.dumps({"dimension": 3, "bracket": [[0, 1, 0, "1"], [1, 0, 0, "-1"], [1, 2, 1, "1"], [2, 1, 1, "-1"]]}))
+    assert run_cli(capsys, "check", str(path), "--suite", "myb") == (2, "", f"error: {_no_operator('R')}\n")
+    assert run_cli(capsys, "check", str(path), "--suite", "lie-base")[0] == 1
 
 
 def test_rrho_bunch_suite_tabulates_each_bracket_once(monkeypatch):
