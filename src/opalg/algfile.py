@@ -168,9 +168,17 @@ def render_algebra_file(af: AlgebraFile) -> str:
 
 
 def algebra_file_digest(af: AlgebraFile) -> str:
-    import hashlib  # only check reports carry a digest; other commands skip the import
-
-    return hashlib.sha256(render_algebra_file(af).encode()).hexdigest()
+    """SHA-256 of the rendered file, from CPython's built-in hash module where
+    there is one: hashlib loads OpenSSL, which costs more than the hash.  Only
+    check reports carry a digest, so other commands import neither."""
+    try:
+        from _sha2 import sha256  # CPython 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(render_algebra_file(af).encode()).hexdigest()
 
 
 def entry_to_algebra_file(entry) -> AlgebraFile:

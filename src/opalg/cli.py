@@ -79,8 +79,9 @@ def _search_arguments(search: argparse.ArgumentParser) -> None:
 def _convert_arguments(convert: argparse.ArgumentParser) -> None:
     convert.add_argument("input")
     convert.add_argument("--to", required=True, choices=tuple(_CONVERSIONS))
-    convert.add_argument("--operator", help="first operator name (default R1, or R for --to pair)")
-    convert.add_argument("--operator2", help="second operator name (default R2, or xi)")
+    for slot, (flag, which) in enumerate((("--operator", "first"), ("--operator2", "second"))):
+        defaults = ", ".join(f"{read[slot]} for --to {to}" for to, (read, _, _) in _CONVERSIONS.items())
+        convert.add_argument(flag, help=f"{which} operator name (default {defaults})")
     convert.add_argument("--out")
 
 

@@ -239,9 +239,15 @@ class Operator(FrozenRecord):
 
     def integer_form(self) -> tuple:
         """(M, d): d the least positive integer with M = d * self integer; (self, 1) if d = 1."""
+        form, d = self._integer_form
+        return self if form is None else form, d
+
+    @functools.cached_property
+    def _integer_form(self) -> tuple:
+        """(M, d), with None for M = self, so that the record holds no reference to itself."""
         d = common_denominator(a for row in self.rows for a in row)
         if d == 1:
-            return self, 1
+            return None, 1
         return Operator(tuple(tuple(a.numerator * (d // a.denominator) for a in row) for row in self.rows)), d
 
     def column(self, c: int) -> dict:
@@ -376,9 +382,16 @@ class _SparseTensor:
     def integer_form(self) -> tuple:
         """(T, d): d the least positive integer with T = d * self integer; (self, 1) if d = 1.
         T is of the plain class for the arity, since only a proof makes a proven structure."""
+        form, d = self._integer_form
+        return self if form is None else form, d
+
+    @functools.cached_property
+    def _integer_form(self) -> tuple:
+        """(T, d), with None for T = self, so that the structure holds no reference
+        to itself and a proven one sharing its __dict__ still gets itself."""
         d = common_denominator(s for vec in self._c.values() for s in vec.values())
         if d == 1:
-            return self, 1
+            return None, 1
         entries = {key: {k: s.numerator * (d // s.denominator) for k, s in v.items()} for key, v in self._c.items()}
         return TENSOR_CLASSES[self.arity](self.dim, entries), d
 

@@ -10,12 +10,13 @@ is an operator word applied to what follows.  ``[a,b]`` is the bracket and
 ``bracket_R``, ``<X,Y,Z>_R`` the one passed as ``triple_R``.  Terms combine
 with ``+``, ``-``, parentheses and rational coefficients (``1/4(...)``).
 
-Each formula is parsed once, on first use, and both evaluators read the
-parsed residual.  ``bind`` picks the evaluator from the formula's arity:
-joins from 4 variables up, the loop nest below.
+Each formula is parsed at most once per process, on first use, and both
+evaluators read the parsed residual; a nest read from the cache below needs
+no parse.  ``bind`` picks the evaluator from the formula's arity: joins from
+4 variables up, the loop nest below.
 
-A formula of arity at most 3 compiles once, on first use, into a loop nest
-over its variables in scan order, ``for _x0 in range(dim): ... for _x{a-1} in
+A formula of arity at most 3 compiles once per machine into a loop nest over
+its variables in scan order, ``for _x0 in range(dim): ... for _x{a-1} in
 range(dim):``.  It is a generator yielding ``(indices, residual)`` for every
 basis tuple with a nonzero residual, in lexicographic order, and it makes the
 kernel calls a hand-written scan would: ``value`` on basis indices, ``column``
@@ -35,6 +36,20 @@ contractions.  Four rules shape it:
 - in-place updates: a sum updates in place only a fresh value computed in
   its own loop and used nowhere else, since hoisted and shared values are
   read again.
+
+The compiled nest is cached on disk beside formula.py's own bytecode, in the
+directory ``importlib.util.cache_from_source`` names (so ``sys.pycache_prefix``
+applies): one file ``formula.<name>.<cache tag>.nest`` per formula name, its
+non-word characters as ``_``.  The file holds ``marshal.dumps((key, structure
+names, code))``, the key being formula.py's ``st_mtime_ns`` and ``st_size``,
+the formula's name, variables and text: CPython's rule for formula.py's own
+``.pyc``, and the generated text depends on nothing outside this file.  An
+equal key is a hit, which runs the code with no parse, code generation or
+``compile()``.  Anything else is a miss: no file, an unreadable or malformed
+one, or another key.  A miss compiles as above and then, unless
+``sys.dont_write_bytecode``, writes the entry through a temporary file and
+``os.replace``; a write that fails is ignored, and where there is no such
+directory nothing is cached.
 
 A formula of arity 4 or more is evaluated as joins over the structures'
 supports, one value x0 of the first variable at a time.  The value of a
@@ -90,10 +105,15 @@ a tuple-by-tuple scan evaluates.  ``tabulate`` collects every yield.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import itertools
+import marshal
 import math
 import operator
+import os
 import re
+import sys
+import types
 
 from . import core  # core states its own identities here, so its names are read at call time
 from .scalars import scalar
@@ -332,6 +352,49 @@ def _times(q: int, scale: str) -> str:
     return scale if q == 1 else str(q) if scale == "1" else f"({q} * {scale})"
 
 
+def _cache_file(formula, ident: str) -> tuple:
+    """(the file of formula's cached nest, the key its entry must hold), both
+    None where this interpreter caches no bytecode."""
+    try:
+        stamp = os.stat(__file__)
+        directory = os.path.dirname(importlib.util.cache_from_source(__file__))
+    except (OSError, NotImplementedError):
+        return None, None
+    path = os.path.join(directory, f"formula.{ident}.{sys.implementation.cache_tag}.nest")
+    return path, (stamp.st_mtime_ns, stamp.st_size, formula.name, formula.variables, formula.text)
+
+
+def _load(path, key):
+    """(structure names, code) from the entry at path if it holds key, else None."""
+    if path is None:
+        return None
+    try:
+        with open(path, "rb") as fh:
+            entry = marshal.loads(fh.read())
+    except (OSError, EOFError, ValueError, TypeError):
+        return None
+    if type(entry) is tuple and len(entry) == 3 and entry[0] == key:
+        names, code = entry[1:]
+        if type(names) is tuple and type(code) is types.CodeType:
+            return names, code
+    return None
+
+
+def _store(path: str, entry: tuple) -> None:
+    """Write entry to path through a temporary file, so no reader sees half of
+    it; a write that fails leaves no file."""
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "wb") as fh:
+            fh.write(marshal.dumps(entry))
+        os.replace(temporary, path)
+    except OSError:
+        try:
+            os.unlink(temporary)
+        except OSError:
+            pass
+
+
 def _structure_names(t) -> set:
     """The names of the structures and operators a term reads."""
     if t[0] == "var":
@@ -534,13 +597,30 @@ class Formula:
         return top, tuple(sorted(_structure_names(top)))
 
     @functools.cached_property
-    def _nest(self):
-        """nest(_iadd, _scale, _gather, _range, **structures, **denominators), the
-        generator of nonzero residuals, where each structure is an integer form and
-        denominators maps _d_<name> to its d."""
+    def _nest(self) -> tuple:
+        """(nest, the sorted names of the structures it reads), nest(_iadd, _scale,
+        _gather, _range, **structures, **denominators) the generator of nonzero
+        residuals, where each structure is an integer form and denominators maps
+        _d_<name> to its d.  The code comes from the machine's cache on a hit, and
+        is generated, compiled and stored on a miss."""
+        ident = re.sub(r"\W", "_", self.name)  # so that a profile names the formula
+        path, key = _cache_file(self, ident)
+        cached = _load(path, key)
+        if cached is None:
+            structures = self._parsed[1]
+            code = compile(self._source(ident), "<string>", "exec", dont_inherit=True)
+            if path is not None and not sys.dont_write_bytecode:
+                _store(path, (key, structures, code))
+        else:
+            structures, code = cached
+        namespace = {"_lcm": math.lcm, "_div": core.vec_div}
+        exec(code, namespace)
+        return namespace[f"nonzero_{ident}"], structures
+
+    def _source(self, ident: str) -> str:
+        """The text of the nest's def, named nonzero_<ident>."""
         top, structures = self._parsed
         gen = _Codegen(top, self.arity)
-        ident = re.sub(r"\W", "_", self.name)  # so that a profile names the formula
         arguments = ", ".join([*structures, *(f"_d_{name}" for name in structures)])
         source = [
             f"def nonzero_{ident}(_iadd, _scale, _gather, _range, {arguments}):",
@@ -556,9 +636,7 @@ class Formula:
         if gen.scale != "1":
             residual += f" if {gen.scale} == 1 else _div({gen.result}, {gen.scale})"
         source += [f"{indent}if {gen.result}:", f"{indent}    yield ({indices},), {residual}"]
-        namespace = {"_lcm": math.lcm, "_div": core.vec_div}
-        exec("\n".join(source), namespace)
-        return namespace[f"nonzero_{ident}"]
+        return "\n".join(source)
 
     def bind(self, structures: dict) -> tuple:
         """(generator of nonzero residuals, dimension) on the structures the
@@ -569,7 +647,8 @@ class Formula:
         nonzero residual, in lexicographic order: from joins at arity 4 and
         above, from the loop nest below.
         """
-        top, names = self._parsed
+        joins = self.arity >= 4  # the module docstring says why arity decides
+        top_or_nest, names = self._parsed if joins else self._nest
         used = {key: structures[key] for key in names}
         dims = {s.dim for s in used.values()}
         if len(dims) != 1:
@@ -578,11 +657,11 @@ class Formula:
         core.guard_scan(dim, self.arity, self.name)
         forms = {key: s.integer_form() for key, s in used.items()}
         integer = {key: form for key, (form, _) in forms.items()}
-        if self.arity >= 4:  # the module docstring says why arity decides
+        if joins:
             denominators = {key: d for key, (_, d) in forms.items()}
-            return _Joins(top, self.arity, dim, integer, denominators).residuals(), dim
+            return _Joins(top_or_nest, self.arity, dim, integer, denominators).residuals(), dim
         denominators = {f"_d_{key}": d for key, (_, d) in forms.items()}
-        nonzero = self._nest(core.vec_iadd, core.vec_scale, core.vec_gather, range(dim), **integer, **denominators)
+        nonzero = top_or_nest(core.vec_iadd, core.vec_scale, core.vec_gather, range(dim), **integer, **denominators)
         return nonzero, dim
 
 

@@ -144,6 +144,29 @@ def test_integer_form_is_plain_and_scaled(arity, proven):
 
 
 @pytest.mark.parametrize("arity", ARITIES)
+def test_integer_form_is_kept_and_shared_with_the_proof(arity):
+    plain = _halved(arity, False)
+    form, d = plain.integer_form()
+    assert plain.integer_form()[0] is form
+    proven = ARITIES[arity][2](plain)[1]
+    assert proven.integer_form() == (form, d) and proven.integer_form()[0] is form
+    # d = 1: each of the two records sharing the entries is its own integer form
+    integer = ARITIES[arity][2](form)[1]
+    assert form.integer_form() == (form, 1) and form.integer_form()[0] is form
+    assert integer.integer_form()[0] is integer and form.integer_form()[0] is form
+
+
+def test_operator_integer_form_is_kept():
+    rational = Operator([[scalar(1, 2), 0], [3, scalar(-1, 3)]])
+    form, d = rational.integer_form()
+    assert (form, d) == (Operator([[3, 0], [18, -2]]), 6)
+    assert rational.integer_form()[0] is form
+    assert rational.replace(rows=rational.rows).integer_form() == (form, d)
+    integer = Operator([[1, 2], [3, 4]])
+    assert integer.integer_form() == (integer, 1) and integer.integer_form()[0] is integer
+
+
+@pytest.mark.parametrize("arity", ARITIES)
 def test_from_rows_refuses_duplicates_and_wrong_widths(arity):
     cls, kind, _ = ARITIES[arity]
     row = (0,) * (arity + 1) + (1,)

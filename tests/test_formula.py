@@ -2,15 +2,21 @@
 witness positions in the loop nest and the joins, and every stated formula
 against a tree-walking interpreter."""
 
+import importlib.util
 import itertools
+import marshal
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 import opalg as oa
 from opalg import bunch, core, jordan, lie
+from opalg import formula as formula_module
 from opalg.catalog import build_entry
 from opalg.bunch import QUADRATIC_BRACKET
 from opalg.core import JACOBI, vec_dense, vec_iadd
@@ -514,7 +520,7 @@ def _on_both_evaluators(formula: Formula, structures: dict, dim: int) -> tuple:
     forms = {name: structures[name].integer_form() for name in names}
     integer = {name: form for name, (form, _) in forms.items()}
     denominators = {name: d for name, (_, d) in forms.items()}
-    nest = formula._nest(
+    nest = formula._nest[0](
         core.vec_iadd, core.vec_scale, core.vec_gather, range(dim),
         **integer, **{f"_d_{name}": d for name, d in denominators.items()},
     )
@@ -544,3 +550,168 @@ def test_random_formulas_match_the_generated_tree_on_both_evaluators():
             assert nest == expected, text
             assert joins == expected, text
     assert arities == {1, 2, 3, 4}
+
+
+# ---------------------------------------------------------------------------
+# the machine's cache of compiled nests, beside formula.py's own bytecode
+
+SRC = os.path.dirname(os.path.dirname(formula_module.__file__))
+TAG = sys.implementation.cache_tag
+
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch) -> str:
+    """The directory of the nest cache under a fresh pycache_prefix, as
+    ``-X pycache_prefix=`` sets it, created, empty and written to."""
+    monkeypatch.setattr(sys, "pycache_prefix", str(tmp_path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", False)
+    directory = os.path.dirname(importlib.util.cache_from_source(formula_module.__file__))
+    os.makedirs(directory)
+    return directory
+
+
+@pytest.fixture
+def work(monkeypatch) -> list:
+    """The names _Parser, _Codegen and compile, once for each call formula.py makes while the test runs."""
+    calls = []
+    for cls in (formula_module._Parser, formula_module._Codegen):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, init=init, name=cls.__name__: calls.append(name) or init(self, *a))
+    monkeypatch.setattr(formula_module, "compile", lambda *a, **k: calls.append("compile") or compile(*a, **k), raising=False)
+    return calls
+
+
+def _copy(formula: Formula) -> Formula:
+    """The formula as a new object, which has parsed and compiled nothing yet."""
+    return Formula(formula.name, " ".join(formula.variables), formula.text)
+
+
+def _read(path: str):
+    with open(path, "rb") as fh:
+        return marshal.loads(fh.read())
+
+
+def _myb_structures() -> dict:
+    return {"bracket": oa.so_n(3).bracket, "R": oa.Operator([[scalar(1, 2), 1, 0], [0, 0, 1], [1, 0, scalar(-2, 3)]])}
+
+
+def test_a_nest_is_compiled_once_and_then_read_from_the_cache(cache, work):
+    structures = _myb_structures()
+    expected = _interpreted(MYB, structures)
+    work.clear()
+    assert expected and dict(_copy(MYB).bind(structures)[0]) == expected
+    assert sorted(set(work)) == ["_Codegen", "_Parser", "compile"]
+    assert os.listdir(cache) == [f"formula.myb.{TAG}.nest"]
+    work.clear()
+    hit = _copy(MYB)
+    assert dict(hit.bind(structures)[0]) == expected and work == []
+    assert "_parsed" not in vars(hit)
+
+
+def _rewritten_text(path) -> None:
+    """The entry of another formula named myb, written by its bind."""
+    Formula("myb", "X Y", "[X,Y] = 0").bind(_myb_structures())
+
+
+def _rewritten_entry(change):
+    def rewrite(path) -> None:
+        data = change(_read(path))
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+    return rewrite
+
+
+MISSES = {
+    "text": _rewritten_text,
+    "stamp": _rewritten_entry(lambda entry: marshal.dumps(((entry[0][0] - 1, *entry[0][1:]), *entry[1:]))),
+    "truncated": _rewritten_entry(lambda entry: marshal.dumps(entry)[:-9]),
+    "garbage": _rewritten_entry(lambda entry: b"\xffno entry here"),
+    "shape": _rewritten_entry(lambda entry: marshal.dumps((entry[0], "bracket R"))),
+}
+
+
+@pytest.mark.parametrize("miss", sorted(MISSES))
+def test_a_miss_compiles_again_and_rewrites_the_entry(cache, work, miss):
+    structures = _myb_structures()
+    expected = list(_copy(MYB).bind(structures)[0])
+    path, key = formula_module._cache_file(_copy(MYB), "myb")
+    MISSES[miss](path)
+    if miss in ("text", "stamp"):
+        assert _read(path)[0] != key
+    work.clear()
+    assert list(_copy(MYB).bind(structures)[0]) == expected
+    assert {"_Codegen", "compile"} <= set(work)
+    assert _read(path)[0] == key and os.listdir(cache) == [os.path.basename(path)]
+    work.clear()
+    assert list(_copy(MYB).bind(structures)[0]) == expected and work == []
+
+
+def test_without_bytecode_writes_the_cache_is_read_but_not_written(cache, work, monkeypatch):
+    structures = _myb_structures()
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    expected = list(_copy(MYB).bind(structures)[0])
+    assert "compile" in work and os.listdir(cache) == []
+    monkeypatch.setattr(sys, "dont_write_bytecode", False)
+    _copy(MYB).bind(structures)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    work.clear()
+    assert list(_copy(MYB).bind(structures)[0]) == expected and work == []
+    assert os.listdir(cache) == [f"formula.myb.{TAG}.nest"]
+
+
+@pytest.mark.parametrize("where", ["no-directory", "failing-replace"])
+def test_an_unwritable_cache_writes_nothing(tmp_path, monkeypatch, where):
+    monkeypatch.setattr(sys, "pycache_prefix", str(tmp_path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", False)
+    if where == "failing-replace":
+        os.makedirs(os.path.dirname(importlib.util.cache_from_source(formula_module.__file__)))
+
+        def refuse(*args):
+            raise PermissionError("read-only")
+
+        monkeypatch.setattr(os, "replace", refuse)
+    before = sorted(os.walk(tmp_path))
+    structures = _myb_structures()
+    for _ in range(2):
+        assert dict(_copy(MYB).bind(structures)[0]) == _interpreted(MYB, structures)
+    assert sorted(os.walk(tmp_path)) == before
+
+
+def test_the_cached_code_of_every_stated_nest_is_a_fresh_compile_of_its_source(cache):
+    nested = sorted(name for name, f in STATED.items() if f.arity <= 3)
+    assert len(nested) == len(STATED) - len(JOINED)
+    for name in nested:
+        miss = _copy(STATED[name])
+        nest, names = miss._nest
+        ident = nest.__name__.removeprefix("nonzero_")
+        path, key = formula_module._cache_file(miss, ident)
+        source = miss._source(ident)
+        assert _read(path) == (key, names, compile(source, "<string>", "exec", dont_inherit=True)), name
+        assert names == miss._parsed[1]
+        hit = _copy(STATED[name])
+        assert hit._nest[0].__code__ == nest.__code__ and hit._nest[1] == names
+        assert "_parsed" not in vars(hit)
+    assert len(os.listdir(cache)) == len(nested)
+
+
+_CHECK_IN_A_CHILD = f"""
+import sys
+sys.path.insert(0, {SRC!r})
+import opalg.cli
+from opalg import formula
+calls = []
+for cls in (formula._Parser, formula._Codegen):
+    cls.__init__ = (lambda init, name: lambda self, *a: calls.append(name) or init(self, *a))(cls.__init__, cls.__name__)
+formula.compile = lambda *a, **k: calls.append("compile") or compile(*a, **k)
+code = opalg.cli.main(["check", "catalog:example4-so3?q=seed:1", "--suite", "rrho+bunch"])
+print(sorted(set(calls)), sorted({{"hashlib", "_hashlib"}} & set(sys.modules)), code, file=sys.stderr)
+"""
+
+
+def test_a_warm_check_compiles_no_nest_and_loads_no_openssl(tmp_path):
+    argv = [sys.executable, "-I", "-X", f"pycache_prefix={tmp_path}", "-c", _CHECK_IN_A_CHILD]
+    cold, warm = (subprocess.run(argv, capture_output=True, text=True, timeout=120) for _ in range(2))
+    assert cold.stderr == "['_Codegen', '_Parser', 'compile'] [] 0\n"
+    assert warm.stderr == "[] [] 0\n"
+    assert warm.stdout == cold.stdout and "result: PASS" in cold.stdout

@@ -15,7 +15,9 @@ change of report bytes:
 """
 
 import contextlib
+import gc
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -25,6 +27,7 @@ import tempfile
 
 import pytest
 
+from opalg import formula
 from opalg.cli import main
 from opalg.formula import Formula
 
@@ -254,12 +257,27 @@ def compute_digests(each=None) -> dict:
     return digests
 
 
+def _forget_compiled_nests(patch, prefix) -> None:
+    """Point the formula cache at prefix, as ``-X pycache_prefix=`` would, with
+    bytecode writes on, and drop what every formula in this process parsed or
+    compiled, so that its next bind reads the cache or compiles."""
+    patch.setattr(sys, "pycache_prefix", str(prefix))
+    patch.setattr(sys, "dont_write_bytecode", False)
+    os.makedirs(os.path.dirname(importlib.util.cache_from_source(formula.__file__)), exist_ok=True)
+    for f in gc.get_objects():
+        if isinstance(f, Formula):
+            vars(f).pop("_parsed", None)
+            vars(f).pop("_nest", None)
+
+
 @pytest.fixture(scope="module")
-def golden_run() -> tuple:
-    """The digests, and for each case the formulas it bound again on
-    structures equal to those of an earlier bind, recorded by wrapping
-    Formula.bind in the same pass."""
+def golden_run(tmp_path_factory) -> tuple:
+    """The digests, for each case the formulas it bound again on structures
+    equal to those of an earlier bind, recorded by wrapping Formula.bind in the
+    same pass, and the pycache prefix of the formula cache the pass started
+    empty and filled."""
     repeated = {}
+    prefix = tmp_path_factory.mktemp("pycache")
     bind = Formula.bind
 
     def each(case):
@@ -275,7 +293,8 @@ def golden_run() -> tuple:
         patch.setattr(Formula, "bind", recorded)
 
     with pytest.MonkeyPatch.context() as patch:
-        return compute_digests(each), repeated
+        _forget_compiled_nests(patch, prefix)
+        return compute_digests(each), repeated, prefix
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +310,15 @@ def _load_golden() -> dict:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_bytes_match_golden(case, digests):
     assert digests[case] == _load_golden()[case]
+
+
+def test_a_warm_formula_cache_gives_the_golden_digests_without_compiling(golden_run, monkeypatch):
+    # golden_run started with an empty cache; this pass reads every nest from it
+    _forget_compiled_nests(monkeypatch, golden_run[2])
+    compiled = []
+    monkeypatch.setattr(formula, "compile", lambda *a, **k: compiled.append(a) or compile(*a, **k), raising=False)
+    assert compute_digests() == _load_golden()
+    assert compiled == []
 
 
 def test_golden_file_lists_exactly_the_cases():

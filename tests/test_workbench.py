@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from opalg import DimensionGuardError, WorkbenchError, catalog, core, forced, searches
+from opalg import DimensionGuardError, WorkbenchError, catalog, cli, core, forced, searches
 from opalg.algfile import ParseError, parse_algebra_file, render_algebra_file
 from opalg.cli import _build_parser, main
 from opalg.findings import open_question_findings, render_findings
@@ -505,8 +505,6 @@ def test_cli_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, where):
 
 
 def test_cli_crash_exits_three_not_one(capsys, monkeypatch):
-    from opalg import cli
-
     def crash(args):
         raise RuntimeError("boom")
 
@@ -569,6 +567,18 @@ GUARD_TEXT = "dim^3 scan at dim={} exceeds guard (limit 36); set the force flag 
 def test_cli_catalog_refusals_keep_their_text(capsys, spec, message):
     # the refusal order: name, size, guard, q, other parameters, size of the kind, triple
     assert run_cli(capsys, "catalog", "export", spec) == (2, "", f"error: {message}\n")
+
+
+def test_convert_help_names_each_default_of_each_target(capsys):
+    code, out, _ = run_cli(capsys, "convert", "--help")
+    assert code == 0
+    text = " ".join(out.split())  # argparse wraps at the terminal width
+    first, second = text.split("--operator OPERATOR ")[1].split("--operator2 OPERATOR2 ")
+    assert [*cli._CONVERSIONS] == ["xi", "pair"]
+    for to, (read, _, _) in cli._CONVERSIONS.items():
+        assert f"{read[0]} for --to {to}" in first and f"{read[1]} for --to {to}" in second
+    assert "default R1 for --to xi, R for --to pair" in first
+    assert "default R2 for --to xi, xi for --to pair" in second
 
 
 def test_cli_convert_round_trip(tmp_path, capsys):
