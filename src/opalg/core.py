@@ -350,6 +350,7 @@ class _SparseTensor:
     __slots__ = ("dim", "_c", "__dict__")
     arity: int
     kind: str
+    mirror_sign: int
 
     def __init__(self, dim: int, entries=None):
         if dim < 1:
@@ -399,6 +400,18 @@ class _SparseTensor:
         return self._c.keys()
 
     @functools.cached_property
+    def mirrored(self) -> bool:
+        """Whether every entry's mirror, the entry at its reversed index tuple,
+        is mirror_sign times it: c(j,i) = -c(i,j) for a bracket, and so no (i,i)
+        entry; c(k,j,i) = c(i,j,k) for a triple.  The symmetry the loop nests'
+        orbits assume (formula.py), proven in O(entries)."""
+        sign = self.mirror_sign
+        return all(
+            self._c.get(key[::-1]) == (vec if sign == 1 else {k: -s for k, s in vec.items()})
+            for key, vec in self._c.items()
+        )
+
+    @functools.cached_property
     def _by_slot(self) -> tuple:
         by_slot = tuple({} for _ in range(self.arity))
         for key, vec in self._c.items():
@@ -443,7 +456,7 @@ class BilinearStructure(_SparseTensor):
     """Structure constants of a bilinear product: (i, j) -> vector [e_i, e_j]."""
 
     __slots__ = ()
-    arity, kind = 2, "bracket"
+    arity, kind, mirror_sign = 2, "bracket", -1
 
     def value(self, i: int, j: int) -> dict:
         """[e_i, e_j] as a sparse vector.  Treat as read-only."""
@@ -488,7 +501,7 @@ class TrilinearStructure(_SparseTensor):
     """Structure constants of a trilinear product: (i, j, k) -> <e_i, e_j, e_k>."""
 
     __slots__ = ()
-    arity, kind = 3, "triple"
+    arity, kind, mirror_sign = 3, "triple", 1
 
     def value(self, i: int, j: int, k: int) -> dict:
         return self._c.get((i, j, k), _EMPTY)
@@ -531,10 +544,22 @@ class TrilinearStructure(_SparseTensor):
                 vec_iadd(acc, vec, wc)
         return acc
 
+    # The two-vector kernels loop over the pairs of their vectors with a key
+    # lookup where there are fewer pairs than entries with the fixed index, as
+    # BilinearStructure.apply does, and over those entries otherwise.
+
     def apply_first_middle(self, u: dict, v: dict, k: int) -> dict:
-        """<u, v, e_k> via the slice of keys with last index k."""
+        """<u, v, e_k>."""
         acc: dict = {}
-        for (a, b, _), vec in self.entries_by(2).get(k, ()):
+        rows = self.entries_by(2).get(k, ())
+        if len(u) * len(v) < len(rows):
+            for a, ua in u.items():
+                for b, vb in v.items():
+                    vec = self._c.get((a, b, k))
+                    if vec:
+                        vec_iadd(acc, vec, ua * vb)
+            return acc
+        for (a, b, _), vec in rows:
             ua = u.get(a)
             if ua:
                 vb = v.get(b)
@@ -544,7 +569,15 @@ class TrilinearStructure(_SparseTensor):
 
     def apply_first_last(self, u: dict, j: int, w: dict) -> dict:
         acc: dict = {}
-        for (a, _, c), vec in self.entries_by(1).get(j, ()):
+        rows = self.entries_by(1).get(j, ())
+        if len(u) * len(w) < len(rows):
+            for a, ua in u.items():
+                for c, wc in w.items():
+                    vec = self._c.get((a, j, c))
+                    if vec:
+                        vec_iadd(acc, vec, ua * wc)
+            return acc
+        for (a, _, c), vec in rows:
             ua = u.get(a)
             if ua:
                 wc = w.get(c)
@@ -554,7 +587,15 @@ class TrilinearStructure(_SparseTensor):
 
     def apply_middle_last(self, i: int, v: dict, w: dict) -> dict:
         acc: dict = {}
-        for (_, b, c), vec in self.entries_by(0).get(i, ()):
+        rows = self.entries_by(0).get(i, ())
+        if len(v) * len(w) < len(rows):
+            for b, vb in v.items():
+                for c, wc in w.items():
+                    vec = self._c.get((i, b, c))
+                    if vec:
+                        vec_iadd(acc, vec, vb * wc)
+            return acc
+        for (_, b, c), vec in rows:
             vb = v.get(b)
             if vb:
                 wc = w.get(c)

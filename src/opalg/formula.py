@@ -18,10 +18,10 @@ no parse.  ``bind`` picks the evaluator from the formula's arity: joins from
 A formula of arity at most 3 compiles once per machine into a loop nest over
 its variables in scan order, ``for _x0 in range(dim): ... for _x{a-1} in
 range(dim):``.  It is a generator yielding ``(indices, residual)`` for every
-basis tuple with a nonzero residual, in lexicographic order, and it makes the
-kernel calls a hand-written scan would: ``value`` on basis indices, ``column``
-for an operator on a basis vector, the one- and two-slot ``apply_*``
-contractions.  Four rules shape it:
+basis tuple it visits with a nonzero residual, in lexicographic order, and it
+makes the kernel calls a hand-written scan would: ``value`` on basis indices,
+``column`` for an operator on a basis vector, the one- and two-slot
+``apply_*`` contractions.  Five rules shape it:
 
 - hoisting: each subterm is computed in the loop of its deepest variable,
   once per binding of the variables it reads.  Operator words are multiplied
@@ -36,20 +36,38 @@ contractions.  Four rules shape it:
 - in-place updates: a sum updates in place only a fresh value computed in
   its own loop and used nowhere else, since hoisted and shared values are
   read again.
+- orbits: the nest visits one tuple per orbit of a symmetry proven twice.
+  Once per formula, with its nest, a normal form of the residual proves
+  which transpositions of two variables map it to plus or minus itself
+  (``_normal``, ``_orbit``).  The normal form expands the residual by
+  linearity, merges operator words, orders the two arguments of each bracket
+  with a sign flip (equal arguments vanish) and the outer two of each triple
+  with none.  So the proof assumes that every bracket the formula reads is
+  antisymmetric and every triple symmetric in its outer two slots; it is
+  exact, dimension-free and conservative.  At each bind, ``mirrored`` checks
+  that property of every bracket and triple read, in O(entries), once per
+  structure.  Where both proofs hold, a loop the group bounds starts at an
+  earlier variable's value, after it where the swap flips the sign
+  (``_bounds``): i < j for the Lie identities, i < j < k for the Jacobi
+  family, x <= z for the triple identities.  Where the structures lack the
+  property, the same nest runs over full ranges.  The lex-smallest failing
+  tuple is the lex-smallest of its orbit, so the first yield is the same
+  either way; ``tabulate`` fills each orbit from its yield with the proven
+  sign.  Joins visit every tuple.
 
 The compiled nest is cached on disk beside formula.py's own bytecode, in the
 directory ``importlib.util.cache_from_source`` names (so ``sys.pycache_prefix``
 applies): one file ``formula.<name>.<cache tag>.nest`` per formula name, its
 non-word characters as ``_``.  The file holds ``marshal.dumps((key, structure
-names, code))``, the key being formula.py's ``st_mtime_ns`` and ``st_size``,
-the formula's name, variables and text: CPython's rule for formula.py's own
-``.pyc``, and the generated text depends on nothing outside this file.  An
-equal key is a hit, which runs the code with no parse, code generation or
-``compile()``.  Anything else is a miss: no file, an unreadable or malformed
-one, or another key.  A miss compiles as above and then, unless
-``sys.dont_write_bytecode``, writes the entry through a temporary file and
-``os.replace``; a write that fails is ignored, and where there is no such
-directory nothing is cached.
+names, code, orbit))``, the key being formula.py's ``st_mtime_ns`` and
+``st_size``, the formula's name, variables and text: CPython's rule for
+formula.py's own ``.pyc``, and the generated text and the orbit depend on
+nothing outside this file.  An equal key is a hit, which runs the code with no
+parse, normal form, code generation or ``compile()``.  Anything else is a miss:
+no file, an unreadable or malformed one, or another key.  A miss compiles as
+above and then, unless ``sys.dont_write_bytecode``, writes the entry through a
+temporary file and ``os.replace``; a write that fails is ignored, and where
+there is no such directory nothing is cached.
 
 A formula of arity 4 or more is evaluated as joins over the structures'
 supports, one value x0 of the first variable at a time.  The value of a
@@ -99,7 +117,8 @@ nest, one integer comparison per sum aside.
 
 ``scan`` takes the first yield as the witness.  Its ``tuples_evaluated`` is
 the witness's lexicographic rank plus one, or dim^arity on a pass: the tuples
-a tuple-by-tuple scan evaluates.  ``tabulate`` collects every yield.
+a tuple-by-tuple scan evaluates, not the tuples an orbit-reduced nest visits.
+``tabulate`` collects every yield and its orbit.
 """
 
 from __future__ import annotations
@@ -365,7 +384,7 @@ def _cache_file(formula, ident: str) -> tuple:
 
 
 def _load(path, key):
-    """(structure names, code) from the entry at path if it holds key, else None."""
+    """(structure names, code, orbit) from the entry at path if it holds key, else None."""
     if path is None:
         return None
     try:
@@ -373,10 +392,10 @@ def _load(path, key):
             entry = marshal.loads(fh.read())
     except (OSError, EOFError, ValueError, TypeError):
         return None
-    if type(entry) is tuple and len(entry) == 3 and entry[0] == key:
-        names, code = entry[1:]
-        if type(names) is tuple and type(code) is types.CodeType:
-            return names, code
+    if type(entry) is tuple and len(entry) == 4 and entry[0] == key:
+        names, code, orbit = entry[1:]
+        if type(names) is tuple and type(code) is types.CodeType and type(orbit) is tuple:
+            return names, code, orbit
     return None
 
 
@@ -393,6 +412,82 @@ def _store(path: str, entry: tuple) -> None:
             os.unlink(temporary)
         except OSError:
             pass
+
+
+def _normal(t, rename: tuple) -> dict:
+    """{monomial: coefficient}: the normal form of t with variable k read as
+    rename[k], assuming every bracket antisymmetric and every triple symmetric
+    in its outer two arguments.  t is expanded by linearity and nested operator
+    words are merged; the two arguments of a bracket are put in monomial order,
+    flipping the sign, and a bracket of two equal arguments vanishes; the outer
+    two arguments of a triple are put in order with no sign."""
+    kind = t[0]
+    if kind == "var":
+        return {("var", rename[t[1]]): 1}
+    out = {}
+    if kind == "sum":
+        terms = [(m, c * x) for c, s in t[1] for m, x in _normal(s, rename).items()]
+    elif kind == "op":
+        inner = _normal(t[2], rename).items()
+        terms = [(("op", t[1] + m[1], m[2]) if m[0] == "op" else ("op", t[1], m), x) for m, x in inner]
+    else:
+        terms = []
+        for args in itertools.product(*(_normal(a, rename).items() for a in t[2:])):
+            monomials, x = [m for m, _ in args], math.prod(x for _, x in args)
+            if kind == "br" and monomials[0] >= monomials[1]:
+                if monomials[0] == monomials[1]:
+                    continue
+                monomials.reverse()
+                x = -x
+            elif kind == "tr" and monomials[0] > monomials[2]:
+                monomials.reverse()
+            terms.append(((kind, t[1], *monomials), x))
+    for m, x in terms:
+        out[m] = out.get(m, 0) + x
+    return {m: x for m, x in out.items() if x}
+
+
+def _orbit(top: tuple, arity: int) -> tuple:
+    """((permutation, sign), ...), the identity first: the group generated by
+    the transpositions of variables that change the normal form of top by a
+    sign, with that sign.  The residual at (x[p[0]], x[p[1]], ...) is sign times
+    the residual at x for each (p, sign), on structures where the normal form's
+    assumption holds.  A transposition under which the normal form is both
+    itself and its negative, i.e. is 0, counts with the sign 1."""
+    identity = tuple(range(arity))
+    normal = _normal(top, identity)
+    signs = {}
+    for a, b in itertools.combinations(identity, 2):
+        swap = list(identity)
+        swap[a], swap[b] = b, a
+        moved = _normal(top, tuple(swap))
+        if moved == normal:
+            signs[tuple(swap)] = 1
+        elif moved == {m: -x for m, x in normal.items()}:
+            signs[tuple(swap)] = -1
+    group, frontier = {identity: 1}, [identity]
+    while frontier:
+        p = frontier.pop()
+        for q, sign in signs.items():
+            r = tuple(p[k] for k in q)
+            if r not in group:
+                group[r] = group[p] * sign
+                frontier.append(r)
+    return tuple(group.items())
+
+
+def _bounds(orbit: tuple) -> dict:
+    """{variable b: (a, strict)}: the loop over b starts at the value of a, the
+    largest earlier variable that a transposition of the orbit swaps with b,
+    and after it where that swap flips the sign (the residual is 0 there).
+    Over those ranges the nest visits exactly the lex-smallest tuple of each
+    orbit, for the groups generated by transpositions of at most 3 variables."""
+    bounds = {}
+    for p, sign in orbit:
+        moved = [k for k, pk in enumerate(p) if pk != k]
+        if len(moved) == 2 and moved[0] > bounds.get(moved[1], (-1,))[0]:
+            bounds[moved[1]] = (moved[0], sign < 0)
+    return bounds
 
 
 def _structure_names(t) -> set:
@@ -598,30 +693,36 @@ class Formula:
 
     @functools.cached_property
     def _nest(self) -> tuple:
-        """(nest, the sorted names of the structures it reads), nest(_iadd, _scale,
-        _gather, _range, **structures, **denominators) the generator of nonzero
-        residuals, where each structure is an integer form and denominators maps
-        _d_<name> to its d.  The code comes from the machine's cache on a hit, and
-        is generated, compiled and stored on a miss."""
+        """(nest, the sorted names of the structures it reads, its orbit),
+        nest(_iadd, _scale, _gather, _range, **tables, **structures,
+        **denominators) the generator of nonzero residuals, where tables maps
+        _from<b> to the range of b's loop at each value of its bound (see
+        _bounds), each structure is an integer form and denominators maps
+        _d_<name> to its d.  The orbit is _orbit's group of the residual.  The
+        code and the orbit come from the machine's cache on a hit, and are
+        generated, compiled and stored on a miss."""
         ident = re.sub(r"\W", "_", self.name)  # so that a profile names the formula
         path, key = _cache_file(self, ident)
         cached = _load(path, key)
         if cached is None:
-            structures = self._parsed[1]
-            code = compile(self._source(ident), "<string>", "exec", dont_inherit=True)
+            structures, orbit = self._parsed[1], _orbit(self._parsed[0], self.arity)
+            code = compile(self._source(ident, orbit), "<string>", "exec", dont_inherit=True)
             if path is not None and not sys.dont_write_bytecode:
-                _store(path, (key, structures, code))
+                _store(path, (key, structures, code, orbit))
         else:
-            structures, code = cached
+            structures, code, orbit = cached
         namespace = {"_lcm": math.lcm, "_div": core.vec_div}
         exec(code, namespace)
-        return namespace[f"nonzero_{ident}"], structures
+        return namespace[f"nonzero_{ident}"], structures, orbit
 
-    def _source(self, ident: str) -> str:
-        """The text of the nest's def, named nonzero_<ident>."""
+    def _source(self, ident: str, orbit: tuple) -> str:
+        """The text of the nest's def, named nonzero_<ident>, whose loops start
+        at the bounds of the orbit."""
         top, structures = self._parsed
         gen = _Codegen(top, self.arity)
-        arguments = ", ".join([*structures, *(f"_d_{name}" for name in structures)])
+        bounds = _bounds(orbit)
+        tables = [f"_from{b}" for b in sorted(bounds)]
+        arguments = ", ".join([*tables, *structures, *(f"_d_{name}" for name in structures)])
         source = [
             f"def nonzero_{ident}(_iadd, _scale, _gather, _range, {arguments}):",
             *(f"    {name} = {' @ '.join(word)}" for word, name in gen.words.items()),
@@ -629,7 +730,9 @@ class Formula:
         for depth, lines in enumerate(gen.lines):
             indent = "    " * (depth + 1)
             if depth:
-                source.append(f"{indent[4:]}for _x{depth - 1} in _range:")
+                b = depth - 1
+                loop = f"_from{b}[_x{bounds[b][0]}]" if b in bounds else "_range"
+                source.append(f"{indent[4:]}for _x{b} in {loop}:")
             source += [indent + line for line in lines]
         indices = ", ".join(f"_x{k}" for k in range(self.arity))
         residual = gen.result
@@ -639,16 +742,23 @@ class Formula:
         return "\n".join(source)
 
     def bind(self, structures: dict) -> tuple:
-        """(generator of nonzero residuals, dimension) on the structures the
-        formula names, refused above the dimension guard for its arity unless
-        forced.
+        """(generator of nonzero residuals, dimension, orbit) on the structures
+        the formula names, refused above the dimension guard for its arity
+        unless forced.
 
-        The generator yields (indices, residual) for every basis tuple with a
-        nonzero residual, in lexicographic order: from joins at arity 4 and
-        above, from the loop nest below.
+        The generator yields (indices, residual) in lexicographic order for
+        every basis tuple with a nonzero residual that is the lex-smallest of
+        its orbit: from joins at arity 4 and above, from the loop nest below.
+        The orbit is the nest's where every bracket the formula reads is
+        antisymmetric and every triple outer-symmetric (their mirrored
+        property), and the identity alone otherwise, so that every nonzero
+        tuple is yielded.
         """
         joins = self.arity >= 4  # the module docstring says why arity decides
-        top_or_nest, names = self._parsed if joins else self._nest
+        if joins:
+            (top, names), orbit = self._parsed, ((tuple(range(self.arity)), 1),)
+        else:
+            nest, names, orbit = self._nest
         used = {key: structures[key] for key in names}
         dims = {s.dim for s in used.values()}
         if len(dims) != 1:
@@ -659,15 +769,24 @@ class Formula:
         integer = {key: form for key, (form, _) in forms.items()}
         if joins:
             denominators = {key: d for key, (_, d) in forms.items()}
-            return _Joins(top_or_nest, self.arity, dim, integer, denominators).residuals(), dim
+            return _Joins(top, self.arity, dim, integer, denominators).residuals(), dim, orbit
+        bounds, full = _bounds(orbit), range(dim)
+        if bounds and not all(s.mirrored for s in used.values() if not isinstance(s, core.Operator)):
+            orbit = orbit[:1]
+        tables = {
+            f"_from{b}": [range(i + strict, dim) for i in full] if len(orbit) > 1 else [full] * dim
+            for b, (_, strict) in bounds.items()
+        }
         denominators = {f"_d_{key}": d for key, (_, d) in forms.items()}
-        nonzero = top_or_nest(core.vec_iadd, core.vec_scale, core.vec_gather, range(dim), **integer, **denominators)
-        return nonzero, dim
+        nonzero = nest(core.vec_iadd, core.vec_scale, core.vec_gather, full, **tables, **integer, **denominators)
+        return nonzero, dim, orbit
 
 
 def scan(formula: Formula, structures: dict, name=None, notes=(), informational=False):
-    """Check an identity on every basis tuple in lex order; the first failure is the witness."""
-    nonzero, dim = formula.bind(structures)
+    """Check an identity on every basis tuple in lex order; the first failure is
+    the witness.  The smallest failing tuple is the smallest of its orbit, so the
+    first yield of bind is the witness of a tuple-by-tuple scan."""
+    nonzero, dim, _ = formula.bind(structures)
     return core.scan_tuples(name or formula.name, dim, formula.arity, nonzero, notes, informational)
 
 
@@ -681,9 +800,14 @@ def scan_each_s(formula: Formula, structures: dict, name: str) -> tuple:
 
 
 def tabulate(formula: Formula, structures: dict):
-    """Structure tensor whose (i, j[, k]) entry is the formula at those basis vectors."""
-    nonzero, dim = formula.bind(structures)
-    return core.TENSOR_CLASSES[formula.arity](dim, dict(nonzero))
+    """Structure tensor whose (i, j[, k]) entry is the formula at those basis
+    vectors: each yield of bind, and its images under the orbit with their sign."""
+    nonzero, dim, orbit = formula.bind(structures)
+    entries = {}
+    for idx, residual in nonzero:
+        for p, sign in orbit:
+            entries[tuple(idx[k] for k in p)] = residual if sign == 1 else core.vec_scale(residual, -1)
+    return core.TENSOR_CLASSES[formula.arity](dim, entries)
 
 
 def states(*formulas):

@@ -167,6 +167,20 @@ def test_operator_integer_form_is_kept():
 
 
 @pytest.mark.parametrize("arity", ARITIES)
+def test_mirrored_is_read_from_the_entries_and_shared_with_the_proof(arity):
+    cls = ARITIES[arity][0]
+    plain = _halved(arity, False)
+    proven = ARITIES[arity][2](plain)[1]
+    assert plain.mirrored and vars(proven)["mirrored"]  # computed once, in the __dict__ they share
+    key = (0,) * (arity - 1) + (1,)
+    assert not cls(2, {key: {0: 1}}).mirrored
+    assert cls(2, {key: {0: 1}, key[::-1]: {0: cls.mirror_sign}}).mirrored
+    assert not cls(2, {key: {0: 1}, key[::-1]: {0: -cls.mirror_sign}}).mirrored
+    # (0, 0, 0) is its own mirror; a bracket's (0, 0) entry would have to be its own negative
+    assert cls(2, {(0,) * arity: {1: 1}}).mirrored == (arity == 3)
+
+
+@pytest.mark.parametrize("arity", ARITIES)
 def test_from_rows_refuses_duplicates_and_wrong_widths(arity):
     cls, kind, _ = ARITIES[arity]
     row = (0,) * (arity + 1) + (1,)

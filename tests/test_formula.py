@@ -219,6 +219,12 @@ def _generic_structures(rational: bool = False) -> dict:
     return s
 
 
+def _tabulated(formula, structures) -> dict:
+    """tabulate's tensor as {index tuple: vector}, comparable with _interpreted."""
+    table = tabulate(formula, structures)
+    return {key: table.value(*key) for key in table.support()}
+
+
 def _interpreted(formula, structures) -> dict:
     top = _Parser(formula.text, formula.variables).residual()
     dim = next(iter(structures.values())).dim
@@ -245,7 +251,7 @@ def _interpreted(formula, structures) -> dict:
 def test_codegen_rules_match_an_interpreter(variables, text):
     formula = Formula("rules", variables, text)
     for structures in (_generic_structures(), _generic_structures(rational=True)):
-        nonzero, _ = formula.bind(structures)
+        nonzero, _, _ = formula.bind(structures)
         assert dict(nonzero) == _interpreted(formula, structures)
 
 
@@ -257,7 +263,7 @@ def test_every_stated_formula_is_collected():
 def test_stated_formula_compiles_and_matches_an_interpreter(name):
     formula = STATED[name]
     for structures in (_generic_structures(), _generic_structures(rational=True)):
-        nonzero, _ = formula.bind(structures)
+        nonzero, _, _ = formula.bind(structures)
         assert dict(nonzero) == _interpreted(formula, structures)
 
 
@@ -283,7 +289,7 @@ def test_bind_is_guarded_before_integer_forms(monkeypatch, name):
         formula.bind(structures)
     assert cleared == []
     with oa.forced():
-        _, bound_dim = formula.bind(structures)
+        _, bound_dim, _ = formula.bind(structures)
     assert bound_dim == dim and cleared
 
 
@@ -306,7 +312,7 @@ def test_bind_compiles_a_nest_only_below_arity_4():
 def test_joins_yield_the_interpreter_stream_in_lex_order(name):
     formula = STATED[name]
     for structures in (_generic_structures(), _generic_structures(rational=True)):
-        nonzero, _ = formula.bind(structures)
+        nonzero, _, _ = formula.bind(structures)
         assert list(nonzero) == list(_interpreted(formula, structures).items())
 
 
@@ -323,7 +329,7 @@ def test_joins_yield_the_interpreter_stream_in_lex_order(name):
 def test_join_rules_match_an_interpreter(variables, text):
     formula = Formula("rules", variables, text)
     for structures in (_generic_structures(), _generic_structures(rational=True)):
-        nonzero, _ = formula.bind(structures)
+        nonzero, _, _ = formula.bind(structures)
         assert list(nonzero) == list(_interpreted(formula, structures).items())
 
 
@@ -344,7 +350,7 @@ def test_joins_find_a_perturbed_entry_where_the_interpreter_does(spec):
     for formula, structures in cases:
         expected = list(_interpreted(formula, structures).items())
         assert expected, formula.name  # the perturbation shows
-        nonzero, dim = formula.bind(structures)
+        nonzero, dim, _ = formula.bind(structures)
         assert list(nonzero) == expected
         report = scan(formula, structures)
         assert report.witness == oa.Witness(expected[0][0], vec_dense(expected[0][1], dim))
@@ -419,6 +425,7 @@ def test_scans_run_on_integers_and_divide_back_exactly(monkeypatch):
 
 RANDOM_SEED = 2026
 RANDOM_COUNT = 120  # formulas, each run on integer structures at dim 2 and rational ones at dim 3
+ORBIT_COUNT = 40  # symmetrized formulas, each run on four sets of structures
 OPERATOR_NAMES = ("R", "R1", "R2", "xi", "rho")
 COEFFICIENTS = (1, 1, 1, -1, -1, 2, -3, scalar(1, 2), scalar(-2, 3), scalar(5, 4))
 
@@ -515,41 +522,231 @@ def _random_structures(rng, dim: int, rational: bool) -> dict:
 
 
 def _on_both_evaluators(formula: Formula, structures: dict, dim: int) -> tuple:
-    """The yield streams of the loop nest and of the joins on the structures, whatever the arity."""
+    """The yield streams of the loop nest, every loop over the full range, and
+    of the joins on the structures, whatever the arity."""
     top, names = formula._parsed
     forms = {name: structures[name].integer_form() for name in names}
     integer = {name: form for name, (form, _) in forms.items()}
     denominators = {name: d for name, (_, d) in forms.items()}
-    nest = formula._nest[0](
+    nest, _, orbit = formula._nest
+    nest = nest(
         core.vec_iadd, core.vec_scale, core.vec_gather, range(dim),
+        **{f"_from{b}": [range(dim)] * dim for b in formula_module._bounds(orbit)},
         **integer, **{f"_d_{name}": d for name, d in denominators.items()},
     )
     return list(nest), list(_Joins(top, formula.arity, dim, integer, denominators).residuals())
 
 
-def test_random_formulas_match_the_generated_tree_on_both_evaluators():
-    rng = random.Random(RANDOM_SEED)
+def _generated(t, names: tuple, structures: dict, dim: int) -> list:
+    """[(indices, residual)] of the generated term t over the variables names
+    at every basis tuple where it is nonzero, in lex order."""
+    out = []
+    for idx in itertools.product(range(dim), repeat=len(names)):
+        residual = _dense(t, dict(zip(names, idx)), structures)
+        if residual:
+            out.append((idx, residual))
+    return out
+
+
+def _random_formula(rng, names: tuple, n: int) -> tuple:
+    """(generated residual, Formula named random-<n>) over the variables names."""
+    sides = [_random_sum(rng, names, 3) for _ in range(rng.choice((1, 2)))]
+    text = " = ".join(map(_render_sum, sides)) + (" = 0" if len(sides) == 1 and rng.random() < 0.3 else "")
+    t = sides[0] if len(sides) == 1 else ("sum", ((1, sides[0]), (-1, sides[1])))
+    return t, Formula(f"random-{n}", " ".join(names), text)
+
+
+def check_random_formulas(seed: int, count: int) -> set:
+    """count random formulas drawn from seed, each on both evaluators against
+    the generated tree, on integer structures at dim 2 and rational ones at dim
+    3; the set of their arities."""
+    rng = random.Random(seed)
     on = [(_random_structures(rng, 2, False), 2), (_random_structures(rng, 3, True), 3)]
     arities = set()
-    for count in range(RANDOM_COUNT):
+    for n in range(count):
         names = tuple(rng.sample("XYZW", rng.randint(1, 4)))
-        sides = [_random_sum(rng, names, 3) for _ in range(rng.choice((1, 2)))]
-        text = " = ".join(map(_render_sum, sides)) + (" = 0" if len(sides) == 1 and rng.random() < 0.3 else "")
-        formula = Formula(f"random-{count}", " ".join(names), text)
+        t, formula = _random_formula(rng, names, n)
         arities.add(formula.arity)
         for structures, dim in on:
-            expected = []
-            for idx in itertools.product(range(dim), repeat=len(names)):
-                at = dict(zip(names, idx))
-                residual = _dense(sides[0], at, structures)
-                if len(sides) == 2:
-                    vec_iadd(residual, _dense(sides[1], at, structures), -1)
-                if residual:
-                    expected.append((idx, residual))
+            expected = _generated(t, names, structures, dim)
             nest, joins = _on_both_evaluators(formula, structures, dim)
-            assert nest == expected, text
-            assert joins == expected, text
-    assert arities == {1, 2, 3, 4}
+            assert nest == expected, formula.text
+            assert joins == expected, formula.text
+    return arities
+
+
+def test_random_formulas_match_the_generated_tree_on_both_evaluators():
+    assert check_random_formulas(RANDOM_SEED, RANDOM_COUNT) == {1, 2, 3, 4}
+
+
+# ---------------------------------------------------------------------------
+# orbits: one tuple per orbit of a symmetry proven of the formula and of its structures
+
+
+def _mirrored(structures: dict) -> dict:
+    """The structures with each bracket made antisymmetric and each triple
+    symmetric in its outer two slots: plus mirror_sign times its mirror image."""
+    out = dict(structures)
+    for name, s in structures.items():
+        if isinstance(s, (oa.BilinearStructure, oa.TrilinearStructure)):
+            entries = {}
+            for key in itertools.product(range(s.dim), repeat=s.arity):
+                entries[key] = vec_iadd(dict(s.value(*key)), s.value(*key[::-1]), s.mirror_sign)
+            out[name] = core.TENSOR_CLASSES[s.arity](s.dim, entries)
+            assert out[name].mirrored
+    return out
+
+
+def _broken(structures: dict) -> dict:
+    """The structures with e0 added to each tensor's entry at (0, 1) or (0, 0, 1)
+    alone, so that no bracket or triple is mirrored."""
+    out = dict(structures)
+    for name, s in structures.items():
+        if isinstance(s, (oa.BilinearStructure, oa.TrilinearStructure)):
+            key = (0,) * (s.arity - 1) + (1,)
+            entries = {k: s.value(*k) for k in s.support()}
+            entries[key] = vec_iadd(dict(s.value(*key)), {0: 1})
+            out[name] = core.TENSOR_CLASSES[s.arity](s.dim, entries)
+            assert not out[name].mirrored
+    return out
+
+
+def _assert_one_tuple_per_orbit(formula: Formula, structures: dict, expected: list) -> tuple:
+    """bind yields exactly the lex-smallest tuple of each orbit among those of
+    expected, the full scan's nonzero tuples, so its first yield is the full
+    scan's first; tabulate gives expected's tensor.  Returns bind's orbit."""
+    nonzero, dim, orbit = formula.bind(structures)
+    smallest = [(idx, r) for idx, r in expected if all(idx <= tuple(idx[k] for k in p) for p, _ in orbit)]
+    assert list(nonzero) == smallest, formula.text
+    assert smallest[:1] == expected[:1], formula.text
+    if formula.arity in core.TENSOR_CLASSES:
+        assert tabulate(formula, structures) == core.TENSOR_CLASSES[formula.arity](dim, dict(expected)), formula.text
+    return orbit
+
+
+# The proven orbit of every stated formula of arity 2 and 3: (group size, _bounds).
+ORBITS = {
+    "i < j": (2, {1: (0, True)}),
+    "i <= j": (2, {1: (0, False)}),
+    "i < j < k": (6, {1: (0, True), 2: (1, True)}),
+    "x <= z": (2, {2: (0, False)}),
+    "none": (1, {}),
+}
+PROVEN = {
+    "i < j": [
+        "myb", "derived-bracket", "even-tempered", "xi-derivation", "xi-pair-identity",
+        "xi-derivation-derived-bracket", "even-tempered-xi", "quadratic-bracket", "rho-bracket-homomorphism",
+        "mixed-bracket-compatibility", "regular", *(f"homomorphism-deg{d}" for d in range(5)),
+    ],
+    "i <= j": ["antisymmetry"],
+    "i < j < k": ["jacobi", *(f"jacobi-deg{d}" for d in range(5))],
+    "x <= z": [
+        "triple-myb", "derived-triple-full", "derived-triple-reduced", "normal-reduced", "normal-outer-pair",
+        "even-tempered-triple", "middle-rho", "rho-exchange", "rho-derived-transport", "triple-r-homomorphism",
+    ],
+    "none": ["even-tempered-as-printed", "operators-commute"],
+}
+
+
+def test_the_proven_orbit_of_every_stated_formula():
+    assert sorted(n for names in PROVEN.values() for n in names) == sorted(n for n in STATED if n not in JOINED)
+    for label, names in PROVEN.items():
+        for name in names:
+            orbit = STATED[name]._nest[2]
+            assert (len(orbit), formula_module._bounds(orbit)) == ORBITS[label], name
+
+
+@pytest.mark.parametrize("name", sorted(n for n in STATED if n not in JOINED))
+def test_stated_formula_scans_one_tuple_per_orbit_on_mirrored_structures_only(name):
+    formula = STATED[name]
+    proven = formula._nest[2]
+    for structures in (_generic_structures(), _generic_structures(rational=True)):
+        mirrored = _mirrored(structures)
+        for on, reduced in ((mirrored, True), (_mirrored(_broken(mirrored)), True), (_broken(mirrored), False)):
+            orbit = _assert_one_tuple_per_orbit(formula, on, list(_interpreted(formula, on).items()))
+            assert orbit == (proven if reduced else proven[:1])
+
+
+@pytest.mark.parametrize("name", [n for label, names in PROVEN.items() if label != "none" for n in names])
+def test_a_planted_asymmetric_term_turns_the_reduction_off(name):
+    stated = STATED[name]
+    planted = Formula(f"{name}-planted", " ".join(stated.variables), "R1X + " + stated.text)
+    assert len(planted._nest[2]) == 1
+    structures = _mirrored(_generic_structures(rational=True))
+    expected = list(_interpreted(planted, structures).items())
+    assert expected and _assert_one_tuple_per_orbit(planted, structures, expected) == planted._nest[2]
+
+
+def test_the_printed_even_tempered_triple_and_a_perturbed_bracket_scan_in_full():
+    e3 = oa.example3_gl(2)
+    pair = {"triple": e3.triple, "R1": e3.operators["R1"], "R2": e3.operators["R2"]}
+    assert e3.triple.mirrored and len(jordan.EVEN_TEMPERED_AS_PRINTED.bind(pair)[2]) == 1
+    perturbed = {"bracket": _perturbed(oa.so_n(3).bracket), "R": oa.Operator.diagonal([1, 2, 3])}
+    nonzero, _, orbit = MYB.bind(perturbed)
+    assert orbit == MYB._nest[2][:1] and dict(nonzero) == _interpreted(MYB, perturbed)
+
+
+def _sign(p: tuple) -> int:
+    return (-1) ** sum(a > b for a, b in itertools.combinations(p, 2))
+
+
+# The groups a random formula is symmetrized over: (permutation, sign) pairs, the identity first.
+SYMMETRIZED = [
+    (((0, 1), 1), ((1, 0), -1)),
+    (((0, 1), 1), ((1, 0), 1)),
+    (((0, 1, 2), 1), ((2, 1, 0), 1)),
+    (((0, 1, 2), 1), ((1, 0, 2), -1)),
+    tuple((p, _sign(p)) for p in itertools.permutations(range(3))),
+    tuple((p, 1) for p in itertools.permutations(range(3))),
+]
+
+
+def _renamed(t, names: dict) -> tuple:
+    """The generated term t with each variable v read as names[v]."""
+    if t[0] == "var":
+        return ("var", names[t[1]])
+    if t[0] == "sum":
+        return ("sum", tuple((c, _renamed(u, names)) for c, u in t[1]))
+    if t[0] == "op":
+        return ("op", t[1], _renamed(t[2], names))
+    return (*t[:2], *(_renamed(a, names) for a in t[2:]))
+
+
+def check_random_orbits(seed: int, count: int) -> None:
+    """count random formulas of arity 2 and 3 drawn from seed, each summed
+    over its images under one group of SYMMETRIZED with their signs, against
+    the generated tree.  On mirrored structures, at dim 2 and rational at dim
+    3, and on perturbed ones that stay mirrored, bind scans one tuple per orbit
+    of the proven group, which contains the symmetrizing one unless the normal
+    form is 0; where no bracket or triple is mirrored, it scans in full."""
+    rng = random.Random(seed)
+    mirrored = _mirrored(_random_structures(rng, 3, True))
+    on = [
+        (_mirrored(_random_structures(rng, 2, False)), 2, True),
+        (mirrored, 3, True),
+        (_mirrored(_broken(mirrored)), 3, True),
+        (_broken(mirrored), 3, False),
+    ]
+    for n in range(count):
+        read = ()
+        while not read:  # a formula that reads no structure has no dimension to bind at
+            group = rng.choice(SYMMETRIZED)
+            names = tuple(rng.sample("XYZ", len(group[0][0])))
+            t, _ = _random_formula(rng, names, n)
+            t = ("sum", tuple((sign, _renamed(t, dict(zip(names, (names[k] for k in p))))) for p, sign in group))
+            formula = Formula(f"orbit-{n}", " ".join(names), _render_sum(t))
+            top, read = formula._parsed
+        proven = dict(formula._nest[2])
+        if formula_module._normal(top, tuple(range(formula.arity))):
+            assert all(proven.get(p) == sign for p, sign in group), formula.text
+        for structures, dim, kept in on:
+            orbit = _assert_one_tuple_per_orbit(formula, structures, _generated(t, names, structures, dim))
+            tensors = any(name.startswith(("bracket", "triple")) for name in read)
+            assert dict(orbit) == (proven if kept or not tensors else {tuple(range(formula.arity)): 1}), formula.text
+
+
+def test_random_symmetrized_formulas_scan_one_tuple_per_orbit():
+    check_random_orbits(RANDOM_SEED, ORBIT_COUNT)
 
 
 # ---------------------------------------------------------------------------
@@ -599,12 +796,12 @@ def test_a_nest_is_compiled_once_and_then_read_from_the_cache(cache, work):
     structures = _myb_structures()
     expected = _interpreted(MYB, structures)
     work.clear()
-    assert expected and dict(_copy(MYB).bind(structures)[0]) == expected
+    assert expected and _tabulated(_copy(MYB), structures) == expected
     assert sorted(set(work)) == ["_Codegen", "_Parser", "compile"]
     assert os.listdir(cache) == [f"formula.myb.{TAG}.nest"]
     work.clear()
     hit = _copy(MYB)
-    assert dict(hit.bind(structures)[0]) == expected and work == []
+    assert _tabulated(hit, structures) == expected and work == []
     assert "_parsed" not in vars(hit)
 
 
@@ -674,7 +871,7 @@ def test_an_unwritable_cache_writes_nothing(tmp_path, monkeypatch, where):
     before = sorted(os.walk(tmp_path))
     structures = _myb_structures()
     for _ in range(2):
-        assert dict(_copy(MYB).bind(structures)[0]) == _interpreted(MYB, structures)
+        assert _tabulated(_copy(MYB), structures) == _interpreted(MYB, structures)
     assert sorted(os.walk(tmp_path)) == before
 
 
@@ -683,14 +880,14 @@ def test_the_cached_code_of_every_stated_nest_is_a_fresh_compile_of_its_source(c
     assert len(nested) == len(STATED) - len(JOINED)
     for name in nested:
         miss = _copy(STATED[name])
-        nest, names = miss._nest
+        nest, names, orbit = miss._nest
         ident = nest.__name__.removeprefix("nonzero_")
         path, key = formula_module._cache_file(miss, ident)
-        source = miss._source(ident)
-        assert _read(path) == (key, names, compile(source, "<string>", "exec", dont_inherit=True)), name
-        assert names == miss._parsed[1]
+        source = miss._source(ident, orbit)
+        assert _read(path) == (key, names, compile(source, "<string>", "exec", dont_inherit=True), orbit), name
+        assert names == miss._parsed[1] and orbit == formula_module._orbit(miss._parsed[0], miss.arity)
         hit = _copy(STATED[name])
-        assert hit._nest[0].__code__ == nest.__code__ and hit._nest[1] == names
+        assert hit._nest[0].__code__ == nest.__code__ and hit._nest[1:] == (names, orbit)
         assert "_parsed" not in vars(hit)
     assert len(os.listdir(cache)) == len(nested)
 

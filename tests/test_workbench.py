@@ -366,6 +366,10 @@ def test_search_verdicts_that_find_nothing_and_a_factorization():
     zero = core.Operator.zero(3)
     found = searches._factorization(so3, 2, R=zero, rho=zero, R1=zero, R2=zero)
     assert found == {"kind": "factorization-found", "trial": 2}
+    # on the zero bracket, R1 = I and R2 = 0 commute, multiply to rho = 0 and are bi-mYB
+    flat, one = so3.replace(bracket=core.BilinearStructure(3)), core.Operator.identity(3)
+    found = searches._factorization(flat, 3, R=one, rho=zero, R1=one, R2=zero)
+    assert found == {"kind": "factorization-found", "trial": 3}
 
 
 def test_search_is_deterministic():
