@@ -18,19 +18,17 @@ from __future__ import annotations
 import functools
 
 from .core import (
+    AlgebraRecord,
     BilinearStructure,
     CheckReport,
-    DimensionMismatchError,
-    FrozenRecord,
     Operator,
     PreconditionError,
     aggregate_report,
     check_antisymmetry,
-    require_lie,
     vec_iadd,
 )
 from .formula import Formula, scan, states, tabulate
-from .lie import LieBiOperator, _require_dim, check_bi_myb, check_even_tempered, derived_bracket
+from .lie import LieBiOperator, check_bi_myb, check_even_tempered, derived_bracket_of
 
 QUADRATIC_BRACKET = Formula("quadratic-bracket", "X Y", "[rhoX,Y] + [X,rhoY] - rho[X,Y] + [RX,RY] - R[X,Y]_R")
 RHO_HOMOMORPHISM = Formula("rho-bracket-homomorphism", "X Y", "rho[X,Y]_rho = [rhoX,rhoY]")
@@ -44,7 +42,8 @@ def _degree_pairs(d: int) -> list:
     return [(p, d - p) for p in range(3) if 0 <= d - p <= 2]
 
 
-# Coefficient of l^d in R_l [X,Y]_l = [R_l X, R_l Y] and in the Jacobiator of [.,.]_l.
+# Coefficient of l^d in R_l [X,Y]_l = [R_l X, R_l Y] and in the Jacobiator of [.,.]_l;
+# the degree-0 Jacobiator is b0's own, which its Lie proof holds.
 HOMOMORPHISM_DEGREES = tuple(
     Formula(
         f"homomorphism-deg{d}",
@@ -64,24 +63,15 @@ JACOBI_DEGREES = tuple(
         )
         + " = 0",
     )
-    for d in range(5)
+    for d in range(1, 5)
 )
 
 
-class RRhoAlgebra(FrozenRecord):
+class RRhoAlgebra(AlgebraRecord):
     """Lie bracket with an (R, rho) operator pair; the pair identities are checked predicates."""
 
     __slots__ = ("bracket", "R", "rho")
-
-    def __init__(self, bracket: BilinearStructure, R: Operator, rho: Operator):
-        bracket = require_lie(bracket)
-        _require_dim(bracket, R, rho)
-        self._assign(bracket, R, rho)
-
-    @functools.cached_property
-    def bracket_R(self) -> BilinearStructure:
-        """The derived bracket [X,Y]_R, tabulated on first read."""
-        return derived_bracket(self.bracket, self.R)
+    bracket_R = derived_bracket_of("R")
 
     @functools.cached_property
     @states(QUADRATIC_BRACKET)
@@ -91,24 +81,10 @@ class RRhoAlgebra(FrozenRecord):
         return tabulate(QUADRATIC_BRACKET, {**fields, "bracket_R": self.bracket_R})
 
 
-class QuadraticBunch(FrozenRecord):
+class QuadraticBunch(AlgebraRecord):
     """Coefficients of [.,.]_l = b0 + l b1 + l^2 b2 and R_l = r0 + l r1 + l^2 r2."""
 
     __slots__ = ("b0", "b1", "b2", "r0", "r1", "r2")
-
-    def __init__(
-        self,
-        b0: BilinearStructure,
-        b1: BilinearStructure,
-        b2: BilinearStructure,
-        r0: Operator,
-        r1: Operator,
-        r2: Operator,
-    ):
-        b0 = require_lie(b0)
-        if len({b0.dim, b1.dim, b2.dim, r0.dim, r1.dim, r2.dim}) != 1:
-            raise DimensionMismatchError("bunch coefficients have mixed dimensions")
-        self._assign(b0, b1, b2, r0, r1, r2)
 
     @property
     def dim(self) -> int:
@@ -185,7 +161,7 @@ def check_gamma_bunch(q: QuadraticBunch) -> CheckReport:
     subs += [check_antisymmetry(b).replace(name=f"antisymmetry-deg{d}") for d, b in ((1, q.b1), (2, q.b2))]
     subs += [scan(f, structures) for f in HOMOMORPHISM_DEGREES]
     subs += [q.b0.lie.sub("jacobi").replace(name="jacobi-deg0")]
-    subs += [scan(f, structures) for f in JACOBI_DEGREES[1:]]
+    subs += [scan(f, structures) for f in JACOBI_DEGREES]
     return aggregate_report("gamma-bunch", subs)
 
 

@@ -48,10 +48,10 @@ class FrozenRecord:
     keywords by name.  A field left out or None takes the class's _defaults
     entry, called if callable (dict gives each record a fresh container); a
     field given twice, an unknown name or a missing field with no default
-    raises TypeError.  A record that validates its fields keeps its own
-    __init__ and stores them with _assign.  Records of one class compare by
-    their field values, and no field can be assigned after __init__; a
-    record hashes by its fields when they hash.
+    raises TypeError; AlgebraRecord adds the checks of a record on an
+    algebra.  Records of one class compare by their field values, and no
+    field can be assigned after __init__; a record hashes by its fields when
+    they hash.
 
     What a subclass derives from its fields is a functools.cached_property:
     computed on first read and then kept in the record's __dict__, which
@@ -78,10 +78,6 @@ class FrozenRecord:
             object.__setattr__(self, name, value)
         if fields:
             raise TypeError(f"{record} has no field {next(iter(fields))!r}")
-
-    def _assign(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -213,7 +209,7 @@ class Operator(FrozenRecord):
         rows = tuple(tuple(as_scalar(x) for x in row) for row in rows)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise DimensionMismatchError("operator matrix must be square and nonempty")
-        self._assign(rows)
+        object.__setattr__(self, "rows", rows)
 
     @functools.cached_property
     def dim(self) -> int:
@@ -819,3 +815,31 @@ def require_lie(bracket: BilinearStructure) -> LieBracket:
         bad = next(s for s in report.subchecks if not s.passed)
         raise PreconditionError(f"bracket is not a Lie bracket: {bad.name} fails at {bad.witness.indices}")
     return proven
+
+
+# ---------------------------------------------------------------------------
+# records on an algebra
+
+
+class AlgebraRecord(FrozenRecord):
+    """Base of the records on one algebra: the fields bind as in FrozenRecord,
+    the first is the base bracket or triple, and then, in this order, every
+    other field with a dim must have the base's (else DimensionMismatchError
+    names the record, the field and both dimensions), and a base bracket is
+    replaced by require_lie(base).  So a mismatch is refused before any scan,
+    and a base triple is kept as given."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **fields):
+        super().__init__(*args, **fields)
+        base_name, *others = self.__slots__
+        base = getattr(self, base_name)
+        for name in others:
+            dim = getattr(getattr(self, name), "dim", base.dim)
+            if dim != base.dim:
+                raise DimensionMismatchError(
+                    f"{type(self).__name__}: {name} has dimension {dim}, {base_name} has dimension {base.dim}"
+                )
+        if isinstance(base, BilinearStructure):
+            object.__setattr__(self, base_name, require_lie(base))

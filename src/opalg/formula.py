@@ -759,6 +759,8 @@ class Formula:
             (top, names), orbit = self._parsed, ((tuple(range(self.arity)), 1),)
         else:
             nest, names, orbit = self._nest
+        if not names:
+            raise ValueError(f"{self.name}: the formula reads no structure, so it has no dimension")
         used = {key: structures[key] for key in names}
         dims = {s.dim for s in used.values()}
         if len(dims) != 1:

@@ -13,17 +13,15 @@ import functools
 
 from .core import (
     COMMUTE,
+    AlgebraRecord,
     BilinearStructure,
     CheckReport,
-    DimensionMismatchError,
-    FrozenRecord,
     JordanTriple,
     Operator,
     TrilinearStructure,
     VARIANT_JACOBSON,
     aggregate_report,
     prove_jts,
-    require_lie,
     tensors_equal_report,
 )
 from .formula import Formula, scan, scan_each_s, states, tabulate
@@ -31,7 +29,7 @@ from .formula import Formula, scan, scan_each_s, states, tabulate
 BASE_UNVERIFIED_NOTE = "base-JTS-unverified"
 
 
-class TripleWithOperator(FrozenRecord):
+class TripleWithOperator(AlgebraRecord):
     """A triple system with one operator; the record proves nothing.
 
     The triple mYB identity and the derived triple need no JTS identity, so a
@@ -41,11 +39,6 @@ class TripleWithOperator(FrozenRecord):
     """
 
     __slots__ = ("triple", "R")
-
-    def __init__(self, triple: TrilinearStructure, R: Operator):
-        if R.dim != triple.dim:
-            raise DimensionMismatchError("operator dimension differs from triple dimension")
-        self._assign(triple, R)
 
     @property
     def notes(self) -> tuple:
@@ -59,15 +52,11 @@ class TripleWithOperator(FrozenRecord):
         return report, derived_triple(self.triple, self.R, MODE_REDUCED) if report.passed else None
 
 
-class DesignCandidate(FrozenRecord):
+class DesignCandidate(AlgebraRecord):
     """A Lie bracket plus a candidate triple; design conditions are checked, not assumed."""
 
     __slots__ = ("bracket", "triple", "jts_variant")
-
-    def __init__(self, bracket: BilinearStructure, triple: TrilinearStructure, jts_variant: str = VARIANT_JACOBSON):
-        if bracket.dim != triple.dim:
-            raise DimensionMismatchError("bracket and triple dimensions differ")
-        self._assign(require_lie(bracket), triple, jts_variant)
+    _defaults = {"jts_variant": VARIANT_JACOBSON}
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 The mYB identity is R[RX,Y] + R[X,RY] = [RX,RY] + R^2[X,Y]; it coincides with
 the modified classical Yang-Baxter equation when R^2 = 1.  Constructors here
-validate only Lie-ness of the base bracket, never any operator condition, so
-failing candidates can always be checked and reported.
+validate only dimensions and Lie-ness of the base bracket (AlgebraRecord),
+never any operator condition, so failing candidates can always be checked
+and reported.
 """
 
 from __future__ import annotations
@@ -12,14 +13,12 @@ import functools
 
 from .core import (
     COMMUTE,
+    AlgebraRecord,
     BilinearStructure,
     CheckReport,
-    DimensionMismatchError,
-    FrozenRecord,
     Operator,
     aggregate_report,
     op_polynomial,
-    require_lie,
     tensors_equal_report,
 )
 from .formula import Formula, scan, scan_each_s, states, tabulate
@@ -41,50 +40,24 @@ EVEN_TEMPERED_XI = Formula(
 )
 
 
-def _require_dim(bracket: BilinearStructure, *operators: Operator) -> None:
-    for op in operators:
-        if op.dim != bracket.dim:
-            raise DimensionMismatchError("operator dimension differs from bracket dimension")
+def derived_bracket_of(operator: str) -> functools.cached_property:
+    """The derived bracket of a record's bracket by its field named operator, tabulated on first read."""
+    return functools.cached_property(lambda record: derived_bracket(record.bracket, getattr(record, operator)))
 
 
-class LieWithOperator(FrozenRecord):
+class LieWithOperator(AlgebraRecord):
     """A Lie bracket together with one operator acting on it."""
 
     __slots__ = ("bracket", "R")
-
-    def __init__(self, bracket: BilinearStructure, R: Operator):
-        bracket = require_lie(bracket)
-        _require_dim(bracket, R)
-        self._assign(bracket, R)
-
-    @functools.cached_property
-    def bracket_R(self) -> BilinearStructure:
-        """The derived bracket [X,Y]_R, tabulated on first read."""
-        return derived_bracket(self.bracket, self.R)
+    bracket_R = derived_bracket_of("R")
 
 
-class LieBiOperator(FrozenRecord):
-    """A Lie bracket with two operators; their conditions are checked, not assumed.
-
-    The bracket is kept as require_lie returns it, proved Lie unless it already was.
-    """
+class LieBiOperator(AlgebraRecord):
+    """A Lie bracket with two operators; their conditions are checked, not assumed."""
 
     __slots__ = ("bracket", "R1", "R2")
-
-    def __init__(self, bracket: BilinearStructure, R1: Operator, R2: Operator):
-        bracket = require_lie(bracket)
-        _require_dim(bracket, R1, R2)
-        self._assign(bracket, R1, R2)
-
-    @functools.cached_property
-    def bracket_R1(self) -> BilinearStructure:
-        """The derived bracket of R1, tabulated on first read."""
-        return derived_bracket(self.bracket, self.R1)
-
-    @functools.cached_property
-    def bracket_R2(self) -> BilinearStructure:
-        """The derived bracket of R2, tabulated on first read."""
-        return derived_bracket(self.bracket, self.R2)
+    bracket_R1 = derived_bracket_of("R1")
+    bracket_R2 = derived_bracket_of("R2")
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from opalg import (
     PreconditionError,
     QuadraticBunch,
     RRhoAlgebra,
+    Witness,
     build_bunch,
     build_entry,
     check_antisymmetry,
@@ -260,6 +261,21 @@ def test_gamma_bunch_detects_perturbed_quadratic_coefficient(coefficient, degree
     assert failing[0] == f"homomorphism-deg{degree}"
     assert report.witness is not None
     assert extract_rrho(bad) == (report, None)
+
+
+def test_gamma_bunch_reads_every_r0_term_when_r0_is_not_the_identity():
+    # every bunch built from an (R, rho) pair has r0 = 1; here r0 = X -> -X^T,
+    # an automorphism of gl(2) that is no scalar, so degree 0 holds and each
+    # left-hand r0 term of degrees 0-2 moves a residual if it is dropped
+    entry = build_entry("example3-gl2")
+    b0 = entry.bracket
+    b2 = BilinearStructure.from_rows(4, [(*row[:-1], 2 * row[-1]) for row in b0.sorted_rows()])
+    r0 = Operator(((-1, 0, 0, 0), (0, 0, -1, 0), (0, -1, 0, 0), (0, 0, 0, -1)))
+    report = check_gamma_bunch(QuadraticBunch(b0, b0, b2, r0, entry.operators["R1"], entry.operators["rho"]))
+    witnesses = {s.name: s.witness for s in report.subchecks}
+    assert witnesses["homomorphism-deg0"] is None
+    assert witnesses["homomorphism-deg1"] == Witness((0, 1), (0, 4, -2, 0))
+    assert witnesses["homomorphism-deg2"] == Witness((0, 1), (0, 4, -3, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,12 @@ def _library_report(name, q):
         _, report = oa.check_triple_r_homomorphism(oa.TripleWithOperator(entry.triple, ops["R2"]))
     elif name == "gamma-bunch-of-a-non-pair":
         report = oa.check_gamma_bunch(oa.build_bunch(oa.RRhoAlgebra(entry.bracket, ops["R"], ops["R1"])))
+    elif name == "gamma-bunch-r0-not-identity":
+        # r0 = X -> -X^T, an automorphism of gl(2): no bunch built from a pair has r0 != 1
+        b0 = entry.bracket
+        b2 = oa.BilinearStructure.from_rows(4, [(*row[:-1], 2 * row[-1]) for row in b0.sorted_rows()])
+        r0 = oa.Operator(((-1, 0, 0, 0), (0, 0, -1, 0), (0, -1, 0, 0), (0, 0, 0, -1)))
+        report = oa.check_gamma_bunch(oa.QuadraticBunch(b0, b0, b2, r0, ops["R1"], ops["rho"]))
     else:
         return _random_operator_reports(entry, 7 if q else 3)
     return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -220,6 +226,7 @@ LIBRARY_CASES = (
     "triple-r-homomorphism",
     "triple-r-homomorphism-unchecked",
     "gamma-bunch-of-a-non-pair",
+    "gamma-bunch-r0-not-identity",
     "generic-operators",
 )
 

@@ -12,6 +12,7 @@ from opalg import bunch, core, jordan, lie, searches, suites
 from opalg import (
     BilinearStructure,
     DesignCandidate,
+    DimensionMismatchError,
     LieBiOperator,
     LieWithOperator,
     Operator,
@@ -52,12 +53,13 @@ JTS_FORMULAS = ("jts-jacobson", "jts-alternate")
 
 def _proof_binds(monkeypatch, names=LIE_FORMULAS, refuse=False) -> list:
     """Wrap Formula.bind; the list it returns collects each bind of a formula
-    in names, and with refuse=True such a bind raises instead."""
+    in names (of every formula if names is None), and with refuse=True such a
+    bind raises instead."""
     binds = []
     bind = Formula.bind
 
     def counted(self, structures):
-        if self.name in names:
+        if names is None or self.name in names:
             if refuse:
                 raise AssertionError(f"{self.name} scanned a structure that was already proved")
             binds.append(self.name)
@@ -146,20 +148,77 @@ def test_an_alternate_proof_is_not_a_jacobson_proof(monkeypatch):
     assert binds == ["jts-jacobson", "jts-alternate", "jts-jacobson"]
 
 
+def algebra_record_fields(bracket, triple) -> dict:
+    """Each record on an algebra -> its fields on bracket or triple (one
+    dimension): the base first, then operators and tensors of that dimension."""
+    n = bracket.dim
+    one, zero, flat = Operator.identity(n), Operator.zero(n), BilinearStructure(n)
+    return {
+        LieWithOperator: (bracket, one),
+        LieBiOperator: (bracket, one, one),
+        RRhoAlgebra: (bracket, one, one),
+        QuadraticBunch: (bracket, flat, flat, one, zero, zero),
+        TripleWithOperator: (triple, one),
+        DesignCandidate: (bracket, triple),
+    }
+
+
+ON_A_NON_LIE_BRACKET = algebra_record_fields(NOT_JACOBI, TrilinearStructure(3))
+RECORDS = list(ON_A_NON_LIE_BRACKET)
+
+
+def test_the_records_on_an_algebra_are_those_the_rule_is_tested_on():
+    import importlib
+    import pkgutil
+
+    import opalg
+
+    for module in pkgutil.iter_modules(opalg.__path__):
+        importlib.import_module(f"opalg.{module.name}")
+    assert set(core.AlgebraRecord.__subclasses__()) == set(RECORDS)
+
+
+def _grown(structure):
+    """A structure of the same kind, one dimension larger."""
+    if isinstance(structure, Operator):
+        return Operator.identity(structure.dim + 1)
+    return type(structure)(structure.dim + 1)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_a_field_of_another_dimension_is_refused_before_any_scan(monkeypatch, cls):
+    # the base bracket is not Lie, so a proof before the dimensions would raise PreconditionError
+    fields = ON_A_NON_LIE_BRACKET[cls]
+    base = cls.__slots__[0]
+    binds = _proof_binds(monkeypatch, names=None)
+    for k in range(1, len(fields)):
+        grown = (*fields[:k], _grown(fields[k]), *fields[k + 1 :])
+        message = f"^{cls.__name__}: {cls.__slots__[k]} has dimension 4, {base} has dimension 3$"
+        with pytest.raises(DimensionMismatchError, match=message):
+            cls(*grown)
+    assert binds == []
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_a_record_proves_a_base_bracket_only_and_keeps_every_other_field(monkeypatch, cls):
+    gl2 = gl_assoc(2)
+    fields = algebra_record_fields(gl2.bracket, gl2.triple)[cls]
+    binds = _proof_binds(monkeypatch, names=None)
+    values = cls(*fields)._values()
+    assert all(value is field for value, field in zip(values[1:], fields[1:]))
+    if isinstance(fields[0], BilinearStructure):
+        assert binds == list(LIE_FORMULAS)
+        assert isinstance(values[0], LieBracket) and values[0] == fields[0]
+    else:  # a base triple is kept as given: gl(2)'s fails the alternate identity
+        assert binds == [] and values[0] is fields[0]
+
+
 @pytest.mark.parametrize("bad", [NOT_ANTISYMMETRIC, NOT_JACOBI], ids=["antisymmetry", "jacobi"])
 def test_every_record_on_a_lie_bracket_refuses_a_non_lie_one(bad):
-    n = bad.dim
-    one, zero = Operator.identity(n), Operator.zero(n)
-    constructors = (
-        lambda: LieWithOperator(bad, one),
-        lambda: LieBiOperator(bad, one, one),
-        lambda: RRhoAlgebra(bad, one, one),
-        lambda: QuadraticBunch(bad, BilinearStructure(n), BilinearStructure(n), one, zero, zero),
-        lambda: DesignCandidate(bad, TrilinearStructure(n)),
-    )
-    for construct in constructors:
-        with pytest.raises(PreconditionError, match="not a Lie bracket"):
-            construct()
+    for cls, fields in algebra_record_fields(bad, TrilinearStructure(bad.dim)).items():
+        if isinstance(fields[0], BilinearStructure):
+            with pytest.raises(PreconditionError, match="not a Lie bracket"):
+                cls(*fields)
 
 
 def test_records_built_on_a_records_bracket_scan_nothing(monkeypatch):
@@ -225,7 +284,12 @@ def test_replacing_the_bracket_proves_the_new_one(monkeypatch):
 
 def test_no_public_function_takes_a_report_as_lie_proof():
     assert list(inspect.signature(require_lie).parameters) == ["bracket"]
-    assert list(inspect.signature(LieBiOperator).parameters) == ["bracket", "R1", "R2"]
+    # a record binds its fields in slot order: none is a proof, none holds a report
+    assert LieBiOperator.__slots__ == ("bracket", "R1", "R2")
+    gl2 = gl_assoc(2)
+    for cls, fields in algebra_record_fields(gl2.bracket, gl2.triple).items():
+        assert "lie" not in cls.__slots__, cls
+        assert not any(isinstance(value, core.CheckReport) for value in cls(*fields)._values()), cls
     assert list(inspect.signature(probe_r0).parameters) == ["g"]
     assert list(inspect.signature(extract_rrho).parameters) == ["q"]
     assert list(inspect.signature(prove_jts).parameters) == ["triple", "variant"]

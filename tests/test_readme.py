@@ -1,6 +1,7 @@
 """Every python code block in README.md runs cleanly against the library as it
-is, and the command-line section names the options, suites, search targets and
-catalog kinds the code has."""
+is, the command-line section names the options, suites, search targets and
+catalog kinds the code has, and the records said to need a Lie bracket are
+those that refuse one that is not."""
 
 import argparse
 import pathlib
@@ -8,10 +9,11 @@ import re
 
 import pytest
 
-from opalg import catalog
+from opalg import PreconditionError, catalog
 from opalg.cli import _build_parser
 from opalg.searches import SEARCH_TARGETS
 from opalg.suites import SUITES
+from test_lie_proof import ON_A_NON_LIE_BRACKET
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
@@ -66,3 +68,15 @@ def test_the_listed_suites_search_targets_and_catalog_kinds_match_the_code():
     assert _listed("Search targets", ".  Asking") == list(SEARCH_TARGETS)
     kinds = {re.sub(r"(<n>|\d+)$", "", name.split("[")[0]) for name in _listed("Catalog names:", ";")}
     assert kinds == set(catalog._KINDS)
+
+
+def test_the_records_listed_as_needing_a_lie_bracket_are_those_that_refuse_a_non_lie_one():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    listed = re.findall(r"`([^`]+)`", text.split("every constructor that needs a Lie bracket (", 1)[1].split(")", 1)[0])
+    refusing = []
+    for cls, fields in ON_A_NON_LIE_BRACKET.items():
+        try:
+            cls(*fields)
+        except PreconditionError:
+            refusing.append(cls.__name__)
+    assert sorted(listed) == sorted(refusing)
